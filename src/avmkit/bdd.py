@@ -3,7 +3,14 @@
 One BddManager owns one static variable order and interns every node in a
 unique table, so two handles in the same manager are equal exactly when they
 denote the same boolean function. Managers are arena-style: nodes are never
-collected within a run, the whole manager is dropped at once.
+collected within a run, the whole manager is dropped at once. Every operation
+is memoized in one computed table that lives as long as the manager, so a
+client that keeps one manager for many queries (the checker keeps one per
+Kripke structure) reuses earlier results.
+
+`and_exists` is the fused relational product of Burch, Clarke, McMillan and
+Dill: it quantifies variables while it conjoins, so the full conjunction is
+never built.
 """
 
 AND = "and"
@@ -235,6 +242,39 @@ class BddManager:
                 OR, self._restrict(idx, var, False), self._restrict(idx, var, True)
             )
         return self._ref(idx)
+
+    def and_exists(self, f: BddRef, g: BddRef, variables) -> BddRef:
+        """Relational product: exists(apply(AND, f, g), variables), computed in
+        one memoized pass without building the conjunction."""
+        quantified = frozenset(variables)
+        for var in quantified:
+            self._check_var(var)
+        return self._ref(self._and_exists(self._index(f), self._index(g), quantified))
+
+    def _and_exists(self, a: int, b: int, quantified: frozenset[int]) -> int:
+        if a == _FALSE or b == _FALSE:
+            return _FALSE
+        if a == _TRUE and b == _TRUE:
+            return _TRUE
+        if a > b:
+            a, b = b, a
+        key = ("and_exists", a, b, quantified)
+        res = self._cache.get(key)
+        if res is not None:
+            return res
+        va, vb = self._var[a], self._var[b]
+        v = min(va, vb)
+        a0, a1 = (self._low[a], self._high[a]) if va == v else (a, a)
+        b0, b1 = (self._low[b], self._high[b]) if vb == v else (b, b)
+        low = self._and_exists(a0, b0, quantified)
+        if v not in quantified:
+            res = self._mk(v, low, self._and_exists(a1, b1, quantified))
+        elif low == _TRUE:
+            res = _TRUE  # the other cofactor cannot add to a tautology
+        else:
+            res = self._apply(OR, low, self._and_exists(a1, b1, quantified))
+        self._cache[key] = res
+        return res
 
     # -- model counting and evaluation --------------------------------------
 

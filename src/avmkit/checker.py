@@ -2,9 +2,15 @@
 
 Behaviors convert to Kripke structures by erasing transition labels and
 totalizing dead-end states with self-loops. Formulas are then checked two
-ways: an explicit-state fixpoint engine over plain sets (the oracle) and a
-symbolic engine over BDDs with binary-encoded states; both return the exact
-satisfying state set.
+ways, and both return the exact satisfying state set:
+
+- the explicit engine (the oracle) labels states in time linear in the
+  structure, as in Clarke, Emerson and Sistla: EX is a union of predecessor
+  lists, EU a backward worklist from the goal states, and EG peels states
+  with no successor left inside the operand's states;
+- the symbolic engine works on BDDs over binary-encoded states. One BDD
+  context is built per structure and shared by every formula checked on it;
+  EX is one fused relational product (`BddManager.and_exists`).
 """
 
 from collections import deque
@@ -60,6 +66,18 @@ class KripkeStructure:
             out[s].append(t)
         return {s: tuple(sorted(ts)) for s, ts in out.items()}
 
+    @cached_property
+    def predecessors(self) -> dict[str, tuple[str, ...]]:
+        into: dict[str, list[str]] = {s: [] for s in self.states}
+        for s, t in self.relation:
+            into[t].append(s)
+        return {t: tuple(sorted(ss)) for t, ss in into.items()}
+
+    @cached_property
+    def _symbolic(self) -> "_Symbolic":
+        """The BDD context every symbolic check on this structure shares."""
+        return _Symbolic(self)
+
 
 def to_kripke(behavior: Behavior, approaches=None) -> KripkeStructure:
     """Erase labels, totalize dead ends with recorded self-loops, and label
@@ -110,31 +128,40 @@ def _validate_atoms(k: KripkeStructure, formula: CtlFormula) -> None:
 # -- explicit-state engine ----------------------------------------------------
 
 
-def _preimage(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
-    return frozenset(s for s in k.states if any(t in targets for t in k.successors[s]))
+def _pre(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
+    """States with a successor in targets."""
+    return frozenset(p for t in targets for p in k.predecessors[t])
 
 
-def _eu_chain(k: KripkeStructure, holds_f: frozenset[str],
-              holds_g: frozenset[str]) -> list[frozenset[str]]:
-    """Non-decreasing approximations of E[f U g], last element the fixpoint."""
-    chain = [holds_g]
-    while True:
-        current = chain[-1]
-        extended = current | (holds_f & _preimage(k, current))
-        if extended == current:
-            return chain
-        chain.append(extended)
+def _eu(k: KripkeStructure, holds_f: frozenset[str],
+        holds_g: frozenset[str]) -> frozenset[str]:
+    """E[f U g]: g-states plus the f-states that reach them backwards
+    through f-states; each edge is followed at most once."""
+    reached = set(holds_g)
+    stack = list(holds_g)
+    while stack:
+        for p in k.predecessors[stack.pop()]:
+            if p in holds_f and p not in reached:
+                reached.add(p)
+                stack.append(p)
+    return frozenset(reached)
 
 
-def _eg_chain(k: KripkeStructure, holds_f: frozenset[str]) -> list[frozenset[str]]:
-    """Non-increasing approximations of EG f, last element the fixpoint."""
-    chain = [holds_f]
-    while True:
-        current = chain[-1]
-        shrunk = current & _preimage(k, current)
-        if shrunk == current:
-            return chain
-        chain.append(shrunk)
+def _eg(k: KripkeStructure, holds_f: frozenset[str]) -> frozenset[str]:
+    """EG f: the largest set of f-states in which every state keeps a
+    successor. Counts each f-state's successors among the f-states, then
+    removes states whose count reaches zero and decrements their
+    predecessors' counts; each edge is followed at most once."""
+    inside = {s: sum(t in holds_f for t in k.successors[s]) for s in holds_f}
+    stack = [s for s, count in inside.items() if count == 0]
+    while stack:
+        dead = stack.pop()
+        for p in k.predecessors[dead]:
+            if p in inside:
+                inside[p] -= 1
+                if inside[p] == 0:
+                    stack.append(p)
+    return frozenset(s for s, count in inside.items() if count > 0)
 
 
 def _sat_explicit(k: KripkeStructure, g: CtlFormula) -> frozenset[str]:
@@ -152,16 +179,16 @@ def _sat_explicit(k: KripkeStructure, g: CtlFormula) -> frozenset[str]:
     if isinstance(g, ctl.Implies):
         return (everything - _sat_explicit(k, g.left)) | _sat_explicit(k, g.right)
     if isinstance(g, ctl.EX):
-        return _preimage(k, _sat_explicit(k, g.operand))
+        return _pre(k, _sat_explicit(k, g.operand))
     if isinstance(g, ctl.EU):
-        return _eu_chain(k, _sat_explicit(k, g.left), _sat_explicit(k, g.right))[-1]
+        return _eu(k, _sat_explicit(k, g.left), _sat_explicit(k, g.right))
     if isinstance(g, ctl.EG):
-        return _eg_chain(k, _sat_explicit(k, g.operand))[-1]
+        return _eg(k, _sat_explicit(k, g.operand))
     raise TypeError(f"not a core formula node: {g!r}")
 
 
 def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
-    """States satisfying the formula, by fixpoint iteration on explicit sets."""
+    """States satisfying the formula, by linear-time labelling on explicit sets."""
     _validate_atoms(k, formula)
     return _sat_explicit(k, ctl.normalize(formula))
 
@@ -170,49 +197,72 @@ def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
 
 
 class _Symbolic:
-    """Per-call BDD context: states in sorted order are binary-encoded over
-    interleaved current (even) and next (odd) variables."""
+    """BDD context of one Kripke structure, shared by every formula checked on
+    it. States in sorted order are binary-encoded over interleaved current
+    (even) and next (odd) variables: bit b of a state's index is variable 2b
+    now and variable 2b+1 one step later."""
 
     def __init__(self, k: KripkeStructure):
         self.k = k
-        self.states = list(k.states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        n = len(self.states)
-        self.bits = max(1, (n - 1).bit_length())
+        self.states = k.states
+        self.bits = max(1, (len(self.states) - 1).bit_length())
         self.mgr = BddManager(2 * self.bits)
-        self.next_vars = [2 * b + 1 for b in range(self.bits)]
+        self.next_vars = frozenset(2 * b + 1 for b in range(self.bits))
         self._shift_memo: dict[int, BddRef] = {}
 
-        self.universe = self._set_to_bdd(self.states)
-        relation = self.mgr.false
-        for s, t in sorted(k.relation):
-            pair = self.mgr.apply(AND, self._encode(self.index[s], 0),
-                                  self._encode(self.index[t], 1))
-            relation = self.mgr.apply(OR, relation, pair)
-        self.relation = relation
+        self.universe = self._set_to_bdd(range(len(self.states)))
+        index = {s: i for i, s in enumerate(self.states)}
+        # A pair's code holds the source index in its low bits and the target
+        # index above them; variable v reads bit v // 2 of the source (v even)
+        # or of the target (v odd).
+        pair_levels = [(v, v // 2 + (v % 2) * self.bits) for v in range(2 * self.bits)]
+        self.relation = self._codes_to_bdd(
+            [index[s] | index[t] << self.bits for s, t in k.relation], pair_levels
+        )
 
-    def _encode(self, state_index: int, offset: int) -> BddRef:
-        ref = self.mgr.true
-        for b in range(self.bits):
-            var = self.mgr.mk_var(2 * b + offset)
-            if not (state_index >> b) & 1:
-                var = self.mgr.negate(var)
-            ref = self.mgr.apply(AND, ref, var)
-        return ref
+    def _codes_to_bdd(self, codes, levels) -> BddRef:
+        """The set of integer codes as a BDD. `levels` lists (variable, code
+        bit) in variable order. Splitting the codes on one bit per level and
+        interning each split yields the reduced, canonical BDD directly."""
+        mgr = self.mgr
+        false, true = mgr.false.index, mgr.true.index
 
-    def _set_to_bdd(self, states) -> BddRef:
-        ref = self.mgr.false
-        for s in sorted(states):
-            ref = self.mgr.apply(OR, ref, self._encode(self.index[s], 0))
-        return ref
+        def build(codes: list[int], depth: int) -> int:
+            if not codes:
+                return false
+            if depth == len(levels):
+                return true
+            var, bit = levels[depth]
+            low = [c for c in codes if not c >> bit & 1]
+            high = [c for c in codes if c >> bit & 1]
+            return mgr._mk(var, build(low, depth + 1), build(high, depth + 1))
+
+        return mgr._ref(build(list(codes), 0))
+
+    def _set_to_bdd(self, state_indices) -> BddRef:
+        return self._codes_to_bdd(state_indices, [(2 * b, b) for b in range(self.bits)])
 
     def _to_states(self, ref: BddRef) -> frozenset[str]:
+        """Walk the BDD over the current-state variables. A level the walk
+        skips is a don't-care bit and takes both values; codes past the last
+        state encode nothing."""
+        mgr = self.mgr
+        false = mgr.false.index
         out = []
-        for s in self.states:
-            i = self.index[s]
-            assignment = {2 * b: bool((i >> b) & 1) for b in range(self.bits)}
-            if self.mgr.evaluate(ref, assignment):
-                out.append(s)
+        stack = [(ref.index, 0, 0)]  # node, next bit to decide, code so far
+        while stack:
+            node, b, code = stack.pop()
+            if node == false:
+                continue
+            if b == self.bits:
+                if code < len(self.states):
+                    out.append(self.states[code])
+                continue
+            low, high = node, node
+            if mgr._var[node] == 2 * b:
+                low, high = mgr._low[node], mgr._high[node]
+            stack.append((low, b + 1, code))
+            stack.append((high, b + 1, code | 1 << b))
         return frozenset(out)
 
     def _shift_to_next(self, ref: BddRef) -> BddRef:
@@ -240,15 +290,14 @@ class _Symbolic:
         return self.mgr.apply(AND, self.universe, self.mgr.negate(ref))
 
     def _ex(self, ref: BddRef) -> BddRef:
-        step = self.mgr.apply(AND, self.relation, self._shift_to_next(ref))
-        return self.mgr.exists(step, self.next_vars)
+        return self.mgr.and_exists(self.relation, self._shift_to_next(ref), self.next_vars)
 
     def _sat(self, g: CtlFormula) -> BddRef:
         if isinstance(g, ctl.Const):
             return self.universe if g.value else self.mgr.false
         if isinstance(g, ctl.Atom):
             return self._set_to_bdd(
-                [s for s in self.states if g.prop in self.k.labeling[s]]
+                [i for i, s in enumerate(self.states) if g.prop in self.k.labeling[s]]
             )
         if isinstance(g, ctl.Not):
             return self._not(self._sat(g.operand))
@@ -283,7 +332,7 @@ class _Symbolic:
 def check_symbolic(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
     """States satisfying the formula, via BDD fixpoints; agrees with check_explicit."""
     _validate_atoms(k, formula)
-    context = _Symbolic(k)
+    context = k._symbolic
     return context._to_states(context._sat(ctl.normalize(formula)))
 
 

@@ -81,12 +81,15 @@ def naive_simple_paths(behavior: Behavior, source: str, target: str) -> set[Path
 # -- Kripke structures and CTL formulas -------------------------------------------
 
 
-def random_kripke(rng: Random, max_states: int = 8) -> KripkeStructure:
+def random_kripke(rng: Random, max_states: int = 8,
+                  max_out: int | None = None) -> KripkeStructure:
+    """Up to max_states states, each with 1..max_out distinct successors
+    (default: up to every state)."""
     n = rng.randint(1, max_states)
     states = [f"q{i}" for i in range(n)]
     relation = set()
     for s in states:
-        for t in rng.sample(states, rng.randint(1, n)):
+        for t in rng.sample(states, rng.randint(1, min(n, max_out or n))):
             relation.add((s, t))
     labeling = {}
     for s in states:
@@ -101,6 +104,34 @@ def random_kripke(rng: Random, max_states: int = 8) -> KripkeStructure:
         relation=frozenset(relation),
         labeling=labeling,
     )
+
+
+def naive_preimage(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
+    """States with a successor in targets, by scanning every state."""
+    return frozenset(s for s in k.states if any(t in targets for t in k.successors[s]))
+
+
+def naive_eu_chain(k: KripkeStructure, holds_f: frozenset[str],
+                   holds_g: frozenset[str]) -> list[frozenset[str]]:
+    """Non-decreasing approximations of E[f U g], last element the fixpoint."""
+    chain = [holds_g]
+    while True:
+        current = chain[-1]
+        extended = current | (holds_f & naive_preimage(k, current))
+        if extended == current:
+            return chain
+        chain.append(extended)
+
+
+def naive_eg_chain(k: KripkeStructure, holds_f: frozenset[str]) -> list[frozenset[str]]:
+    """Non-increasing approximations of EG f, last element the fixpoint."""
+    chain = [holds_f]
+    while True:
+        current = chain[-1]
+        shrunk = current & naive_preimage(k, current)
+        if shrunk == current:
+            return chain
+        chain.append(shrunk)
 
 
 def random_formula(rng: Random, states, depth: int = 4) -> CtlFormula:

@@ -120,6 +120,36 @@ class TestRestrictExists:
         )
 
 
+class TestAndExists:
+    @settings(max_examples=80, deadline=None)
+    @given(formulas(6), formulas(6), st.sets(st.integers(min_value=0, max_value=5)))
+    def test_matches_exists_of_conjunction(self, fa, fb, variables):
+        mgr = BddManager(6)
+        f = bool_to_bdd(mgr, fa)
+        g = bool_to_bdd(mgr, fb)
+        assert mgr.and_exists(f, g, variables) == mgr.exists(mgr.apply(AND, f, g), variables)
+        assert mgr.check_invariants() == []
+
+    def test_empty_variable_set_is_conjunction(self, mgr):
+        f = bool_to_bdd(mgr, random_bool_formula(Random(17), 6))
+        g = bool_to_bdd(mgr, random_bool_formula(Random(19), 6))
+        assert mgr.and_exists(f, g, set()) == mgr.apply(AND, f, g)
+
+    def test_terminal_operands(self, mgr):
+        f = bool_to_bdd(mgr, random_bool_formula(Random(23), 6))
+        assert mgr.and_exists(mgr.false, f, {0, 1}) == mgr.false
+        assert mgr.and_exists(f, mgr.false, {0, 1}) == mgr.false
+        assert mgr.and_exists(mgr.true, mgr.true, {0}) == mgr.true
+        assert mgr.and_exists(mgr.true, f, {0, 1}) == mgr.exists(f, {0, 1})
+        assert mgr.and_exists(f, mgr.true, set()) == f
+
+    def test_var_out_of_range(self, mgr):
+        with pytest.raises(VarOutOfRangeError):
+            mgr.and_exists(mgr.mk_var(0), mgr.mk_var(1), {6})
+        with pytest.raises(VarOutOfRangeError):
+            mgr.and_exists(mgr.true, mgr.true, {-1})
+
+
 class TestCounting:
     def test_true_over_three_vars(self, mgr):
         assert mgr.sat_count(mgr.true, 3) == 8

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from avmkit.checker import (
     UnknownAtomError,
-    _eg_chain,
-    _eu_chain,
+    _eg,
+    _eu,
+    _pre,
     check_explicit,
     check_symbolic,
     holds,
@@ -18,12 +19,19 @@ from avmkit.checker import (
 from avmkit.ctl import AtomicProposition, parse_ctl
 from avmkit.lts import build_behavior
 
-from generators import random_behavior, random_formula, random_kripke
+from generators import (
+    naive_eg_chain,
+    naive_eu_chain,
+    naive_preimage,
+    random_behavior,
+    random_formula,
+    random_kripke,
+)
 
 
-def kripkes(max_states=8):
+def kripkes(max_states=8, max_out=None):
     return st.integers(min_value=0, max_value=100_000).map(
-        lambda seed: random_kripke(Random(seed), max_states)
+        lambda seed: random_kripke(Random(seed), max_states, max_out)
     )
 
 
@@ -139,14 +147,27 @@ class TestFixpointChains:
         rng = Random(seed)
         sat_f = check_explicit(k, random_formula(rng, k.states, depth=2))
         sat_g = check_explicit(k, random_formula(rng, k.states, depth=2))
-        eu = _eu_chain(k, sat_f, sat_g)
+        eu = naive_eu_chain(k, sat_f, sat_g)
         for earlier, later in zip(eu, eu[1:]):
             assert earlier < later
         assert len(eu) <= len(k.states) + 1
-        eg = _eg_chain(k, sat_f)
+        eg = naive_eg_chain(k, sat_f)
         for earlier, later in zip(eg, eg[1:]):
             assert later < earlier
         assert len(eg) <= len(k.states) + 1
+
+    # Sparse structures of up to 150 states give fixpoints many steps deep.
+    @settings(max_examples=80, deadline=None)
+    @given(kripkes(150, max_out=3), st.integers(min_value=0, max_value=100_000))
+    def test_linear_labelling_matches_naive_fixpoints(self, k, seed):
+        rng = Random(seed)
+        sat_f = check_explicit(k, random_formula(rng, k.states, depth=2))
+        sat_g = check_explicit(k, random_formula(rng, k.states, depth=2))
+        assert _pre(k, sat_g) == naive_preimage(k, sat_g)
+        assert _eu(k, sat_f, sat_g) == naive_eu_chain(k, sat_f, sat_g)[-1]
+        assert _eg(k, sat_f) == naive_eg_chain(k, sat_f)[-1]
+        f = random_formula(rng, k.states)
+        assert check_symbolic(k, f) == check_explicit(k, f)
 
 
 class TestWitness:

@@ -103,6 +103,22 @@ class TestCheck:
         assert "reach_done on control: fails (expected holds, MISMATCH)" in out
         assert "expectation-mismatch" in out
 
+    def test_one_bdd_manager_per_target(self, capsys, monkeypatch):
+        import avmkit.checker
+
+        created = []
+
+        class CountingManager(avmkit.checker.BddManager):
+            def __init__(self, var_count):
+                super().__init__(var_count)
+                created.append(self)
+
+        monkeypatch.setattr(avmkit.checker, "BddManager", CountingManager)
+        code, _ = run_cli(capsys, "check", BUNDLED)
+        assert code == 0
+        # all five bundled specs target the control behavior
+        assert len(created) == 1
+
     def test_quiet_hides_witnesses(self, capsys):
         code, out = run_cli(capsys, "--quiet", "check", BUNDLED)
         assert code == 0
