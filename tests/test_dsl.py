@@ -15,7 +15,7 @@ from avmkit.dsl import ModelSyntaxError, parse_model, render_model
 from avmkit.lts import Path, build_behavior
 from avmkit.report import ModelValidationError
 
-from conftest import MODEL_FILE
+from conftest import CORPUS_DIR, MODEL_FILE
 from generators import random_behavior
 
 MINIMAL = """
@@ -247,3 +247,120 @@ def build_minimal_doc():
     from avmkit.dsl import ModelDocument
 
     return ModelDocument(coupled=coupled, properties=())
+
+
+# -- golden diagnostics ----------------------------------------------------------
+#
+# The exact text of parse_model's coupling findings: code, subject, detail and
+# position, for the parse-time corpus mutants and for small documents that hit
+# each check and both wordings of a wrong-side reference.
+
+TWO_CONTROL_STATES = """behavior preventive {
+  initial P
+  P - go -> Q
+}
+behavior control {
+  initial C
+  C - step -> D
+}
+"""
+
+GOLDEN_DOCUMENTS = {
+    "exempt_conflict": MINIMAL + "exempt C\nexempt C\n",
+    "unknown_approach": MINIMAL + (
+        "approach Cleanup {\n  control: C Z\n  preventive: Nowhere\n}\n"
+    ),
+    "duplicate_approach": MINIMAL + (
+        "approach Protection {\n  control: C\n}\n"
+        "approach Protection {\n  control: Z\n}\n"
+    ),
+    # a key that is not a control state skips its paths
+    "map_key_cross_reference": MINIMAL + "map P => C\nmap Z => Nowhere\n",
+    "path_state_cross_reference": MINIMAL + "map C => C, P - go -> Nowhere - go -> Q\n",
+    "exempt_cross_reference": MINIMAL + "exempt P\nexempt Z\n",
+    "approach_cross_reference": MINIMAL + (
+        "approach Detection {\n  preventive: C Y Q\n  control: P Z C\n}\n"
+    ),
+    # overlap follows document order, not the canonical approach order, and a
+    # state rejected by cross-reference does not claim ownership
+    "overlap_out_of_canonical_order": TWO_CONTROL_STATES + (
+        "map C => P\nmap D => Q\n"
+        "approach Removal {\n  control: D\n  preventive: Q Q\n}\n"
+        "approach Identification {\n  control: D C\n  preventive: Q D P\n}\n"
+        "approach Protection {\n  control: P\n  preventive: D P\n}\n"
+    ),
+    "partial_mapping_after_rejections": TWO_CONTROL_STATES + "map Z => P\nexempt Q\n",
+}
+GOLDEN_MUTANTS = ("cross_reference", "overlapping_approach", "unmapped_state")
+
+GOLDEN_LINES = {
+    'exempt_conflict': [
+        '[error] exempt-conflict C: state is both mapped and declared exempt (line 11, col 8)',
+        '[error] exempt-conflict C: state is both mapped and declared exempt (line 12, col 8)',
+    ],
+    'unknown_approach': [
+        '[error] unknown-approach Cleanup: approach must be one of Protection, Detection, Identification, Removal (line 11, col 10)',
+    ],
+    'duplicate_approach': [
+        '[error] duplicate-approach Protection: approach block appears more than once (line 14, col 10)',
+    ],
+    'map_key_cross_reference': [
+        '[error] cross-behavior-reference P: mapping key names a preventive state where a control state is required (line 11, col 5)',
+        '[error] cross-behavior-reference Z: mapping key is not a control state (line 12, col 5)',
+    ],
+    'path_state_cross_reference': [
+        '[error] cross-behavior-reference C: mapping for C: path state names a control state where a preventive state is required (line 11, col 10)',
+        '[error] cross-behavior-reference Nowhere: mapping for C: path state is not a preventive state (line 11, col 23)',
+    ],
+    'exempt_cross_reference': [
+        '[error] cross-behavior-reference P: exempt state names a preventive state where a control state is required (line 11, col 8)',
+        '[error] cross-behavior-reference Z: exempt state is not a control state (line 12, col 8)',
+    ],
+    'approach_cross_reference': [
+        '[error] cross-behavior-reference C: approach Detection (preventive side) names a control state where a preventive state is required (line 12, col 15)',
+        '[error] cross-behavior-reference Y: approach Detection (preventive side) is not a preventive state (line 12, col 17)',
+        '[error] cross-behavior-reference P: approach Detection (control side) names a preventive state where a control state is required (line 13, col 12)',
+        '[error] cross-behavior-reference Z: approach Detection (control side) is not a control state (line 13, col 14)',
+    ],
+    'overlap_out_of_canonical_order': [
+        '[error] overlapping-approach D: claimed by both Removal and Identification (control side) (line 16, col 12)',
+        '[error] overlapping-approach Q: claimed by both Removal and Identification (preventive side) (line 17, col 15)',
+        '[error] cross-behavior-reference D: approach Identification (preventive side) names a control state where a preventive state is required (line 17, col 17)',
+        '[error] cross-behavior-reference P: approach Protection (control side) names a preventive state where a control state is required (line 20, col 12)',
+        '[error] cross-behavior-reference D: approach Protection (preventive side) names a control state where a preventive state is required (line 21, col 15)',
+        '[error] overlapping-approach P: claimed by both Identification and Protection (preventive side) (line 21, col 17)',
+    ],
+    'partial_mapping_after_rejections': [
+        '[error] partial-mapping C: control state is neither mapped nor declared exempt (line 6, col 11)',
+        '[error] partial-mapping D: control state is neither mapped nor declared exempt (line 7, col 3)',
+        '[error] cross-behavior-reference Z: mapping key is not a control state (line 9, col 5)',
+        '[error] cross-behavior-reference Q: exempt state names a preventive state where a control state is required (line 10, col 8)',
+    ],
+    'mutant_cross_reference': [
+        '[error] cross-behavior-reference Activated: mapping for NotActivated: path state names a control state where a preventive state is required (line 63, col 21)',
+    ],
+    'mutant_overlapping_approach': [
+        '[error] overlapping-approach CheckCleaningOperations: claimed by both Identification and Removal (preventive side) (line 60, col 33)',
+    ],
+    'mutant_unmapped_state': [
+        '[error] partial-mapping Process: control state is neither mapped nor declared exempt (line 34, col 3)',
+    ],
+}
+
+
+def golden_text(case):
+    if case.startswith("mutant_"):
+        return (CORPUS_DIR / f"{case}.avm").read_text(encoding="utf-8")
+    return GOLDEN_DOCUMENTS[case]
+
+
+class TestGoldenDiagnostics:
+    def test_cases_cover_documents_and_mutants(self):
+        expected = set(GOLDEN_DOCUMENTS) | {f"mutant_{m}" for m in GOLDEN_MUTANTS}
+        assert set(GOLDEN_LINES) == expected
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_exact_finding_lines(self, case):
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(golden_text(case))
+        assert [f.format() for f in err.value.findings] == GOLDEN_LINES[case]
