@@ -21,14 +21,10 @@ from .coupled import (
     APPROACH_NAMES,
     Approach,
     ApproachPartition,
-    ControlBehavior,
     CoupledModel,
     MappingProcess,
-    PreventiveBehavior,
     approach_partition,
-    build_control_behavior,
     build_coupled_model,
-    build_preventive_behavior,
     check_approach_alignment,
     check_mapping,
     check_synchronization,
@@ -57,9 +53,8 @@ __all__ = [
     "AND", "OR", "XOR", "IMPLIES", "BddManager", "BddRef",
     "KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
     "holds", "to_kripke", "witness",
-    "APPROACH_NAMES", "Approach", "ApproachPartition", "ControlBehavior",
-    "CoupledModel", "MappingProcess", "PreventiveBehavior", "approach_partition",
-    "build_control_behavior", "build_coupled_model", "build_preventive_behavior",
+    "APPROACH_NAMES", "Approach", "ApproachPartition", "CoupledModel",
+    "MappingProcess", "approach_partition", "build_coupled_model",
     "check_approach_alignment", "check_mapping", "check_synchronization",
     "mapping_process",
     "AtomicProposition", "CtlFormula", "CtlSyntaxError", "parse_ctl",

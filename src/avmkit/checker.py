@@ -83,8 +83,8 @@ def to_kripke(behavior: Behavior, approaches=None) -> KripkeStructure:
     """Erase labels, totalize dead ends with recorded self-loops, and label
     every state with at(state) plus in(approach) for covered states.
 
-    `approaches` may be an ApproachPartition, a {name: states} mapping, or
-    None; membership is restricted to this behavior's states.
+    `approaches` is an ApproachPartition or None; membership is restricted
+    to this behavior's states.
     """
     relation: set[tuple[str, str]] = set()
     edge_labels: dict[tuple[str, str], str] = {}

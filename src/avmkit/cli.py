@@ -151,8 +151,8 @@ def cmd_check(args) -> int:
 
     def kripke_for(target: str):
         if target not in kripkes:
-            base = (doc.coupled.control if target == "control" else doc.coupled.preventive).base
-            kripkes[target] = to_kripke(base, doc.coupled.approaches)
+            behavior = doc.coupled.control if target == "control" else doc.coupled.preventive
+            kripkes[target] = to_kripke(behavior, doc.coupled.approaches)
         return kripkes[target]
 
     findings = []
@@ -230,9 +230,9 @@ def cmd_paths(args) -> int:
     doc, findings, code = _load(args.file)
     if doc is None:
         return _failure_payload(args, "paths", findings, code)
-    base = (doc.coupled.control if args.behavior == "control" else doc.coupled.preventive).base
+    behavior = doc.coupled.control if args.behavior == "control" else doc.coupled.preventive
     try:
-        paths = enumerate_simple_paths(base, args.from_state, args.to_state)
+        paths = enumerate_simple_paths(behavior, args.from_state, args.to_state)
     except UnknownStateError as exc:
         finding = Finding("error", "unknown-state", exc.state,
                           f"no state named {exc.state} in the {args.behavior} behavior")
@@ -260,9 +260,8 @@ def cmd_export(args) -> int:
         if args.export_format == "smv":
             text = to_smv(doc, args.target)
         else:
-            base = (doc.coupled.control if args.target == "control"
-                    else doc.coupled.preventive).base
-            text = to_dot(base, approaches=doc.coupled.approaches, name=args.target)
+            behavior = doc.coupled.control if args.target == "control" else doc.coupled.preventive
+            text = to_dot(behavior, approaches=doc.coupled.approaches, name=args.target)
     except NameCollisionError as exc:
         finding = Finding("error", "name-collision", args.target, str(exc))
         return _failure_payload(args, "export", [finding], EXIT_FAIL)
@@ -282,8 +281,8 @@ def cmd_info(args) -> int:
     if doc is None:
         return _failure_payload(args, "info", findings, code)
     coupled = doc.coupled
-    preventive = coupled.preventive.base
-    control = coupled.control.base
+    preventive = coupled.preventive
+    control = coupled.control
     lines = [
         f"preventive: {len(preventive.states)} states / {len(preventive.transitions)} transitions",
         f"control: {len(control.states)} states / {len(control.transitions)} transitions",

@@ -7,81 +7,9 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .lts import Behavior, Path, enumerate_simple_paths, reachable_states
-from .report import CheckReport, Finding, ModelValidationError
+from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
-
-
-@dataclass(frozen=True, order=True)
-class TransitionAnnotation:
-    """Optional event/approach tag carried by one transition; checks ignore these."""
-
-    source: str
-    label: str
-    target: str
-    event: str
-    approach: str
-
-
-@dataclass(frozen=True)
-class PreventiveBehavior:
-    """The behavior modeling the protection workflow rules."""
-
-    base: Behavior
-    events: frozenset[str]
-    annotations: tuple[TransitionAnnotation, ...] = ()
-
-
-@dataclass(frozen=True)
-class ControlBehavior:
-    """The behavior navigating the execution flow of the approaches."""
-
-    base: Behavior
-    events: frozenset[str]
-    annotations: tuple[TransitionAnnotation, ...] = ()
-
-
-def _annotation_diagnostics(base: Behavior, events, annotations) -> list[Finding]:
-    findings = []
-    triples = {(t.source, t.label, t.target) for t in base.transitions}
-    for ann in annotations:
-        if (ann.source, ann.label, ann.target) not in triples:
-            findings.append(
-                Finding("error", "unknown-transition",
-                        f"{ann.source} -{ann.label}-> {ann.target}",
-                        "annotation does not match any transition")
-            )
-        if ann.event not in events:
-            findings.append(
-                Finding("error", "unknown-event", ann.event,
-                        "annotation event is not in the declared event set")
-            )
-        if ann.approach not in APPROACH_NAMES:
-            findings.append(
-                Finding("error", "unknown-approach-tag", ann.approach,
-                        f"annotation approach must be one of {', '.join(APPROACH_NAMES)}")
-            )
-    return findings
-
-
-def build_preventive_behavior(base: Behavior, events=None, annotations=()) -> PreventiveBehavior:
-    """Wrap a behavior as the preventive side; events default to the label set."""
-    events = frozenset(base.labels if events is None else events)
-    annotations = tuple(sorted(annotations))
-    diags = _annotation_diagnostics(base, events, annotations)
-    if diags:
-        raise ModelValidationError(diags)
-    return PreventiveBehavior(base, events, annotations)
-
-
-def build_control_behavior(base: Behavior, events=None, annotations=()) -> ControlBehavior:
-    """Wrap a behavior as the control side; events default to the label set."""
-    events = frozenset(base.labels if events is None else events)
-    annotations = tuple(sorted(annotations))
-    diags = _annotation_diagnostics(base, events, annotations)
-    if diags:
-        raise ModelValidationError(diags)
-    return ControlBehavior(base, events, annotations)
 
 
 @dataclass(frozen=True)
@@ -160,104 +88,127 @@ def approach_partition(assignments: Mapping[str, tuple[Iterable[str], Iterable[s
     return ApproachPartition(tuple(approaches))
 
 
-def approach_membership(approaches, states) -> dict[str, frozenset[str]]:
-    """Resolve an approach argument (partition, plain mapping, or None) to
-    {approach name: member states drawn from `states`}."""
-    states = frozenset(states)
+def approach_membership(approaches: ApproachPartition | None,
+                        states) -> dict[str, frozenset[str]]:
+    """{approach name: member states drawn from `states`}; empty without a partition."""
     if approaches is None:
         return {}
-    if isinstance(approaches, ApproachPartition):
-        return {
-            a.name: (a.control_states | a.preventive_states) & states
-            for a in approaches.approaches
-        }
-    return {str(name): frozenset(members) & states for name, members in approaches.items()}
+    states = frozenset(states)
+    return {
+        a.name: (a.control_states | a.preventive_states) & states
+        for a in approaches.approaches
+    }
 
 
 @dataclass(frozen=True)
 class CoupledModel:
     name: str
-    preventive: PreventiveBehavior
-    control: ControlBehavior
+    preventive: Behavior
+    control: Behavior
     mapping: MappingProcess
     approaches: ApproachPartition
 
 
-def coupled_diagnostics(preventive: PreventiveBehavior, control: ControlBehavior,
-                        mapping: MappingProcess, approaches: ApproachPartition) -> list[Finding]:
-    """Name-resolution and partition checks. Whether mapped paths actually walk
-    the preventive transition relation is check_mapping's job, so that broken
-    models stay constructible and reportable."""
+def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, approaches,
+                        control_positions: Mapping[str, SourcePos] | None = None) -> list[Finding]:
+    """The coupling checks, over every place a model names a state or approach.
+
+    `maps` holds (key, position, [(path, state positions), ...]) per map
+    statement, `exempts` holds (state, position) and `approaches` holds
+    (name, position, {side: [(state, position), ...]}), all in source order.
+    Positions are None for a model built in code; `control_positions` places
+    partial-mapping findings. A name that fails one check sits out the later
+    ones: a map key that is not a control state skips its paths, a rejected
+    exempt state is not also a conflict, and a rejected approach member claims
+    no ownership. Whether mapped paths actually walk the preventive transition
+    relation is check_mapping's job, so that broken models stay constructible
+    and reportable.
+    """
     findings: list[Finding] = []
-    control_states = control.base.states
-    preventive_states = preventive.base.states
+
+    def error(code: str, subject: str, detail: str, position: SourcePos | None) -> None:
+        findings.append(Finding("error", code, subject, detail, position))
 
     def wrong_side(name: str, expected: str) -> str:
-        other = preventive_states if expected == "control" else control_states
+        other = preventive.states if expected == "control" else control.states
         if name in other:
             flip = "preventive" if expected == "control" else "control"
             return f"names a {flip} state where a {expected} state is required"
         return f"is not a {expected} state"
 
-    for state, paths in mapping.entries:
-        if state not in control_states:
-            findings.append(
-                Finding("error", "cross-behavior-reference", state,
-                        f"mapping key {wrong_side(state, 'control')}")
-            )
-        # Path labels and triple membership are check_mapping's concern, so a
-        # model with a broken mapped path stays constructible and reportable.
-        for path in paths:
-            for s in path.states:
-                if s not in preventive_states:
-                    findings.append(
-                        Finding("error", "cross-behavior-reference", s,
-                                f"mapping for {state}: path state {wrong_side(s, 'preventive')}")
-                    )
+    mapped: set[str] = set()
+    for key, position, paths in maps:
+        if key not in control.states:
+            error("cross-behavior-reference", key, f"mapping key {wrong_side(key, 'control')}",
+                  position)
+            continue
+        mapped.add(key)
+        for path, spots in paths:
+            for state, spot in zip(path.states, spots):
+                if state not in preventive.states:
+                    error("cross-behavior-reference", state,
+                          f"mapping for {key}: path state {wrong_side(state, 'preventive')}",
+                          spot)
 
-    for state in sorted(mapping.exempt):
-        if state not in control_states:
-            findings.append(
-                Finding("error", "cross-behavior-reference", state,
-                        f"exempt state {wrong_side(state, 'control')}")
-            )
-        if state in mapping.mapped_states:
-            findings.append(
-                Finding("error", "exempt-conflict", state,
-                        "state is both mapped and declared exempt")
-            )
+    exempt: set[str] = set()
+    for state, position in exempts:
+        if state not in control.states:
+            error("cross-behavior-reference", state,
+                  f"exempt state {wrong_side(state, 'control')}", position)
+        elif state in mapped:
+            error("exempt-conflict", state, "state is both mapped and declared exempt", position)
+        else:
+            exempt.add(state)
 
-    for state in sorted(control_states - mapping.mapped_states - mapping.exempt):
-        findings.append(
-            Finding("error", "partial-mapping", state,
-                    "control state is neither mapped nor declared exempt")
-        )
+    control_positions = control_positions or {}
+    for state in sorted(control.states - mapped - exempt):
+        error("partial-mapping", state, "control state is neither mapped nor declared exempt",
+              control_positions.get(state))
 
-    for side, expected_states in (("control", control_states), ("preventive", preventive_states)):
-        owners: dict[str, str] = {}
-        for approach in approaches.approaches:
-            members = approach.control_states if side == "control" else approach.preventive_states
-            for state in sorted(members):
-                if state not in expected_states:
-                    findings.append(
-                        Finding("error", "cross-behavior-reference", state,
-                                f"approach {approach.name} ({side} side) {wrong_side(state, side)}")
-                    )
-                if state in owners:
-                    findings.append(
-                        Finding("error", "overlapping-approach", state,
-                                f"claimed by both {owners[state]} and {approach.name} ({side} side)")
-                    )
-                else:
-                    owners[state] = approach.name
+    declared: set[str] = set()
+    owners: dict[tuple[str, str], str] = {}
+    for name, position, sides in approaches:
+        if name not in APPROACH_NAMES:
+            error("unknown-approach", name,
+                  f"approach must be one of {', '.join(APPROACH_NAMES)}", position)
+            continue
+        if name in declared:
+            error("duplicate-approach", name, "approach block appears more than once", position)
+            continue
+        declared.add(name)
+        for side, members in sides.items():
+            expected = control.states if side == "control" else preventive.states
+            for state, spot in members:
+                if state not in expected:
+                    error("cross-behavior-reference", state,
+                          f"approach {name} ({side} side) {wrong_side(state, side)}", spot)
+                elif owners.setdefault((side, state), name) != name:
+                    error("overlapping-approach", state,
+                          f"claimed by both {owners[side, state]} and {name} ({side} side)", spot)
     return findings
 
 
-def build_coupled_model(preventive: PreventiveBehavior, control: ControlBehavior,
-                        mapping: MappingProcess, approaches: ApproachPartition,
-                        name: str = "model") -> CoupledModel:
+def model_occurrences(mapping: MappingProcess, approaches: ApproachPartition):
+    """The (maps, exempts, approaches) arguments of coupled_diagnostics for a
+    model built in code: canonical order, no positions."""
+
+    def unplaced(names):
+        return [(name, None) for name in sorted(names)]
+
+    return (
+        [(state, None, [(path, (None,) * len(path.states)) for path in paths])
+         for state, paths in mapping.entries],
+        unplaced(mapping.exempt),
+        [(a.name, None, {"control": unplaced(a.control_states),
+                         "preventive": unplaced(a.preventive_states)})
+         for a in approaches.approaches],
+    )
+
+
+def build_coupled_model(preventive: Behavior, control: Behavior, mapping: MappingProcess,
+                        approaches: ApproachPartition, name: str = "model") -> CoupledModel:
     """Construct a validated CoupledModel; raises ModelValidationError otherwise."""
-    diags = coupled_diagnostics(preventive, control, mapping, approaches)
+    diags = coupled_diagnostics(preventive, control, *model_occurrences(mapping, approaches))
     if diags:
         raise ModelValidationError(diags)
     return CoupledModel(name, preventive, control, mapping, approaches)
@@ -280,20 +231,14 @@ def check_mapping(model: CoupledModel) -> CheckReport:
     """Per control state: mapped path count, exemptions, and any mapped path
     that is not a valid preventive path (with the first broken triple)."""
     findings: list[Finding] = []
-    control = model.control.base
-    preventive = model.preventive.base
+    control = model.control
+    preventive = model.preventive
 
     for state in sorted(control.states):
         if state in model.mapping.exempt:
             findings.append(Finding("info", "exempt-state", state, "declared exempt from mapping"))
             continue
         paths = model.mapping.paths_for(state)
-        if not paths:
-            findings.append(
-                Finding("error", "partial-mapping", state,
-                        "control state is neither mapped nor declared exempt")
-            )
-            continue
         findings.append(
             Finding("info", "mapping-entry", state, f"maps to {len(paths)} preventive path(s)")
         )
@@ -342,7 +287,7 @@ def check_approach_alignment(model: CoupledModel) -> CheckReport:
                                 f"{approach.name} preventive set")
                     )
 
-    for side, behavior in (("control", model.control.base), ("preventive", model.preventive.base)):
+    for side, behavior in (("control", model.control), ("preventive", model.preventive)):
         uncovered = sorted(behavior.states - model.approaches.covered(side))
         if uncovered:
             findings.append(
@@ -360,8 +305,8 @@ def check_synchronization(model: CoupledModel) -> CheckReport:
     reachable from some previous fragment's last state by zero or more
     preventive transitions. The first gap per control path is reported."""
     findings: list[Finding] = []
-    control = model.control.base
-    preventive = model.preventive.base
+    control = model.control
+    preventive = model.preventive
 
     reach_memo: dict[str, frozenset[str]] = {}
 

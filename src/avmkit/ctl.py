@@ -4,6 +4,8 @@ Concrete syntax: atoms ``at(Name)`` / ``in(Name)``, constants ``true`` /
 ``false``, boolean operators ``! & | ->``, temporal unaries ``EX EF EG AX AF
 AG``, and until forms ``E [ f U g ]`` / ``A [ f U g ]``. Precedence is
 ``!``/temporal > ``&`` > ``|`` > ``->`` with ``->`` right-associative.
+Parentheses, negations, temporal operators, until brackets and implications
+nest at most ``MAX_NESTING`` deep; deeper text is a syntax error.
 """
 
 import re
@@ -11,6 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Deep enough for any hand-written property, shallow enough that parsing,
+# normalizing and checking a formula stay well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 class CtlSyntaxError(ValueError):
@@ -291,6 +297,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -314,12 +321,21 @@ class _Parser:
         raise CtlSyntaxError(f"expected {description}", tok.line, tok.column,
                              expected=("identifier",))
 
+    def nested(self, opener: _Token, parse: Callable[[], CtlFormula]):
+        """Run `parse` one nesting level below `opener`, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise CtlSyntaxError("formula nested too deep", opener.line, opener.column)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_implies(self) -> CtlFormula:
         left = self.parse_or()
         tok = self.peek()
         if tok.kind == "punct" and tok.value == "->":
             self.take()
-            return Implies(left, self.parse_implies())
+            return Implies(left, self.nested(tok, self.parse_implies))
         return left
 
     def parse_or(self) -> CtlFormula:
@@ -346,28 +362,32 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "punct" and tok.value == "!":
             self.take()
-            return Not(self.parse_unary())
+            return Not(self.nested(tok, self.parse_unary))
         if tok.kind == "ident" and tok.value in _UNARY_KEYWORDS:
             self.take()
-            return _UNARY_KEYWORDS[tok.value](self.parse_unary())
+            return _UNARY_KEYWORDS[tok.value](self.nested(tok, self.parse_unary))
         if tok.kind == "ident" and tok.value in ("E", "A"):
             self.take()
-            self.expect_punct("[")
-            left = self.parse_implies()
-            until = self.peek()
-            if not (until.kind == "ident" and until.value == "U"):
-                raise CtlSyntaxError("expected 'U'", until.line, until.column, expected=("U",))
-            self.take()
-            right = self.parse_implies()
-            self.expect_punct("]")
+            left, right = self.nested(tok, self.parse_until)
             return EU(left, right) if tok.value == "E" else AU(left, right)
         return self.parse_primary()
+
+    def parse_until(self) -> tuple[CtlFormula, CtlFormula]:
+        self.expect_punct("[")
+        left = self.parse_implies()
+        until = self.peek()
+        if not (until.kind == "ident" and until.value == "U"):
+            raise CtlSyntaxError("expected 'U'", until.line, until.column, expected=("U",))
+        self.take()
+        right = self.parse_implies()
+        self.expect_punct("]")
+        return left, right
 
     def parse_primary(self) -> CtlFormula:
         tok = self.peek()
         if tok.kind == "punct" and tok.value == "(":
             self.take()
-            node = self.parse_implies()
+            node = self.nested(tok, self.parse_implies)
             self.expect_punct(")")
             return node
         if tok.kind == "ident":

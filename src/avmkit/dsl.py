@@ -16,19 +16,18 @@ themselves; ``state`` lines are only needed for otherwise unmentioned states.
 import bisect
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ctl
 from .coupled import (
     APPROACH_NAMES,
     CoupledModel,
     approach_partition,
-    build_control_behavior,
-    build_coupled_model,
-    build_preventive_behavior,
+    coupled_diagnostics,
     mapping_process,
 )
 from .ctl import CtlFormula, CtlSyntaxError, parse_ctl
-from .lts import Path, build_behavior
+from .lts import Behavior, Path, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -154,20 +153,16 @@ class _RawBehavior:
     edges: list[tuple[str, str, str, SourcePos]] = field(default_factory=list)
 
 
-@dataclass
-class _RawMap:
+class _RawMap(NamedTuple):
     key: str
     pos: SourcePos
-    paths: list[tuple[list[tuple[str, SourcePos]], list[tuple[str, SourcePos]]]] = field(
-        default_factory=list
-    )
+    paths: list[tuple[Path, tuple[SourcePos, ...]]]  # each path with its states' positions
 
 
-@dataclass
-class _RawApproach:
+class _RawApproach(NamedTuple):
     name: str
     pos: SourcePos
-    sides: dict[str, list[tuple[str, SourcePos]]] = field(default_factory=dict)
+    sides: dict[str, list[tuple[str, SourcePos]]]
 
 
 @dataclass
@@ -295,7 +290,7 @@ class _DocParser:
     def _approach(self) -> None:
         self.lx.take()
         name = self.expect_ident("an approach name")
-        raw = _RawApproach(name=name.value, pos=self.pos(name))
+        raw = _RawApproach(name.value, self.pos(name), {})
         self.expect_punct("{")
         while True:
             tok = self.lx.peek()
@@ -330,35 +325,32 @@ class _DocParser:
                 self.fail("expected 'control:', 'preventive:', or '}'", tok)
         self.approaches.append(raw)
 
-    def _path_expr(self):
+    def _path_expr(self) -> tuple[Path, tuple[SourcePos, ...]]:
         first = self.expect_ident("a preventive state name")
-        states = [(first.value, self.pos(first))]
-        labels: list[tuple[str, SourcePos]] = []
+        states = [first.value]
+        positions = [self.pos(first)]
+        labels: list[str] = []
         while True:
             tok = self.lx.peek()
             if not (tok.kind == "punct" and tok.value == "-"):
                 break
             self.lx.take()
-            label = self.expect_ident("a transition label")
+            labels.append(self.expect_ident("a transition label").value)
             self.expect_punct("->")
             target = self.expect_ident("a target state")
-            labels.append((label.value, self.pos(label)))
-            states.append((target.value, self.pos(target)))
-        return states, labels
+            states.append(target.value)
+            positions.append(self.pos(target))
+        return Path(tuple(states), tuple(labels)), tuple(positions)
 
     def _map(self) -> None:
         self.lx.take()
         key = self.expect_ident("a control state name")
         self.expect_punct("=>")
-        raw = _RawMap(key=key.value, pos=self.pos(key))
-        while True:
-            raw.paths.append(self._path_expr())
-            tok = self.lx.peek()
-            if tok.kind == "punct" and tok.value == ",":
-                self.lx.take()
-                continue
-            break
-        self.maps.append(raw)
+        paths = [self._path_expr()]
+        while self.lx.peek().kind == "punct" and self.lx.peek().value == ",":
+            self.lx.take()
+            paths.append(self._path_expr())
+        self.maps.append(_RawMap(key.value, self.pos(key), paths))
 
     def _exempt(self) -> None:
         self.lx.take()
@@ -468,7 +460,7 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     parser.parse()
     findings = list(parser.findings)
 
-    built: dict[str, object] = {}
+    built: dict[str, Behavior] = {}
     positions: dict[str, dict[str, SourcePos]] = {}
     for kind in ("preventive", "control"):
         raw = parser.behaviors.get(kind)
@@ -485,105 +477,9 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
 
     preventive = built.get("preventive")
     control = built.get("control")
-
-    entries: dict[str, list[Path]] = {}
-    exempt: set[str] = set()
-    assignments: dict[str, tuple[list[str], list[str]]] = {}
-
     if preventive is not None and control is not None:
-
-        def wrong_side(state: str, expected_kind: str) -> str:
-            other = preventive.states if expected_kind == "control" else control.states
-            if state in other:
-                flip = "preventive" if expected_kind == "control" else "control"
-                return f"names a {flip} state where a {expected_kind} state is required"
-            return f"is not a {expected_kind} state"
-
-        for raw_map in parser.maps:
-            if raw_map.key not in control.states:
-                findings.append(
-                    Finding("error", "cross-behavior-reference", raw_map.key,
-                            f"mapping key {wrong_side(raw_map.key, 'control')}", raw_map.pos)
-                )
-                continue
-            bucket = entries.setdefault(raw_map.key, [])
-            for states, labels in raw_map.paths:
-                # Labels and triple membership are deliberately unchecked here;
-                # check_mapping reports broken paths on the built model.
-                ok = True
-                for state, pos in states:
-                    if state not in preventive.states:
-                        findings.append(
-                            Finding("error", "cross-behavior-reference", state,
-                                    f"mapping for {raw_map.key}: path state "
-                                    f"{wrong_side(state, 'preventive')}", pos)
-                        )
-                        ok = False
-                if ok:
-                    bucket.append(Path(tuple(s for s, _ in states),
-                                       tuple(l for l, _ in labels)))
-
-        for state, pos in parser.exempts:
-            if state not in control.states:
-                findings.append(
-                    Finding("error", "cross-behavior-reference", state,
-                            f"exempt state {wrong_side(state, 'control')}", pos)
-                )
-            elif state in entries:
-                findings.append(
-                    Finding("error", "exempt-conflict", state,
-                            "state is both mapped and declared exempt", pos)
-                )
-            else:
-                exempt.add(state)
-
-        control_pos = positions.get("control", {})
-        for state in sorted(control.states - set(entries) - exempt):
-            findings.append(
-                Finding("error", "partial-mapping", state,
-                        "control state is neither mapped nor declared exempt",
-                        control_pos.get(state))
-            )
-
-        owners: dict[tuple[str, str], tuple[str, SourcePos]] = {}
-        for raw_app in parser.approaches:
-            if raw_app.name not in APPROACH_NAMES:
-                findings.append(
-                    Finding("error", "unknown-approach", raw_app.name,
-                            f"approach must be one of {', '.join(APPROACH_NAMES)}",
-                            raw_app.pos)
-                )
-                continue
-            if raw_app.name in assignments:
-                findings.append(
-                    Finding("error", "duplicate-approach", raw_app.name,
-                            "approach block appears more than once", raw_app.pos)
-                )
-                continue
-            control_members: list[str] = []
-            preventive_members: list[str] = []
-            for side, members in raw_app.sides.items():
-                expected = control.states if side == "control" else preventive.states
-                sink = control_members if side == "control" else preventive_members
-                for state, pos in members:
-                    if state not in expected:
-                        findings.append(
-                            Finding("error", "cross-behavior-reference", state,
-                                    f"approach {raw_app.name} ({side} side) "
-                                    f"{wrong_side(state, side)}", pos)
-                        )
-                        continue
-                    owner = owners.get((side, state))
-                    if owner is not None and owner[0] != raw_app.name:
-                        findings.append(
-                            Finding("error", "overlapping-approach", state,
-                                    f"claimed by both {owner[0]} and {raw_app.name} "
-                                    f"({side} side)", pos)
-                        )
-                        continue
-                    owners[(side, state)] = (raw_app.name, pos)
-                    sink.append(state)
-            assignments[raw_app.name] = (control_members, preventive_members)
+        findings += coupled_diagnostics(preventive, control, parser.maps, parser.exempts,
+                                        parser.approaches, positions["control"])
 
     properties: list[PropertySpec] = []
     seen_names: dict[str, SourcePos] = {}
@@ -628,12 +524,18 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     if any(f.severity == "error" for f in findings):
         raise ModelValidationError(tuple(sort_findings(findings)))
 
-    coupled = build_coupled_model(
-        build_preventive_behavior(preventive),
-        build_control_behavior(control),
-        mapping_process(entries, exempt),
-        approach_partition(assignments),
-        name=name,
+    # Every coupling check passed, so the document's statements are the model.
+    entries: dict[str, list[Path]] = {}
+    for key, _, paths in parser.maps:
+        entries.setdefault(key, []).extend(path for path, _ in paths)
+    coupled = CoupledModel(
+        name, preventive, control,
+        mapping_process(entries, (state for state, _ in parser.exempts)),
+        approach_partition({
+            a.name: tuple([state for state, _ in a.sides.get(side, ())]
+                          for side in ("control", "preventive"))
+            for a in parser.approaches
+        }),
     )
 
     source_positions: dict[str, SourcePos] = {}
@@ -665,7 +567,7 @@ def render_model(doc: ModelDocument) -> str:
     four approach blocks; parse(render(doc)) is structurally identical to doc."""
     lines: list[str] = []
     for kind in ("preventive", "control"):
-        behavior = (doc.coupled.preventive if kind == "preventive" else doc.coupled.control).base
+        behavior = doc.coupled.preventive if kind == "preventive" else doc.coupled.control
         lines.append(f"behavior {kind} {{")
         lines.append(f"  initial {behavior.initial}")
         if behavior.finals:

@@ -31,9 +31,9 @@ def _sanitize(name: str) -> str:
 
 def _target_behavior(doc: ModelDocument, target: str):
     if target == "control":
-        return doc.coupled.control.base
+        return doc.coupled.control
     if target == "preventive":
-        return doc.coupled.preventive.base
+        return doc.coupled.preventive
     raise ValueError(f"target must be 'control' or 'preventive', not {target!r}")
 
 

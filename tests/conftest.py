@@ -5,7 +5,7 @@ import pytest
 from avmkit.dsl import parse_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-MODEL_FILE = REPO_ROOT / "models" / "antivirus.avm"
+MODEL_FILE = REPO_ROOT / "src" / "avmkit" / "models" / "antivirus.avm"
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
@@ -21,9 +21,9 @@ def coupled(bundled_doc):
 
 @pytest.fixture(scope="session")
 def control(bundled_doc):
-    return bundled_doc.coupled.control.base
+    return bundled_doc.coupled.control
 
 
 @pytest.fixture(scope="session")
 def preventive(bundled_doc):
-    return bundled_doc.coupled.preventive.base
+    return bundled_doc.coupled.preventive

@@ -37,7 +37,7 @@ def kripkes(max_states=8, max_out=None):
 
 @pytest.fixture(scope="module")
 def control_kripke(bundled_doc):
-    return to_kripke(bundled_doc.coupled.control.base, bundled_doc.coupled.approaches)
+    return to_kripke(bundled_doc.coupled.control, bundled_doc.coupled.approaches)
 
 
 class TestToKripke:
@@ -180,7 +180,7 @@ class TestWitness:
         assert is_valid_path(control, path)
 
     def test_unreachable_target_gives_none(self, bundled_doc):
-        base = bundled_doc.coupled.control.base
+        base = bundled_doc.coupled.control
         trimmed = build_behavior(
             base.states, base.initial, base.labels,
             [t for t in base.transitions if not (t.source == "Recognition" and t.target == "Done")],

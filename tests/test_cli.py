@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from avmkit.cli import main
+from avmkit.ctl import MAX_NESTING
 
 from conftest import CORPUS_DIR, MODEL_FILE
 
@@ -123,6 +124,34 @@ class TestCheck:
         code, out = run_cli(capsys, "--quiet", "check", BUNDLED)
         assert code == 0
         assert "witness:" not in out
+
+
+class TestDeepFormulas:
+    def check_spec(self, capsys, tmp_path, formula, *flags):
+        path = tmp_path / "deep.avm"
+        path.write_text(MODEL_FILE.read_text(encoding="utf-8")
+                        + f"spec deep on control: {formula}\n", encoding="utf-8")
+        return run_cli(capsys, *flags, "check", str(path))
+
+    @pytest.mark.parametrize("formula", [
+        "(" * 200 + "at(Done)" + ")" * 200,
+        "!" * 3000 + "at(Done)",
+    ])
+    def test_too_deep_is_a_positioned_ctl_syntax_finding(self, capsys, tmp_path, formula):
+        code, out = self.check_spec(capsys, tmp_path, formula, "--format", "structured")
+        assert code == 1
+        findings = json.loads(out)["findings"]
+        assert [f["code"] for f in findings] == ["ctl-syntax"]
+        assert findings[0]["detail"].startswith("formula nested too deep")
+        assert findings[0]["position"] == {"line": 76, "column": 23 + MAX_NESTING}
+
+    @pytest.mark.parametrize("prefix, suffix", [("!", ""), ("AG ", ""), ("(", ")")])
+    def test_formula_at_the_limit_is_checked(self, capsys, tmp_path, prefix, suffix):
+        formula = prefix * MAX_NESTING + "at(Done)" + suffix * MAX_NESTING
+        for report_format in ("text", "structured"):
+            code, out = self.check_spec(capsys, tmp_path, formula, "--format", report_format)
+            assert code == 0, out
+            assert "deep" in out
 
 
 class TestPaths:

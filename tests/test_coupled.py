@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from avmkit.coupled import (
     APPROACH_NAMES,
     approach_partition,
-    build_control_behavior,
     build_coupled_model,
-    build_preventive_behavior,
     check_approach_alignment,
     check_mapping,
     check_synchronization,
     coupled_diagnostics,
     mapping_process,
+    model_occurrences,
 )
 from avmkit.lts import Path, Transition, build_behavior, is_valid_path
 from avmkit.report import ModelValidationError
@@ -94,14 +93,22 @@ class TestBuildCoupledModel:
                 mapping_dict(coupled.mapping), coupled.mapping.exempt | {"Done"}))
         assert any(f.code == "exempt-conflict" for f in err.value.findings)
 
+    def test_non_control_key_skips_its_paths(self, coupled):
+        entries = mapping_dict(coupled.mapping)
+        entries["Nowhere"] = [Path(("Elsewhere",))]
+        with pytest.raises(ModelValidationError) as err:
+            rebuild(coupled, mapping=mapping_process(entries, coupled.mapping.exempt))
+        assert [f.format() for f in err.value.findings] == [
+            "[error] cross-behavior-reference Nowhere: mapping key is not a control state"
+        ]
+
     def test_broken_path_still_constructible(self, coupled):
         # triple validity is check_mapping's job, not construction's
-        trimmed = build_preventive_behavior(
-            drop_transition(coupled.preventive.base, "PCProtection", "auto",
-                            "RealTimeProtection"))
+        trimmed = drop_transition(coupled.preventive, "PCProtection", "auto",
+                                  "RealTimeProtection")
         model = rebuild(coupled, preventive=trimmed)
-        assert coupled_diagnostics(model.preventive, model.control, model.mapping,
-                                   model.approaches) == []
+        assert coupled_diagnostics(model.preventive, model.control,
+                                   *model_occurrences(model.mapping, model.approaches)) == []
 
 
 class TestCheckMapping:
@@ -112,9 +119,8 @@ class TestCheckMapping:
             assert coupled.mapping.paths_for(state) == (PROTECTION_PATH,)
 
     def test_deleted_transition_reports_broken_triple(self, coupled):
-        trimmed = build_preventive_behavior(
-            drop_transition(coupled.preventive.base, "PCProtection", "auto",
-                            "RealTimeProtection"))
+        trimmed = drop_transition(coupled.preventive, "PCProtection", "auto",
+                                  "RealTimeProtection")
         report = check_mapping(rebuild(coupled, preventive=trimmed))
         assert not report.passed
         broken = [f for f in report.findings if f.code == "invalid-mapped-path"]
@@ -122,7 +128,7 @@ class TestCheckMapping:
         assert all("PCProtection -auto-> RealTimeProtection" in f.detail for f in broken)
 
     def test_fully_exempt_warns(self, coupled):
-        model = rebuild(coupled, mapping=mapping_process({}, coupled.control.base.states))
+        model = rebuild(coupled, mapping=mapping_process({}, coupled.control.states))
         report = check_mapping(model)
         assert report.passed
         assert any(f.code == "fully-exempt-mapping" and "fully exempt mapping" in f.detail
@@ -139,7 +145,7 @@ class TestCheckMapping:
     def test_pass_iff_every_path_valid(self, coupled):
         report = check_mapping(coupled)
         recheck = all(
-            is_valid_path(coupled.preventive.base, path)
+            is_valid_path(coupled.preventive, path)
             for _, paths in coupled.mapping.entries
             for path in paths
         )
@@ -152,9 +158,8 @@ class TestCheckMapping:
             for path in paths
             for t in path.triples()
         }
-        for t in coupled.preventive.base.transitions:
-            trimmed = build_preventive_behavior(
-                drop_transition(coupled.preventive.base, t.source, t.label, t.target))
+        for t in coupled.preventive.transitions:
+            trimmed = drop_transition(coupled.preventive, t.source, t.label, t.target)
             report = check_mapping(rebuild(coupled, preventive=trimmed))
             assert report.passed == (t not in mapped_triples), t
 
@@ -210,8 +215,8 @@ class TestApproachAlignment:
             for a in coupled.approaches.approaches
         }
         renamed = build_coupled_model(
-            build_preventive_behavior(rename_behavior(coupled.preventive.base)),
-            build_control_behavior(rename_behavior(coupled.control.base)),
+            rename_behavior(coupled.preventive),
+            rename_behavior(coupled.control),
             mapping_process(entries, {rename(s) for s in coupled.mapping.exempt}),
             approach_partition(assignments),
         )
@@ -230,7 +235,7 @@ class TestSynchronization:
         # Recognition's fragment ends at CheckCleaningOperations; Done's starts
         # at DeliverSafeStatus; the delete transition links them.
         assert Transition("CheckCleaningOperations", "delete", "DeliverSafeStatus") \
-            in coupled.preventive.base.transition_set
+            in coupled.preventive.transition_set
 
     def test_remapped_done_breaks_stitching(self, coupled):
         entries = mapping_dict(coupled.mapping)
@@ -245,52 +250,25 @@ class TestSynchronization:
         assert "RealTimeProtection" in gap[0].detail
 
     def test_monotone_under_added_preventive_transitions(self, coupled):
-        base = coupled.preventive.base
+        base = coupled.preventive
         extra = build_behavior(
             base.states, base.initial, base.labels | {"shortcut"},
             list(base.transitions)
             + [("DeliverUnsafeStatus", "shortcut", "SystemProtection")],
             base.finals,
         )
-        model = rebuild(coupled, preventive=build_preventive_behavior(extra))
+        model = rebuild(coupled, preventive=extra)
         assert check_synchronization(coupled).passed
         assert check_synchronization(model).passed
 
     def test_no_final_states_warns(self, coupled):
-        base = coupled.control.base
+        base = coupled.control
         no_finals = build_behavior(base.states, base.initial, base.labels,
                                    base.transitions, frozenset())
-        model = rebuild(coupled, control=build_control_behavior(no_finals))
+        model = rebuild(coupled, control=no_finals)
         report = check_synchronization(model)
         assert report.passed
         assert any(f.code == "no-final-states" for f in report.findings)
-
-
-class TestAnnotations:
-    def test_annotation_must_match_transition(self, coupled):
-        from avmkit.coupled import TransitionAnnotation
-
-        with pytest.raises(ModelValidationError) as err:
-            build_control_behavior(
-                coupled.control.base,
-                annotations=[TransitionAnnotation("NotActivated", "bogus", "Activated",
-                                                  "activate", "Protection")],
-            )
-        assert any(f.code == "unknown-transition" for f in err.value.findings)
-
-    def test_annotation_approach_tag_checked(self, coupled):
-        from avmkit.coupled import TransitionAnnotation
-
-        with pytest.raises(ModelValidationError) as err:
-            build_control_behavior(
-                coupled.control.base,
-                annotations=[TransitionAnnotation("NotActivated", "activate", "Activated",
-                                                  "activate", "Cleanup")],
-            )
-        assert any(f.code == "unknown-approach-tag" for f in err.value.findings)
-
-    def test_events_default_to_labels(self, coupled):
-        assert coupled.control.events == coupled.control.base.labels
 
 
 class TestApproachPartition:
@@ -329,8 +307,8 @@ def test_random_models_mapping_check_matches_revalidation(seed, rng):
             a, b = rng.choice(preventive_states), rng.choice(preventive_states)
             entries[state] = [Path((a, b), (rng.choice(sorted(preventive.labels)),))]
     model = build_coupled_model(
-        build_preventive_behavior(preventive),
-        build_control_behavior(control),
+        preventive,
+        control,
         mapping_process(entries, exempt),
         approach_partition({}),
     )

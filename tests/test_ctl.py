@@ -17,6 +17,7 @@ from avmkit.ctl import (
     TRUE,
     And,
     Atom,
+    MAX_NESTING,
     AtomicProposition,
     CtlSyntaxError,
     Implies,
@@ -95,6 +96,32 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(CtlSyntaxError):
             parse_ctl("at(A) % at(B)")
+
+
+class TestNestingLimit:
+    # (repeated prefix, offset of the nesting token inside it, repeated suffix)
+    @pytest.mark.parametrize("prefix, offset, suffix", [
+        ("!", 0, ""),
+        ("AG ", 0, ""),
+        ("(", 0, ")"),
+        ("E [ true U ", 0, " ]"),
+        ("at(A) -> ", 6, ""),
+    ])
+    def test_limit_is_exact_and_positioned(self, prefix, offset, suffix):
+        def nest(depth):
+            return prefix * depth + "at(B)" + suffix * depth
+
+        parse_ctl(nest(MAX_NESTING))
+        with pytest.raises(CtlSyntaxError) as err:
+            parse_ctl(nest(MAX_NESTING + 1), start_line=4, start_column=10)
+        assert str(err.value).startswith("formula nested too deep")
+        assert (err.value.line, err.value.column) == (4, 10 + len(prefix) * MAX_NESTING + offset)
+
+    def test_mixed_operators_share_one_limit(self):
+        half = MAX_NESTING // 2
+        parse_ctl("!(" * half + "true" + ")" * half)
+        with pytest.raises(CtlSyntaxError):
+            parse_ctl("!(" * half + "!true" + ")" * half)
 
 
 class TestNormalize:

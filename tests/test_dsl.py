@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from avmkit.coupled import (
     approach_partition,
-    build_control_behavior,
     build_coupled_model,
-    build_preventive_behavior,
     mapping_process,
 )
 from avmkit.dsl import ModelSyntaxError, parse_model, render_model
@@ -40,10 +38,10 @@ def findings_of(text, code):
 class TestParseBundled:
     def test_counts(self, bundled_doc):
         coupled = bundled_doc.coupled
-        assert len(coupled.preventive.base.states) == 11
-        assert len(coupled.preventive.base.transitions) == 12
-        assert len(coupled.control.base.states) == 7
-        assert len(coupled.control.base.transitions) == 8
+        assert len(coupled.preventive.states) == 11
+        assert len(coupled.preventive.transitions) == 12
+        assert len(coupled.control.states) == 7
+        assert len(coupled.control.transitions) == 8
         assert len(coupled.mapping.entries) == 6
         assert len(coupled.mapping.exempt) == 1
         assert len(bundled_doc.properties) == 5
@@ -171,7 +169,7 @@ class TestComments:
 
     def test_crlf_accepted(self):
         doc = parse_model(MINIMAL.replace("\n", "\r\n"))
-        assert doc.coupled.control.base.initial == "C"
+        assert doc.coupled.control.initial == "C"
 
 
 class TestRender:
@@ -218,8 +216,8 @@ class TestRender:
             {"Protection": ([control.initial], [preventive.initial])}
         )
         doc_model = build_coupled_model(
-            build_preventive_behavior(preventive),
-            build_control_behavior(control),
+            preventive,
+            control,
             mapping_process(entries, exempt),
             partition,
         )
@@ -239,8 +237,8 @@ def build_minimal_doc():
     preventive = build_behavior({"P"}, "P", set(), [])
     control = build_behavior({"C"}, "C", set(), [])
     coupled = build_coupled_model(
-        build_preventive_behavior(preventive),
-        build_control_behavior(control),
+        preventive,
+        control,
         mapping_process({}, {"C"}),
         approach_partition({}),
     )

@@ -4,9 +4,7 @@ import pytest
 
 from avmkit.coupled import (
     approach_partition,
-    build_control_behavior,
     build_coupled_model,
-    build_preventive_behavior,
     mapping_process,
 )
 from avmkit.dsl import ModelDocument, parse_model, render_model
@@ -20,8 +18,8 @@ def one_state_doc(state_name):
     preventive = build_behavior({"P"}, "P", set(), [])
     control = build_behavior({state_name}, state_name, set(), [])
     coupled = build_coupled_model(
-        build_preventive_behavior(preventive),
-        build_control_behavior(control),
+        preventive,
+        control,
         mapping_process({}, {state_name}),
         approach_partition({}),
     )
@@ -45,7 +43,7 @@ class TestSmv:
     def test_branch_per_state(self, bundled_doc):
         for target in ("control", "preventive"):
             behavior = (bundled_doc.coupled.control if target == "control"
-                        else bundled_doc.coupled.preventive).base
+                        else bundled_doc.coupled.preventive)
             text = to_smv(bundled_doc, target)
             branches = re.findall(r"^    state = (\w+) : \{([^}]*)\};$", text, re.M)
             assert len(branches) == len(behavior.states)
@@ -94,8 +92,8 @@ class TestSmv:
         control = build_behavior({"state", "state_"}, "state", {"l"},
                                  [("state", "l", "state_")])
         coupled = build_coupled_model(
-            build_preventive_behavior(preventive),
-            build_control_behavior(control),
+            preventive,
+            control,
             mapping_process({}, {"state", "state_"}),
             approach_partition({}),
         )
@@ -161,4 +159,4 @@ class TestRenderDeterminism:
         docs = [parse_model(text, name="antivirus") for _ in range(2)]
         assert render_model(docs[0]) == render_model(docs[1])
         assert to_smv(docs[0], "control") == to_smv(docs[1], "control")
-        assert to_dot(docs[0].coupled.control.base) == to_dot(docs[1].coupled.control.base)
+        assert to_dot(docs[0].coupled.control) == to_dot(docs[1].coupled.control)
