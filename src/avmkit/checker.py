@@ -15,11 +15,12 @@ ways, and both return the exact satisfying state set:
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Mapping
 
 from . import ctl
 from .bdd import AND, OR, BddManager, BddRef
-from .coupled import APPROACH_NAMES, approach_membership
+from .coupled import APPROACH_NAMES
 from .ctl import AtomicProposition, CtlFormula
 from .lts import Behavior, Path
 
@@ -79,12 +80,13 @@ class KripkeStructure:
         return _Symbolic(self)
 
 
-def to_kripke(behavior: Behavior, approaches=None) -> KripkeStructure:
+def to_kripke(behavior: Behavior,
+              approaches: Mapping[str, frozenset[str]] | None = None) -> KripkeStructure:
     """Erase labels, totalize dead ends with recorded self-loops, and label
     every state with at(state) plus in(approach) for covered states.
 
-    `approaches` is an ApproachPartition or None; membership is restricted
-    to this behavior's states.
+    `approaches` maps each approach name to its member states on this
+    behavior's side, as `ApproachPartition.states_by_side` gives them.
     """
     relation: set[tuple[str, str]] = set()
     edge_labels: dict[tuple[str, str], str] = {}
@@ -97,11 +99,10 @@ def to_kripke(behavior: Behavior, approaches=None) -> KripkeStructure:
     for s in totalized:
         relation.add((s, s))
 
-    membership = approach_membership(approaches, behavior.states)
     labeling: dict[str, frozenset[AtomicProposition]] = {}
     for s in behavior.states:
         props = {AtomicProposition("at", s)}
-        for name, members in membership.items():
+        for name, members in (approaches or {}).items():
             if s in members:
                 props.add(AtomicProposition("in", name))
         labeling[s] = frozenset(props)
@@ -164,33 +165,32 @@ def _eg(k: KripkeStructure, holds_f: frozenset[str]) -> frozenset[str]:
     return frozenset(s for s, count in inside.items() if count > 0)
 
 
-def _sat_explicit(k: KripkeStructure, g: CtlFormula) -> frozenset[str]:
-    everything = frozenset(k.states)
-    if isinstance(g, ctl.Const):
-        return everything if g.value else frozenset()
-    if isinstance(g, ctl.Atom):
-        return frozenset(s for s in k.states if g.prop in k.labeling[s])
-    if isinstance(g, ctl.Not):
-        return everything - _sat_explicit(k, g.operand)
-    if isinstance(g, ctl.And):
-        return _sat_explicit(k, g.left) & _sat_explicit(k, g.right)
-    if isinstance(g, ctl.Or):
-        return _sat_explicit(k, g.left) | _sat_explicit(k, g.right)
-    if isinstance(g, ctl.Implies):
-        return (everything - _sat_explicit(k, g.left)) | _sat_explicit(k, g.right)
-    if isinstance(g, ctl.EX):
-        return _pre(k, _sat_explicit(k, g.operand))
-    if isinstance(g, ctl.EU):
-        return _eu(k, _sat_explicit(k, g.left), _sat_explicit(k, g.right))
-    if isinstance(g, ctl.EG):
-        return _eg(k, _sat_explicit(k, g.operand))
-    raise TypeError(f"not a core formula node: {g!r}")
+def _sat_explicit(k: KripkeStructure, node: CtlFormula,
+                  sats: tuple[frozenset[str], ...]) -> frozenset[str]:
+    """The states satisfying one core node, given its children's states."""
+    if isinstance(node, ctl.Const):
+        return frozenset(k.states) if node.value else frozenset()
+    if isinstance(node, ctl.Atom):
+        return frozenset(s for s in k.states if node.prop in k.labeling[s])
+    if isinstance(node, ctl.Not):
+        return frozenset(k.states) - sats[0]
+    if isinstance(node, ctl.And):
+        return sats[0] & sats[1]
+    if isinstance(node, ctl.Or):
+        return sats[0] | sats[1]
+    if isinstance(node, ctl.EX):
+        return _pre(k, sats[0])
+    if isinstance(node, ctl.EU):
+        return _eu(k, *sats)
+    if isinstance(node, ctl.EG):
+        return _eg(k, sats[0])
+    raise TypeError(f"not a core formula node: {node!r}")
 
 
 def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
     """States satisfying the formula, by linear-time labelling on explicit sets."""
     _validate_atoms(k, formula)
-    return _sat_explicit(k, ctl.normalize(formula))
+    return ctl.fold(ctl.normalize(formula), partial(_sat_explicit, k))
 
 
 # -- symbolic engine -----------------------------------------------------------
@@ -292,26 +292,24 @@ class _Symbolic:
     def _ex(self, ref: BddRef) -> BddRef:
         return self.mgr.and_exists(self.relation, self._shift_to_next(ref), self.next_vars)
 
-    def _sat(self, g: CtlFormula) -> BddRef:
-        if isinstance(g, ctl.Const):
-            return self.universe if g.value else self.mgr.false
-        if isinstance(g, ctl.Atom):
+    def _sat(self, node: CtlFormula, sats: tuple[BddRef, ...]) -> BddRef:
+        """The BDD of one core node's states, given its children's BDDs."""
+        if isinstance(node, ctl.Const):
+            return self.universe if node.value else self.mgr.false
+        if isinstance(node, ctl.Atom):
             return self._set_to_bdd(
-                [i for i, s in enumerate(self.states) if g.prop in self.k.labeling[s]]
+                [i for i, s in enumerate(self.states) if node.prop in self.k.labeling[s]]
             )
-        if isinstance(g, ctl.Not):
-            return self._not(self._sat(g.operand))
-        if isinstance(g, ctl.And):
-            return self.mgr.apply(AND, self._sat(g.left), self._sat(g.right))
-        if isinstance(g, ctl.Or):
-            return self.mgr.apply(OR, self._sat(g.left), self._sat(g.right))
-        if isinstance(g, ctl.Implies):
-            return self.mgr.apply(OR, self._not(self._sat(g.left)), self._sat(g.right))
-        if isinstance(g, ctl.EX):
-            return self._ex(self._sat(g.operand))
-        if isinstance(g, ctl.EU):
-            holds_f = self._sat(g.left)
-            current = self._sat(g.right)
+        if isinstance(node, ctl.Not):
+            return self._not(sats[0])
+        if isinstance(node, ctl.And):
+            return self.mgr.apply(AND, *sats)
+        if isinstance(node, ctl.Or):
+            return self.mgr.apply(OR, *sats)
+        if isinstance(node, ctl.EX):
+            return self._ex(sats[0])
+        if isinstance(node, ctl.EU):
+            holds_f, current = sats
             while True:
                 extended = self.mgr.apply(
                     OR, current, self.mgr.apply(AND, holds_f, self._ex(current))
@@ -319,21 +317,21 @@ class _Symbolic:
                 if extended == current:
                     return current
                 current = extended
-        if isinstance(g, ctl.EG):
-            current = self._sat(g.operand)
+        if isinstance(node, ctl.EG):
+            current = sats[0]
             while True:
                 shrunk = self.mgr.apply(AND, current, self._ex(current))
                 if shrunk == current:
                     return current
                 current = shrunk
-        raise TypeError(f"not a core formula node: {g!r}")
+        raise TypeError(f"not a core formula node: {node!r}")
 
 
 def check_symbolic(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
     """States satisfying the formula, via BDD fixpoints; agrees with check_explicit."""
     _validate_atoms(k, formula)
     context = k._symbolic
-    return context._to_states(context._sat(ctl.normalize(formula)))
+    return context._to_states(ctl.fold(ctl.normalize(formula), context._sat))
 
 
 # -- verdicts and witnesses ------------------------------------------------------

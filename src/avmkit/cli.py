@@ -61,11 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finding_lines(findings, quiet: bool) -> list[str]:
-    keep = ("error",) if quiet else ("error", "warning")
-    return ["  " + f.format() for f in findings if f.severity in keep]
-
-
 def _load(path: str):
     """Returns (document, findings, exit_code); document is None on failure."""
     try:
@@ -124,12 +119,8 @@ def cmd_validate(args) -> int:
         reports.append(check_synchronization(doc.coupled))
     reports = [_position_findings(r, doc) for r in reports]
 
-    lines = []
-    for report in reports:
-        lines.append(f"{report.name}: {report.status}")
-        lines.extend(_finding_lines(report.findings, args.quiet))
-    for name in skipped:
-        lines.append(f"{name}: skipped")
+    lines = [r.format("error" if args.quiet else "warning") for r in reports]
+    lines += [f"{name}: skipped" for name in skipped]
     exit_code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
     payload = {
         "command": "validate",
@@ -152,7 +143,7 @@ def cmd_check(args) -> int:
     def kripke_for(target: str):
         if target not in kripkes:
             behavior = doc.coupled.control if target == "control" else doc.coupled.preventive
-            kripkes[target] = to_kripke(behavior, doc.coupled.approaches)
+            kripkes[target] = to_kripke(behavior, doc.coupled.approaches.states_by_side(target))
         return kripkes[target]
 
     findings = []
@@ -261,7 +252,8 @@ def cmd_export(args) -> int:
             text = to_smv(doc, args.target)
         else:
             behavior = doc.coupled.control if args.target == "control" else doc.coupled.preventive
-            text = to_dot(behavior, approaches=doc.coupled.approaches, name=args.target)
+            text = to_dot(behavior, approaches=doc.coupled.approaches.states_by_side(args.target),
+                          name=args.target)
     except NameCollisionError as exc:
         finding = Finding("error", "name-collision", args.target, str(exc))
         return _failure_payload(args, "export", [finding], EXIT_FAIL)

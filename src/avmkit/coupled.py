@@ -88,18 +88,6 @@ def approach_partition(assignments: Mapping[str, tuple[Iterable[str], Iterable[s
     return ApproachPartition(tuple(approaches))
 
 
-def approach_membership(approaches: ApproachPartition | None,
-                        states) -> dict[str, frozenset[str]]:
-    """{approach name: member states drawn from `states`}; empty without a partition."""
-    if approaches is None:
-        return {}
-    states = frozenset(states)
-    return {
-        a.name: (a.control_states | a.preventive_states) & states
-        for a in approaches.approaches
-    }
-
-
 @dataclass(frozen=True)
 class CoupledModel:
     name: str

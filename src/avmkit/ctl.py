@@ -1,5 +1,8 @@
 """CTL formulas: abstract syntax, concrete-syntax parser, normalizer, renderer.
 
+`normalize`, `render` and both engines walk formulas with one `fold`:
+iterative, children first, each distinct node once.
+
 Concrete syntax: atoms ``at(Name)`` / ``in(Name)``, constants ``true`` /
 ``false``, boolean operators ``! & | ->``, temporal unaries ``EX EF EG AX AF
 AG``, and until forms ``E [ f U g ]`` / ``A [ f U g ]``. Precedence is
@@ -10,12 +13,12 @@ nest at most ``MAX_NESTING`` deep; deeper text is a syntax error.
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Deep enough for any hand-written property, shallow enough that parsing,
-# normalizing and checking a formula stay well inside Python's recursion limit.
+# Deep enough for any hand-written property, shallow enough that the
+# recursive-descent parser stays well inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -133,6 +136,51 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+_UNARY = (Not, EX, EG, EF, AX, AF, AG)
+_BINARY = (And, Or, Implies, EU, AU)
+_ARITY = {Const: 0, Atom: 0} | dict.fromkeys(_UNARY, 1) | dict.fromkeys(_BINARY, 2)
+
+T = TypeVar("T")
+
+
+def children(node: CtlFormula) -> tuple[CtlFormula, ...]:
+    """The node's direct subformulas, left to right."""
+    arity = _ARITY.get(type(node))
+    if arity == 2:
+        return (node.left, node.right)
+    if arity == 1:
+        return (node.operand,)
+    if arity == 0:
+        return ()
+    raise TypeError(f"not a CTL formula node: {node!r}")
+
+
+def fold(formula: CtlFormula, combine: Callable[[CtlFormula, tuple], T]) -> T:
+    """Combine every distinct node once, children first, without recursion.
+
+    `combine(node, results)` receives the node and its children's results in
+    `children` order. Nodes are told apart by identity, so a subformula shared
+    in a DAG is combined once; equality and hashing of the frozen dataclasses
+    would recurse through the whole subtree.
+    """
+    done: dict[int, T] = {}
+    # (node, None) asks to expand the node; (node, kids) to combine it.
+    stack: list[tuple[CtlFormula, tuple | None]] = [(formula, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                for kid in reversed(kids):
+                    stack.append((kid, None))
+                continue
+        done[id(node)] = combine(node, tuple([done[id(kid)] for kid in kids]))
+    return done[id(formula)]
+
+
 def atoms(formula: CtlFormula) -> Iterator[AtomicProposition]:
     """Yield every atomic proposition occurring in the formula."""
     stack = [formula]
@@ -140,61 +188,44 @@ def atoms(formula: CtlFormula) -> Iterator[AtomicProposition]:
         node = stack.pop()
         if isinstance(node, Atom):
             yield node.prop
-        elif isinstance(node, (Not, EX, EG, EF, AX, AF, AG)):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, EU, AU)):
-            stack.append(node.left)
-            stack.append(node.right)
+        stack.extend(children(node))
+
+
+def _normalize_node(node: CtlFormula, kids: tuple[CtlFormula, ...]) -> CtlFormula:
+    if isinstance(node, (Const, Atom)):
+        return node
+    if isinstance(node, (Not, And, Or, EX, EG, EU)):
+        return type(node)(*kids)
+    if isinstance(node, Implies):
+        return Or(Not(kids[0]), kids[1])
+    if isinstance(node, EF):
+        return EU(TRUE, kids[0])
+    if isinstance(node, AX):
+        return Not(EX(Not(kids[0])))
+    if isinstance(node, AG):
+        return Not(EU(TRUE, Not(kids[0])))
+    if isinstance(node, AF):
+        return Not(EG(Not(kids[0])))
+    f, g = kids  # AU
+    not_g = Not(g)
+    return Not(Or(EU(not_g, And(Not(f), not_g)), EG(not_g)))
 
 
 def normalize(formula: CtlFormula) -> CtlFormula:
-    """Rewrite derived temporal operators into the EX/EG/EU + boolean core.
+    """Rewrite derived operators into the EX/EG/EU + !, &, | core.
 
-    EF g = E[true U g]; AX f = !EX !f; AG f = !EF !f; AF f = !EG !f;
-    A[f U g] = !(E[!g U (!f & !g)] | EG !g).
+    f -> g = !f | g; EF g = E[true U g]; AX f = !EX !f; AG f = !EF !f;
+    AF f = !EG !f; A[f U g] = !(E[!g U (!f & !g)] | EG !g). The result is a
+    DAG: A[f U g] shares g and !g, so walk it with `fold`.
     """
-    if isinstance(formula, (Const, Atom)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(normalize(formula.operand))
-    if isinstance(formula, And):
-        return And(normalize(formula.left), normalize(formula.right))
-    if isinstance(formula, Or):
-        return Or(normalize(formula.left), normalize(formula.right))
-    if isinstance(formula, Implies):
-        return Implies(normalize(formula.left), normalize(formula.right))
-    if isinstance(formula, EX):
-        return EX(normalize(formula.operand))
-    if isinstance(formula, EG):
-        return EG(normalize(formula.operand))
-    if isinstance(formula, EU):
-        return EU(normalize(formula.left), normalize(formula.right))
-    if isinstance(formula, EF):
-        return EU(TRUE, normalize(formula.operand))
-    if isinstance(formula, AX):
-        return Not(EX(Not(normalize(formula.operand))))
-    if isinstance(formula, AG):
-        return Not(EU(TRUE, Not(normalize(formula.operand))))
-    if isinstance(formula, AF):
-        return Not(EG(Not(normalize(formula.operand))))
-    if isinstance(formula, AU):
-        nf = normalize(formula.left)
-        ng = normalize(formula.right)
-        return Not(Or(EU(Not(ng), And(Not(nf), Not(ng))), EG(Not(ng))))
-    raise TypeError(f"not a CTL formula node: {formula!r}")
+    return fold(formula, _normalize_node)
 
 
-_UNARY_TEXT = {EX: "EX", EG: "EG", EF: "EF", AX: "AX", AF: "AF", AG: "AG"}
-
-
-def _prec(node: CtlFormula) -> int:
-    if isinstance(node, Implies):
-        return 1
-    if isinstance(node, Or):
-        return 2
-    if isinstance(node, And):
-        return 3
-    return 4
+# How tightly each infix operator binds; every other node binds tightest (4).
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
+# Infix text, then the least precedence the left and the right operand may
+# have without parentheses.
+_INFIX = {And: ("&", 3, 4), Or: ("|", 2, 3), Implies: ("->", 2, 1)}
 
 
 def render(
@@ -205,32 +236,26 @@ def render(
 ) -> str:
     """Concrete-syntax text with minimal parentheses; re-parsing restores the AST."""
 
-    def go(node: CtlFormula, min_prec: int) -> str:
-        if isinstance(node, Const):
-            text = true_text if node.value else false_text
-        elif isinstance(node, Atom):
-            text = atom_text(node.prop) if atom_text else str(node.prop)
-        elif isinstance(node, Not):
-            text = "!" + go(node.operand, 4)
-        elif isinstance(node, (EX, EG, EF, AX, AF, AG)):
-            text = f"{_UNARY_TEXT[type(node)]} {go(node.operand, 4)}"
-        elif isinstance(node, EU):
-            text = f"E [ {go(node.left, 0)} U {go(node.right, 0)} ]"
-        elif isinstance(node, AU):
-            text = f"A [ {go(node.left, 0)} U {go(node.right, 0)} ]"
-        elif isinstance(node, And):
-            text = f"{go(node.left, 3)} & {go(node.right, 4)}"
-        elif isinstance(node, Or):
-            text = f"{go(node.left, 2)} | {go(node.right, 3)}"
-        elif isinstance(node, Implies):
-            text = f"{go(node.left, 2)} -> {go(node.right, 1)}"
-        else:
-            raise TypeError(f"not a CTL formula node: {node!r}")
-        if _prec(node) < min_prec:
-            return f"({text})"
-        return text
+    def combine(node: CtlFormula, texts: tuple[str, ...]) -> str:
+        def arg(i: int, min_prec: int) -> str:
+            loose = _PRECEDENCE.get(type(children(node)[i]), 4) < min_prec
+            return f"({texts[i]})" if loose else texts[i]
 
-    return go(formula, 0)
+        if isinstance(node, Const):
+            return true_text if node.value else false_text
+        if isinstance(node, Atom):
+            return atom_text(node.prop) if atom_text else str(node.prop)
+        if isinstance(node, Not):
+            return "!" + arg(0, 4)
+        # The temporal operators' class names are their keywords.
+        if isinstance(node, (EU, AU)):
+            return f"{type(node).__name__[0]} [ {texts[0]} U {texts[1]} ]"
+        if isinstance(node, _UNARY):
+            return f"{type(node).__name__} {arg(0, 4)}"
+        symbol, left, right = _INFIX[type(node)]
+        return f"{arg(0, left)} {symbol} {arg(1, right)}"
+
+    return fold(formula, combine)
 
 
 @dataclass(frozen=True)

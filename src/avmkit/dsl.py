@@ -415,37 +415,17 @@ def _assemble_behavior(raw: _RawBehavior, findings: list[Finding]):
         )
         return None, first_pos
 
-    transitions = []
-    seen: set[tuple[str, str, str]] = set()
-    broken = False
-    for source, label, target, pos in raw.edges:
-        triple = (source, label, target)
-        if triple in seen:
-            findings.append(
-                Finding("error", "duplicate-transition",
-                        f"{source} -{label}-> {target}",
-                        "transition appears more than once", pos)
-            )
-            broken = True
-            continue
-        seen.add(triple)
-        transitions.append(triple)
-    if broken:
-        return None, first_pos
-
-    labels = {label for _, label, _ in transitions}
     try:
         behavior = build_behavior(
             states=set(first_pos),
             initial=raw.initial[0],
-            labels=labels,
-            transitions=transitions,
+            labels={label for _, label, _, _ in raw.edges},
+            transitions=[edge[:3] for edge in raw.edges],
             finals={name for name, _ in raw.finals},
+            positions=[edge[3] for edge in raw.edges],
         )
-    except ModelValidationError as exc:  # safety net; positions fall back to the block
-        for f in exc.findings:
-            findings.append(Finding(f.severity, f.code, f.subject, f.detail,
-                                    first_pos.get(f.subject, raw.pos)))
+    except ModelValidationError as exc:  # duplicate transitions; nothing else can fail here
+        findings.extend(exc.findings)
         return None, first_pos
     return behavior, first_pos
 

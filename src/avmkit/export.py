@@ -1,7 +1,9 @@
 """Emitters: SMV program text for external cross-validation, and DOT graphs."""
 
+from typing import Mapping
+
 from . import ctl
-from .coupled import APPROACH_NAMES, approach_membership
+from .coupled import APPROACH_NAMES
 from .dsl import ModelDocument
 from .lts import Behavior
 
@@ -93,14 +95,16 @@ def to_smv(doc: ModelDocument, target: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(behavior: Behavior, approaches=None, name: str = "behavior") -> str:
+def to_dot(behavior: Behavior, approaches: Mapping[str, frozenset[str]] | None = None,
+           name: str = "behavior") -> str:
     """One digraph: initial state marked by an entry arrow, finals
     double-circled, edges carrying their transition labels, and approaches
-    rendered as clusters when given."""
-    membership = approach_membership(approaches, behavior.states)
+    rendered as clusters when given, as this behavior's side of
+    `ApproachPartition.states_by_side`."""
+    approaches = approaches or {}
     cluster_of: dict[str, str] = {}
-    for approach_name in sorted(membership):
-        for state in membership[approach_name]:
+    for approach_name in sorted(approaches):
+        for state in approaches[approach_name] & behavior.states:
             cluster_of.setdefault(state, approach_name)
 
     marker = "__start__"

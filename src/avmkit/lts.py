@@ -104,18 +104,25 @@ def _as_transition(t) -> Transition:
     return Transition(source, label, target)
 
 
-def behavior_diagnostics(states, initial, labels, transitions, finals=()) -> list[Finding]:
-    """Validate the raw pieces of a behavior and list every problem found."""
+def behavior_diagnostics(states, initial, labels, transitions, finals=(),
+                         positions=None) -> list[Finding]:
+    """Validate the raw pieces of a behavior and list every problem found.
+
+    `positions`, when given, holds one SourcePos per transition and places
+    the findings about that transition.
+    """
     states = list(states)
     labels = list(labels)
     finals = list(finals)
     transitions = [_as_transition(t) for t in transitions]
+    positions = [None] * len(transitions) if positions is None else list(positions)
     findings: list[Finding] = []
 
+    def error(code: str, subject: str, detail: str, position=None) -> None:
+        findings.append(Finding("error", code, subject, detail, position))
+
     if not states:
-        findings.append(
-            Finding("error", "empty-state-set", "<behavior>", "behavior declares no states")
-        )
+        error("empty-state-set", "<behavior>", "behavior declares no states")
         return findings
 
     state_set = set(states)
@@ -123,45 +130,32 @@ def behavior_diagnostics(states, initial, labels, transitions, finals=()) -> lis
 
     for name in sorted(state_set | label_set):
         if not is_valid_name(name):
-            findings.append(
-                Finding("error", "invalid-identifier", name,
-                        "identifiers are letters, digits and underscore, not starting with a digit")
-            )
+            error("invalid-identifier", name,
+                  "identifiers are letters, digits and underscore, not starting with a digit")
 
     if initial not in state_set:
-        findings.append(
-            Finding("error", "bad-initial", str(initial), "initial state is not a declared state")
-        )
+        error("bad-initial", str(initial), "initial state is not a declared state")
     for name in sorted(set(finals) - state_set):
-        findings.append(
-            Finding("error", "unknown-state", name, "final state is not a declared state")
-        )
+        error("unknown-state", name, "final state is not a declared state")
 
     seen: set[Transition] = set()
-    for t in transitions:
+    for t, pos in zip(transitions, positions, strict=True):
         if t.source not in state_set:
-            findings.append(
-                Finding("error", "unknown-state", t.source, f"transition {t} leaves an unknown state")
-            )
+            error("unknown-state", t.source, f"transition {t} leaves an unknown state", pos)
         if t.target not in state_set:
-            findings.append(
-                Finding("error", "unknown-state", t.target, f"transition {t} enters an unknown state")
-            )
+            error("unknown-state", t.target, f"transition {t} enters an unknown state", pos)
         if t.label not in label_set:
-            findings.append(
-                Finding("error", "unknown-label", t.label, f"transition {t} uses an undeclared label")
-            )
+            error("unknown-label", t.label, f"transition {t} uses an undeclared label", pos)
         if t in seen:
-            findings.append(
-                Finding("error", "duplicate-transition", str(t), "transition appears more than once")
-            )
+            error("duplicate-transition", str(t), "transition appears more than once", pos)
         seen.add(t)
     return findings
 
 
-def build_behavior(states, initial, labels, transitions, finals=()) -> Behavior:
-    """Construct a validated Behavior; raises ModelValidationError listing every defect."""
-    diags = behavior_diagnostics(states, initial, labels, transitions, finals)
+def build_behavior(states, initial, labels, transitions, finals=(), positions=None) -> Behavior:
+    """Construct a validated Behavior; raises ModelValidationError listing every
+    defect, placed by `positions` as in behavior_diagnostics."""
+    diags = behavior_diagnostics(states, initial, labels, transitions, finals, positions)
     if diags:
         raise ModelValidationError(diags)
     return Behavior(

@@ -25,6 +25,7 @@ from avmkit.ctl import (
     And,
     Atom,
     AtomicProposition,
+    Const,
     CtlFormula,
     Implies,
     Not,
@@ -132,6 +133,66 @@ def naive_eg_chain(k: KripkeStructure, holds_f: frozenset[str]) -> list[frozense
         if shrunk == current:
             return chain
         chain.append(shrunk)
+
+
+def naive_sat(k: KripkeStructure, f: CtlFormula) -> frozenset[str]:
+    """States satisfying f, every operator by its own fixpoint definition:
+    no normalization to a core, no shared walk, plain recursion."""
+    everything = frozenset(k.states)
+
+    def sat(g: CtlFormula) -> frozenset[str]:
+        return naive_sat(k, g)
+
+    def pre_some(z: frozenset[str]) -> frozenset[str]:
+        return naive_preimage(k, z)
+
+    def pre_all(z: frozenset[str]) -> frozenset[str]:
+        return frozenset(s for s in k.states if all(t in z for t in k.successors[s]))
+
+    def fixpoint(z: frozenset[str], step) -> frozenset[str]:
+        while (stepped := step(z)) != z:
+            z = stepped
+        return z
+
+    def lfp(step) -> frozenset[str]:
+        return fixpoint(frozenset(), step)
+
+    def gfp(step) -> frozenset[str]:
+        return fixpoint(everything, step)
+
+    if isinstance(f, Const):
+        return everything if f.value else frozenset()
+    if isinstance(f, Atom):
+        return frozenset(s for s in k.states if f.prop in k.labeling[s])
+    if isinstance(f, Not):
+        return everything - sat(f.operand)
+    if isinstance(f, And):
+        return sat(f.left) & sat(f.right)
+    if isinstance(f, Or):
+        return sat(f.left) | sat(f.right)
+    if isinstance(f, Implies):
+        return (everything - sat(f.left)) | sat(f.right)
+    if isinstance(f, EX):
+        return pre_some(sat(f.operand))
+    if isinstance(f, AX):
+        return pre_all(sat(f.operand))
+    if isinstance(f, EF):
+        goal = sat(f.operand)
+        return lfp(lambda z: goal | pre_some(z))
+    if isinstance(f, AF):
+        goal = sat(f.operand)
+        return lfp(lambda z: goal | pre_all(z))
+    if isinstance(f, EG):
+        keep = sat(f.operand)
+        return gfp(lambda z: keep & pre_some(z))
+    if isinstance(f, AG):
+        keep = sat(f.operand)
+        return gfp(lambda z: keep & pre_all(z))
+    if isinstance(f, (EU, AU)):
+        hold, goal = sat(f.left), sat(f.right)
+        pre = pre_some if isinstance(f, EU) else pre_all
+        return lfp(lambda z: goal | (hold & pre(z)))
+    raise TypeError(f"not a CTL formula node: {f!r}")
 
 
 def random_formula(rng: Random, states, depth: int = 4) -> CtlFormula:

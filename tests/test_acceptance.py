@@ -110,7 +110,7 @@ def test_c3_oracle_equivalence(bundled_doc):
     for target in ("control", "preventive"):
         behavior = (bundled_doc.coupled.control if target == "control"
                     else bundled_doc.coupled.preventive)
-        k = to_kripke(behavior, bundled_doc.coupled.approaches)
+        k = to_kripke(behavior, bundled_doc.coupled.approaches.states_by_side(target))
         for prop in bundled_doc.properties:
             if prop.target != target:
                 continue
@@ -158,7 +158,8 @@ def test_c5_bdd_soundness():
 
 
 def test_c6_bundled_property_suite(bundled_doc, control, preventive):
-    k = to_kripke(bundled_doc.coupled.control, bundled_doc.coupled.approaches)
+    k = to_kripke(bundled_doc.coupled.control,
+                  bundled_doc.coupled.approaches.states_by_side("control"))
     ok = set(EXPECTED_VERDICTS) == {p.name for p in bundled_doc.properties}
     for prop in bundled_doc.properties:
         for engine in (check_explicit, check_symbolic):
@@ -200,8 +201,10 @@ def test_c8_determinism(bundled_doc):
                 render_model(doc),
                 to_smv(doc, "control"),
                 to_smv(doc, "preventive"),
-                to_dot(doc.coupled.control, approaches=doc.coupled.approaches),
-                to_dot(doc.coupled.preventive, approaches=doc.coupled.approaches),
+                to_dot(doc.coupled.control,
+                       approaches=doc.coupled.approaches.states_by_side("control")),
+                to_dot(doc.coupled.preventive,
+                       approaches=doc.coupled.approaches.states_by_side("preventive")),
             ))
         ok &= outcomes[0] == outcomes[1]
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avmkit.checker
 from avmkit.checker import (
     UnknownAtomError,
     _eg,
@@ -16,13 +17,14 @@ from avmkit.checker import (
     witness,
     witness_shape,
 )
-from avmkit.ctl import AtomicProposition, parse_ctl
+from avmkit.ctl import AU, EX, And, AtomicProposition, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
     naive_eg_chain,
     naive_eu_chain,
     naive_preimage,
+    naive_sat,
     random_behavior,
     random_formula,
     random_kripke,
@@ -37,7 +39,8 @@ def kripkes(max_states=8, max_out=None):
 
 @pytest.fixture(scope="module")
 def control_kripke(bundled_doc):
-    return to_kripke(bundled_doc.coupled.control, bundled_doc.coupled.approaches)
+    return to_kripke(bundled_doc.coupled.control,
+                     bundled_doc.coupled.approaches.states_by_side("control"))
 
 
 class TestToKripke:
@@ -168,6 +171,52 @@ class TestFixpointChains:
         assert _eg(k, sat_f) == naive_eg_chain(k, sat_f)[-1]
         f = random_formula(rng, k.states)
         assert check_symbolic(k, f) == check_explicit(k, f)
+
+
+class TestNaiveReference:
+    # naive_sat evaluates every operator by its own definition, so a bug in
+    # normalize or in the shared fold cannot hide behind agreeing engines.
+    @settings(max_examples=80, deadline=None)
+    @given(kripkes(), st.integers(min_value=0, max_value=100_000))
+    def test_engines_match_definitions(self, k, seed):
+        rng = Random(seed)
+        f = random_formula(rng, k.states)
+        shared = AU(f, And(f, EX(f)))  # one node reached along several paths
+        for formula in (f, shared):
+            expected = naive_sat(k, formula)
+            assert check_explicit(k, formula) == expected
+            assert check_symbolic(k, formula) == expected
+
+
+def nested_until(levels):
+    text = "at(Done)"
+    for _ in range(levels):
+        text = f"A [ true U {text} ]"
+    return parse_ctl(text)
+
+
+class TestSharing:
+    # A[f U g] = !(E[!g U (!f & !g)] | EG !g) shares g three ways; walking the
+    # normalized DAG as a tree would label each level's g about 3x per level.
+    def test_explicit_labels_each_fixpoint_once(self, control_kripke, monkeypatch):
+        calls = []
+        eu, eg = avmkit.checker._eu, avmkit.checker._eg
+        monkeypatch.setattr(avmkit.checker, "_eu", lambda *args: calls.append("EU") or eu(*args))
+        monkeypatch.setattr(avmkit.checker, "_eg", lambda *args: calls.append("EG") or eg(*args))
+        check_explicit(control_kripke, nested_until(8))
+        assert (calls.count("EU"), calls.count("EG")) == (8, 8)
+
+    def test_symbolic_labels_each_fixpoint_once(self, control_kripke, monkeypatch):
+        calls = []
+        sat = avmkit.checker._Symbolic._sat
+        monkeypatch.setattr(avmkit.checker._Symbolic, "_sat", lambda self, node, sats: (
+            calls.append(type(node).__name__) or sat(self, node, sats)))
+        check_symbolic(control_kripke, nested_until(8))
+        assert (calls.count("EU"), calls.count("EG")) == (8, 8)
+
+    def test_deep_nesting_agrees(self, control_kripke):
+        f = nested_until(30)
+        assert check_explicit(control_kripke, f) == check_symbolic(control_kripke, f)
 
 
 class TestWitness:

@@ -52,6 +52,20 @@ class TestValidate:
         assert "synchronization: skipped" in out
         assert "synchronization: pass" not in out
 
+    def test_quiet_hides_warnings_not_errors(self, capsys, tmp_path):
+        path = tmp_path / "no_finals.avm"
+        path.write_text(MODEL_FILE.read_text(encoding="utf-8").replace("  final End\n", ""),
+                        encoding="utf-8")
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        assert "  [warning] no-final-states control: " in out
+        code, quiet = run_cli(capsys, "--quiet", "validate", str(path))
+        assert quiet.splitlines() == [line for line in out.splitlines() if "[warning]" not in line]
+        code, quiet = run_cli(capsys, "--quiet", "validate",
+                              str(CORPUS_DIR / "mutant_missing_edge.avm"))
+        assert code == 1
+        assert "  [error] invalid-mapped-path " in quiet
+
     def test_structured_output(self, capsys):
         code, out = run_cli(capsys, "--format", "structured", "validate", BUNDLED)
         assert code == 0
@@ -127,11 +141,11 @@ class TestCheck:
 
 
 class TestDeepFormulas:
-    def check_spec(self, capsys, tmp_path, formula, *flags):
+    def check_spec(self, capsys, tmp_path, formula, *flags, command=("check",)):
         path = tmp_path / "deep.avm"
         path.write_text(MODEL_FILE.read_text(encoding="utf-8")
                         + f"spec deep on control: {formula}\n", encoding="utf-8")
-        return run_cli(capsys, *flags, "check", str(path))
+        return run_cli(capsys, *flags, *command, str(path))
 
     @pytest.mark.parametrize("formula", [
         "(" * 200 + "at(Done)" + ")" * 200,
@@ -152,6 +166,69 @@ class TestDeepFormulas:
             code, out = self.check_spec(capsys, tmp_path, formula, "--format", report_format)
             assert code == 0, out
             assert "deep" in out
+
+    # Flat chains are not nesting: they parse into one left-deep tree.
+    @pytest.mark.parametrize("operator, count", [("|", 1200), ("&", 3000)])
+    def test_long_flat_chain_is_checked_and_exported(self, capsys, tmp_path, operator, count):
+        formula = f" {operator} ".join(["at(Done)"] * (count + 1))
+        code, out = self.check_spec(capsys, tmp_path, formula)
+        assert code == 0, out
+        assert "deep on control: fails" in out
+        code, out = self.check_spec(capsys, tmp_path, formula, "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["properties"][-1]["formula"] == formula
+        code, out = self.check_spec(capsys, tmp_path, formula, command=(
+            "export", "--format", "smv", "--target", "control"))
+        assert code == 0
+        assert out.splitlines()[-1] == "SPEC " + formula.replace("at(Done)", "at_Done")
+
+
+# Idle and Busy are in both behaviors. Protection holds Idle on the control
+# side and Busy on the preventive side, and each behavior sees its own side only.
+SHARED_NAMES = """behavior preventive {
+  initial Idle
+  Idle - go -> Busy
+}
+behavior control {
+  initial Idle
+  Idle - step -> Busy
+}
+approach Protection {
+  control: Idle
+  preventive: Busy
+}
+map Idle => Idle
+map Busy => Busy
+spec leak on control expect fails: EF (at(Busy) & in(Protection))
+spec own on control expect holds: at(Idle) & in(Protection)
+spec other on preventive expect holds: EF (at(Busy) & in(Protection))
+"""
+
+
+class TestApproachSides:
+    @pytest.fixture
+    def shared_names(self, tmp_path):
+        path = tmp_path / "shared.avm"
+        path.write_text(SHARED_NAMES, encoding="utf-8")
+        return str(path)
+
+    def test_check_labels_each_side_separately(self, capsys, shared_names):
+        code, out = run_cli(capsys, "check", shared_names)
+        assert code == 0, out
+        assert "0 expectation mismatch(es)" in out
+
+    @pytest.mark.parametrize("target, member", [("control", "Idle"), ("preventive", "Busy")])
+    def test_exports_use_the_target_side(self, capsys, shared_names, target, member):
+        code, out = run_cli(capsys, "export", shared_names, "--format", "smv",
+                            "--target", target)
+        assert code == 0
+        assert f"  in_Protection := state = {member};" in out.splitlines()
+        code, out = run_cli(capsys, "export", shared_names, "--format", "dot",
+                            "--target", target)
+        assert code == 0
+        cluster = out.split("subgraph cluster_Protection {")[1].split("}")[0]
+        assert f'"{member}"' in cluster
+        assert cluster.count("shape=") == 1
 
 
 class TestPaths:

@@ -24,6 +24,8 @@ from avmkit.ctl import (
     Not,
     Or,
     atoms,
+    children,
+    fold,
     normalize,
     parse_ctl,
     render,
@@ -137,6 +139,9 @@ class TestNormalize:
     def test_af_dual(self):
         assert normalize(AF(at("f"))) == Not(EG(Not(at("f"))))
 
+    def test_implies_is_disjunction(self):
+        assert normalize(Implies(at("f"), at("g"))) == Or(Not(at("f")), at("g"))
+
     def test_au_expansion(self):
         f, g = at("f"), at("g")
         assert normalize(AU(f, g)) == Not(
@@ -145,7 +150,7 @@ class TestNormalize:
 
     def test_core_nodes_only(self):
         rng = Random(17)
-        core = (EX, EG, EU, And, Or, Implies, Not, Atom)
+        core = (EX, EG, EU, And, Or, Not, Atom)
         for _ in range(100):
             f = normalize(random_formula(rng, ["a", "b", "c"]))
             stack = [f]
@@ -156,6 +161,36 @@ class TestNormalize:
                     child = getattr(node, attr, None)
                     if child is not None:
                         stack.append(child)
+
+
+class TestFold:
+    def test_children_left_to_right(self):
+        assert children(EU(at("a"), at("b"))) == (at("a"), at("b"))
+        assert children(AX(at("a"))) == (at("a"),)
+        assert children(TRUE) == ()
+        with pytest.raises(TypeError):
+            children("at(a)")
+
+    def test_shared_node_combined_once_children_first(self):
+        shared = Or(at("a"), at("b"))
+        f = And(EX(shared), EG(shared))
+        seen = []
+
+        def combine(node, results):
+            seen.append(node)
+            assert results == tuple(seen.index(kid) for kid in children(node))
+            return len(seen) - 1
+
+        assert fold(f, combine) == 5
+        assert [type(node) for node in seen] == [Atom, Atom, Or, EX, EG, And]
+
+    def test_long_chains_need_no_recursion(self):
+        chain = at("a")
+        for _ in range(5_000):
+            chain = And(chain, at("b"))
+        assert fold(chain, lambda node, sizes: 1 + sum(sizes)) == 10_001
+        assert render(chain) == " & ".join(["at(a)"] + ["at(b)"] * 5_000)
+        assert len(list(atoms(normalize(chain)))) == 5_001
 
 
 class TestRender:

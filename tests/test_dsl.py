@@ -288,6 +288,12 @@ GOLDEN_DOCUMENTS = {
         "approach Protection {\n  control: P\n  preventive: D P\n}\n"
     ),
     "partial_mapping_after_rejections": TWO_CONTROL_STATES + "map Z => P\nexempt Q\n",
+    # each repeat is placed at its own edge, in both behavior blocks
+    "duplicate_transitions": TWO_CONTROL_STATES.replace(
+        "  P - go -> Q\n", "  P - go -> Q\n  P - go -> Q\n"
+    ).replace(
+        "  C - step -> D\n", "  C - step -> D\n  D - back -> C\n  C - step -> D\n  C - step -> D\n"
+    ),
 }
 GOLDEN_MUTANTS = ("cross_reference", "overlapping_approach", "unmapped_state")
 
@@ -333,6 +339,11 @@ GOLDEN_LINES = {
         '[error] partial-mapping D: control state is neither mapped nor declared exempt (line 7, col 3)',
         '[error] cross-behavior-reference Z: mapping key is not a control state (line 9, col 5)',
         '[error] cross-behavior-reference Q: exempt state names a preventive state where a control state is required (line 10, col 8)',
+    ],
+    'duplicate_transitions': [
+        '[error] duplicate-transition P -go-> Q: transition appears more than once (line 4, col 3)',
+        '[error] duplicate-transition C -step-> D: transition appears more than once (line 10, col 3)',
+        '[error] duplicate-transition C -step-> D: transition appears more than once (line 11, col 3)',
     ],
     'mutant_cross_reference': [
         '[error] cross-behavior-reference Activated: mapping for NotActivated: path state names a control state where a preventive state is required (line 63, col 21)',

@@ -131,7 +131,7 @@ class TestDot:
         assert '"__start__" -> "NotActivated";' in text
 
     def test_clusters(self, bundled_doc, control):
-        text = to_dot(control, approaches=bundled_doc.coupled.approaches)
+        text = to_dot(control, approaches=bundled_doc.coupled.approaches.states_by_side("control"))
         cluster = re.search(r"subgraph cluster_Identification \{(.*?)\}", text, re.S)
         assert cluster is not None
         assert '"Recognition"' in cluster.group(1)
@@ -149,8 +149,9 @@ class TestDot:
         assert edges == ['  "__start__" -> "A";']
 
     def test_deterministic(self, bundled_doc, preventive):
-        assert to_dot(preventive, approaches=bundled_doc.coupled.approaches) == \
-            to_dot(preventive, approaches=bundled_doc.coupled.approaches)
+        approaches = bundled_doc.coupled.approaches.states_by_side("preventive")
+        assert to_dot(preventive, approaches=approaches) == \
+            to_dot(preventive, approaches=approaches)
 
 
 class TestRenderDeterminism:
