@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .lts import Behavior, Path, enumerate_simple_paths, reachable_states
+from .lts import Behavior, Path, UnknownStateError, strongly_connected_components
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
@@ -285,23 +285,192 @@ def check_approach_alignment(model: CoupledModel) -> CheckReport:
     return CheckReport("approaches", tuple(findings))
 
 
+# The sync state of a control path that has already gapped.
+_GAP = "gap"
+
+
+def _reach_test(preventive: Behavior, sources: Iterable[str], targets: Iterable[str]):
+    """`reaches(src, dst)`: can the preventive behavior go from src, a state
+    among `sources`, to dst, a state among `targets`, in zero or more
+    transitions? One pass over the condensation of what the sources reach,
+    sinks first, gives each strongly connected component the bit set of
+    target components it reaches."""
+    components = strongly_connected_components(
+        preventive, sorted(s for s in sources if s in preventive.states))
+    component_of = {state: i for i, members in enumerate(components) for state in members}
+    target_bit: dict[int, int] = {}
+    for state in targets:
+        if state in component_of:
+            target_bit.setdefault(component_of[state], 1 << len(target_bit))
+    reach: list[int] = []
+    for i, members in enumerate(components):
+        bits = target_bit.get(i, 0)
+        for state in members:
+            for _, nxt in preventive.successor_map[state]:
+                if component_of[nxt] != i:
+                    bits |= reach[component_of[nxt]]
+        reach.append(bits)
+
+    def reaches(src: str, dst: str) -> bool:
+        if src not in component_of:
+            raise UnknownStateError(src)
+        return bool(reach[component_of[src]] & target_bit.get(component_of.get(dst), 0))
+
+    return reaches
+
+
+def _sync_step(model: CoupledModel):
+    """The stitching rule as a transition function.
+
+    A sync state is None before the first mapped fragment set, `_GAP` after a
+    gap, and otherwise (previous, feasible): the interned index of the last
+    fragment set and the bit mask of its fragments still linked to the start.
+    `step(sync, state)` returns the sync state after `state` and, when `state`
+    is where the path gaps, the gap's (state, ends, starts) key.
+    """
+    interned: dict[tuple[Path, ...], int] = {}
+    slot: dict[str, int | None] = {}
+    for state in model.control.states:
+        fragments = () if state in model.mapping.exempt else model.mapping.paths_for(state)
+        slot[state] = interned.setdefault(fragments, len(interned)) if fragments else None
+    fragment_sets = list(interned)
+    reaches = _reach_test(model.preventive, {f.last for fs in fragment_sets for f in fs},
+                          {g.first for fs in fragment_sets for g in fs})
+    memo: dict[tuple, tuple] = {}
+
+    def step(sync, state: str):
+        current = slot[state]
+        if current is None or sync is _GAP:
+            return sync, None
+        if sync is None:
+            return (current, (1 << len(fragment_sets[current])) - 1), None
+        if sync[0] == current:
+            return sync, None
+        out = memo.get((sync, state))
+        if out is None:
+            previous, live = sync
+            feasible = [f for i, f in enumerate(fragment_sets[previous]) if live >> i & 1]
+            fragments = fragment_sets[current]
+            linked = sum(1 << i for i, g in enumerate(fragments)
+                         if any(reaches(f.last, g.first) for f in feasible))
+            if linked:
+                out = (current, linked), None
+            else:
+                ends = ", ".join(sorted({f.last for f in feasible}))
+                starts = ", ".join(sorted({g.first for g in fragments}))
+                out = _GAP, (state, ends, starts)
+            memo[sync, state] = out
+        return out
+
+    return step
+
+
+def _unwind(cell) -> Path:
+    """The control path held as nested (state, label, rest) cells."""
+    states, labels = [], []
+    while cell is not None:
+        state, label, cell = cell
+        states.append(state)
+        if label is not None:
+            labels.append(label)
+    return Path(tuple(states), tuple(labels))
+
+
+def _path_order(cell) -> tuple:
+    path = _unwind(cell)
+    return path.labels, path.states
+
+
+class _Frame:
+    """One state on the walk's current control path."""
+
+    __slots__ = ("state", "sync", "on_path", "next_edge", "count", "gaps", "label", "gap")
+
+    def __init__(self, state: str, sync, on_path: int):
+        self.state, self.sync, self.on_path = state, sync, on_path
+        self.next_edge = 0
+        self.count = 0
+        self.gaps: dict = {}
+        self.label = self.gap = None  # the edge to the child being walked
+
+    def absorb(self, label: str, gap, result) -> None:
+        """Adds what the successor reached by `label` returned; `gap` names
+        the gap that stepping to it opened, if any."""
+        count, gaps = result
+        self.count += count
+        for key, cell in gaps.items():
+            key = key if gap is None else gap
+            candidate = (self.state, label, cell)
+            best = self.gaps.get(key)
+            if best is None or _path_order(candidate) < _path_order(best):
+                self.gaps[key] = candidate
+
+
+def _stitch_paths(control: Behavior, final: str, step, component_of, bit):
+    """(number of simple control paths from the initial state to `final`,
+    {gap key: the smallest such path by (labels, states) that gaps there}).
+
+    A memoized depth-first walk without recursion. A node is (control state,
+    sync state, states of the current path in the state's SCC): every other
+    state of the path is unreachable from here, so what lies ahead depends on
+    nothing else. A result holds its smallest completions as shared cells;
+    below a gap they sit under the key None until the gap names them.
+    """
+    if control.initial == final:
+        return 1, {}
+    memo: dict[tuple, tuple] = {}
+    stack = [_Frame(control.initial, step(None, control.initial)[0], bit[control.initial])]
+    while True:
+        frame = stack[-1]
+        edges = control.successor_map[frame.state]
+        child = None
+        while child is None and frame.next_edge < len(edges):
+            label, nxt = edges[frame.next_edge]
+            frame.next_edge += 1
+            if component_of[nxt] != component_of[frame.state]:
+                on_path = bit[nxt]
+            elif frame.on_path & bit[nxt]:
+                continue
+            else:
+                on_path = frame.on_path | bit[nxt]
+            sync, gap = step(frame.sync, nxt)
+            result = memo.get((nxt, sync, on_path))
+            if result is None and nxt == final:
+                result = (1, {None: (final, None, None)} if sync is _GAP else {})
+            if result is None:
+                frame.label, frame.gap = label, gap
+                child = _Frame(nxt, sync, on_path)
+            else:
+                frame.absorb(label, gap, result)
+        if child is not None:
+            stack.append(child)
+            continue
+        result = (frame.count, frame.gaps)
+        memo[frame.state, frame.sync, frame.on_path] = result
+        stack.pop()
+        if not stack:
+            return result
+        stack[-1].absorb(stack[-1].label, stack[-1].gap, result)
+
+
 def check_synchronization(model: CoupledModel) -> CheckReport:
     """Stitching check for the coupled pair: along every simple control path
     from the control initial state to a control final state, the mapped
     preventive fragments (exempt states skipped, consecutive identical
     fragment sets deduplicated) must chain up, each fragment's first state
     reachable from some previous fragment's last state by zero or more
-    preventive transitions. The first gap per control path is reported."""
+    preventive transitions. The first gap per control path is reported.
+
+    Paths are counted, not listed: a memoized walk over (control state,
+    feasible fragments, previous fragments, path states in the state's SCC)
+    visits each such node once per final, which is polynomial on an acyclic
+    control behavior and exponential only in the size of its largest strongly
+    connected component. Each distinct gap is reported once, along the first
+    control path that meets it in (labels, states) order, finals in name
+    order. Reachability comes from one pass over the preventive condensation.
+    """
     findings: list[Finding] = []
     control = model.control
-    preventive = model.preventive
-
-    reach_memo: dict[str, frozenset[str]] = {}
-
-    def reaches(src: str, dst: str) -> bool:
-        if src not in reach_memo:
-            reach_memo[src] = reachable_states(preventive, src)
-        return dst in reach_memo[src]
 
     finals = sorted(control.finals)
     if not finals:
@@ -310,39 +479,25 @@ def check_synchronization(model: CoupledModel) -> CheckReport:
                     "control behavior declares no final states; nothing to stitch")
         )
 
+    components = strongly_connected_components(control, [control.initial])
+    component_of = {state: i for i, members in enumerate(components) for state in members}
+    bit = {state: 1 << j for members in components for j, state in enumerate(members)}
+    step = _sync_step(model)
     seen_gaps: set[tuple] = set()
     checked = 0
     for final in finals:
-        for control_path in enumerate_simple_paths(control, control.initial, final):
-            checked += 1
-            feasible: tuple[Path, ...] | None = None
-            previous: tuple[Path, ...] | None = None
-            for control_state in control_path.states:
-                if control_state in model.mapping.exempt:
-                    continue
-                fragments = model.mapping.paths_for(control_state)
-                if not fragments or fragments == previous:
-                    continue
-                if feasible is None:
-                    feasible = fragments
-                else:
-                    linked = tuple(
-                        g for g in fragments if any(reaches(f.last, g.first) for f in feasible)
-                    )
-                    if not linked:
-                        ends = ", ".join(sorted({f.last for f in feasible}))
-                        starts = ", ".join(sorted({g.first for g in fragments}))
-                        key = (control_state, ends, starts)
-                        if key not in seen_gaps:
-                            seen_gaps.add(key)
-                            findings.append(
-                                Finding("error", "sync-gap", control_state,
-                                        f"along control path {control_path}: no preventive walk "
-                                        f"from {{{ends}}} to {{{starts}}}")
-                            )
-                        break
-                    feasible = linked
-                previous = fragments
+        count, gaps = _stitch_paths(control, final, step, component_of, bit)
+        checked += count
+        for key, cell in sorted(gaps.items(), key=lambda item: _path_order(item[1])):
+            if key in seen_gaps:
+                continue
+            seen_gaps.add(key)
+            control_state, ends, starts = key
+            findings.append(
+                Finding("error", "sync-gap", control_state,
+                        f"along control path {_unwind(cell)}: no preventive walk "
+                        f"from {{{ends}}} to {{{starts}}}")
+            )
     findings.append(
         Finding("info", "control-paths", "control", f"checked {checked} control path(s)")
     )

@@ -234,28 +234,41 @@ def render(
     true_text: str = "true",
     false_text: str = "false",
 ) -> str:
-    """Concrete-syntax text with minimal parentheses; re-parsing restores the AST."""
+    """Concrete-syntax text with minimal parentheses; re-parsing restores the AST.
 
-    def combine(node: CtlFormula, texts: tuple[str, ...]) -> str:
-        def arg(i: int, min_prec: int) -> str:
+    A node's text is a string or a tuple of its pieces, children's texts
+    included as they are; the pieces are joined once at the end, so a long
+    `&`/`|` chain renders in linear time.
+    """
+
+    def combine(node: CtlFormula, texts: tuple) -> str | tuple:
+        def arg(i: int, min_prec: int) -> str | tuple:
             loose = _PRECEDENCE.get(type(children(node)[i]), 4) < min_prec
-            return f"({texts[i]})" if loose else texts[i]
+            return ("(", texts[i], ")") if loose else texts[i]
 
         if isinstance(node, Const):
             return true_text if node.value else false_text
         if isinstance(node, Atom):
             return atom_text(node.prop) if atom_text else str(node.prop)
         if isinstance(node, Not):
-            return "!" + arg(0, 4)
+            return ("!", arg(0, 4))
         # The temporal operators' class names are their keywords.
         if isinstance(node, (EU, AU)):
-            return f"{type(node).__name__[0]} [ {texts[0]} U {texts[1]} ]"
+            return (f"{type(node).__name__[0]} [ ", texts[0], " U ", texts[1], " ]")
         if isinstance(node, _UNARY):
-            return f"{type(node).__name__} {arg(0, 4)}"
+            return (f"{type(node).__name__} ", arg(0, 4))
         symbol, left, right = _INFIX[type(node)]
-        return f"{arg(0, left)} {symbol} {arg(1, right)}"
+        return (arg(0, left), f" {symbol} ", arg(1, right))
 
-    return fold(formula, combine)
+    pieces: list[str] = []
+    stack = [fold(formula, combine)]
+    while stack:
+        text = stack.pop()
+        if isinstance(text, str):
+            pieces.append(text)
+        else:
+            stack.extend(reversed(text))
+    return "".join(pieces)
 
 
 @dataclass(frozen=True)

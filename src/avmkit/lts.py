@@ -199,23 +199,25 @@ def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list
     states_acc = [source]
     labels_acc: list[str] = []
     visited = {source}
-
-    def walk(state: str) -> None:
-        for label, nxt in behavior.successor_map[state]:
+    # One successor iterator per state on the current path, deepest last.
+    pending = [iter(behavior.successor_map[source])]
+    while pending:
+        for label, nxt in pending[-1]:
             if nxt in visited:
+                continue
+            if nxt == target:
+                out.append(Path((*states_acc, nxt), (*labels_acc, label)))
                 continue
             states_acc.append(nxt)
             labels_acc.append(label)
-            if nxt == target:
-                out.append(Path(tuple(states_acc), tuple(labels_acc)))
-            else:
-                visited.add(nxt)
-                walk(nxt)
-                visited.discard(nxt)
-            states_acc.pop()
-            labels_acc.pop()
-
-    walk(source)
+            visited.add(nxt)
+            pending.append(iter(behavior.successor_map[nxt]))
+            break
+        else:
+            pending.pop()
+            visited.discard(states_acc.pop())
+            if labels_acc:
+                labels_acc.pop()
     out.sort(key=lambda p: (p.labels, p.states))
     return out
 
@@ -234,6 +236,50 @@ def reachable_states(behavior: Behavior, origin: str | None = None) -> frozenset
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def strongly_connected_components(behavior: Behavior, roots) -> list[tuple[str, ...]]:
+    """The strongly connected components of the states reachable from `roots`,
+    by Tarjan's algorithm without recursion. A component is listed after
+    every component it can reach, so the list is a reverse topological order
+    of the condensation."""
+    successor_map = behavior.successor_map
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for root in roots:
+        if root in index:
+            continue
+        # The depth-first path: each state with the successors it has left.
+        work = [(root, iter(successor_map[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            state, successors_left = work[-1]
+            for _, nxt in successors_left:
+                if nxt not in index:
+                    work.append((nxt, iter(successor_map[nxt])))
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    break
+                if nxt in on_stack and index[nxt] < low[state]:
+                    low[state] = index[nxt]
+            else:
+                work.pop()
+                if work and low[state] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[state]
+                if low[state] == index[state]:
+                    start = len(stack) - 1
+                    while stack[start] != state:
+                        start -= 1
+                    out.append(tuple(stack[start:]))
+                    del stack[start:]
+                    on_stack.difference_update(out[-1])
+    return out
 
 
 def find_deadlocks(behavior: Behavior) -> frozenset[str]:

@@ -31,8 +31,14 @@ from avmkit.ctl import (
     Not,
     Or,
 )
-from avmkit.coupled import APPROACH_NAMES
-from avmkit.lts import Behavior, Path, build_behavior
+from avmkit.coupled import (
+    APPROACH_NAMES,
+    CoupledModel,
+    approach_partition,
+    mapping_process,
+)
+from avmkit.lts import Behavior, Path, build_behavior, enumerate_simple_paths, reachable_states
+from avmkit.report import CheckReport, Finding
 
 # -- labeled transition systems -----------------------------------------------
 
@@ -77,6 +83,114 @@ def naive_simple_paths(behavior: Behavior, source: str, target: str) -> set[Path
             for combo in itertools.product(*options):
                 found.add(Path(seq, combo))
     return found
+
+
+# -- coupled models --------------------------------------------------------------
+
+
+def random_coupled_model(rng: Random, acyclic: bool, max_control: int = 7) -> CoupledModel:
+    """A coupled model built without validation, so control states may be left
+    unmapped as well as exempt. The control behavior has one to three finals
+    and two labels, so label ties occur; `acyclic` keeps its transitions
+    going from lower to higher state index. Mapped states draw from a small
+    pool of fragment sets, so sets repeat along paths. Fragments are one or
+    two preventive states, preventive paths or not: stitching reads only
+    their ends."""
+    preventive_states = [f"P{i}" for i in range(rng.randint(2, 6))]
+    preventive = build_behavior(
+        preventive_states, "P0", ("p", "q"),
+        [(source, rng.choice("pq"), target)
+         for source in preventive_states for target in preventive_states
+         if rng.random() < 0.15])
+    n = rng.randint(2, max_control)
+    states = [f"C{i}" for i in range(n)]
+    density = rng.uniform(0.2, 0.5)
+    transitions = [
+        (source, label, target)
+        for i, source in enumerate(states)
+        for j, target in enumerate(states)
+        for label in ("a", "b")
+        if (not acyclic or j > i) and rng.random() < density
+    ]
+    finals = rng.sample(states, rng.randint(1, min(3, n)))
+    control = build_behavior(states, "C0", ("a", "b"), transitions, finals)
+
+    def fragment() -> Path:
+        first = rng.choice(preventive_states)
+        if rng.random() < 0.6:
+            return Path((first,))
+        return Path((first, rng.choice(preventive_states)), (rng.choice("pq"),))
+
+    pool = [[fragment() for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(2, 4))]
+    entries, exempt = {}, set()
+    for state in states:
+        roll = rng.random()
+        if roll < 0.15:
+            exempt.add(state)
+        elif roll >= 0.3:
+            entries[state] = rng.choice(pool)
+    return CoupledModel("random", preventive, control, mapping_process(entries, exempt),
+                        approach_partition({}))
+
+
+def naive_check_synchronization(model: CoupledModel) -> CheckReport:
+    """The stitching check by listing every simple control path and walking
+    each one: exponential in the number of diamonds, kept as the oracle."""
+    findings: list[Finding] = []
+    control = model.control
+    preventive = model.preventive
+
+    reach_memo: dict[str, frozenset[str]] = {}
+
+    def reaches(src: str, dst: str) -> bool:
+        if src not in reach_memo:
+            reach_memo[src] = reachable_states(preventive, src)
+        return dst in reach_memo[src]
+
+    finals = sorted(control.finals)
+    if not finals:
+        findings.append(
+            Finding("warning", "no-final-states", "control",
+                    "control behavior declares no final states; nothing to stitch")
+        )
+
+    seen_gaps: set[tuple] = set()
+    checked = 0
+    for final in finals:
+        for control_path in enumerate_simple_paths(control, control.initial, final):
+            checked += 1
+            feasible: tuple[Path, ...] | None = None
+            previous: tuple[Path, ...] | None = None
+            for control_state in control_path.states:
+                if control_state in model.mapping.exempt:
+                    continue
+                fragments = model.mapping.paths_for(control_state)
+                if not fragments or fragments == previous:
+                    continue
+                if feasible is None:
+                    feasible = fragments
+                else:
+                    linked = tuple(
+                        g for g in fragments if any(reaches(f.last, g.first) for f in feasible)
+                    )
+                    if not linked:
+                        ends = ", ".join(sorted({f.last for f in feasible}))
+                        starts = ", ".join(sorted({g.first for g in fragments}))
+                        key = (control_state, ends, starts)
+                        if key not in seen_gaps:
+                            seen_gaps.add(key)
+                            findings.append(
+                                Finding("error", "sync-gap", control_state,
+                                        f"along control path {control_path}: no preventive walk "
+                                        f"from {{{ends}}} to {{{starts}}}")
+                            )
+                        break
+                    feasible = linked
+                previous = fragments
+    findings.append(
+        Finding("info", "control-paths", "control", f"checked {checked} control path(s)")
+    )
+    return CheckReport("synchronization", tuple(findings))
 
 
 # -- Kripke structures and CTL formulas -------------------------------------------

@@ -231,6 +231,92 @@ class TestApproachSides:
         assert cluster.count("shape=") == 1
 
 
+def write_document(tmp_path, preventive_edges, control_edges, initial, final, maps,
+                   extra_preventive=()):
+    lines = ["behavior preventive {", f"  initial {preventive_edges[0][0]}"]
+    lines += [f"  state {state}" for state in extra_preventive]
+    lines += [f"  {a} - {label} -> {b}" for a, label, b in preventive_edges]
+    lines += ["}", "behavior control {", f"  initial {initial}", f"  final {final}"]
+    lines += [f"  {a} - {label} -> {b}" for a, label, b in control_edges]
+    lines += ["}"] + [f"map {c} => {p}" for c, p in maps]
+    path = tmp_path / "generated.avm"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def ladder(tmp_path, k, gap_after=False):
+    """k diamonds s00 -> a01|b01 -> s01 -> ... -> sk over a preventive chain,
+    each control state mapped to the preventive state at its depth. Both arms
+    enter on x; the a-arm leaves on y and the b-arm on x, so the first path
+    in (labels, states) order takes every b-arm, where a depth-first walk
+    takes every a-arm first. `gap_after` appends a final state mapped to a
+    preventive state no fragment reaches."""
+    joins = [f"s{i:02d}" for i in range(k + 1)]
+    depth = {s: 2 * i for i, s in enumerate(joins)}
+    control_edges = []
+    for i in range(1, k + 1):
+        a, b = f"a{i:02d}", f"b{i:02d}"
+        depth[a] = depth[b] = 2 * i - 1
+        control_edges += [(joins[i - 1], "x", a), (a, "y", joins[i]),
+                          (joins[i - 1], "x", b), (b, "x", joins[i])]
+    chain = [f"p{d:02d}" for d in range(2 * k + 1)]
+    preventive_edges = [(p, "step", q) for p, q in zip(chain, chain[1:])]
+    maps = [(state, chain[d]) for state, d in depth.items()]
+    final = joins[-1]
+    if gap_after:
+        control_edges.append((final, "x", "tail"))
+        maps.append(("tail", "island"))
+        final = "tail"
+    return write_document(tmp_path, preventive_edges, control_edges, joins[0], final, maps,
+                          extra_preventive=["island"] if gap_after else ())
+
+
+def sync_findings(out):
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    return [(f["code"], f["subject"], f["detail"]) for f in checks["synchronization"]["findings"]]
+
+
+class TestLargeControlGraphs:
+    def test_long_chain_validates_and_lists_its_path(self, capsys, tmp_path):
+        names = [f"c{i:04d}" for i in range(1500)]
+        path = write_document(tmp_path, [("P", "stay", "P")],
+                              [(a, "go", b) for a, b in zip(names, names[1:])],
+                              names[0], names[-1], [(c, "P") for c in names])
+        code, out = run_cli(capsys, "validate", path)
+        assert code == 0, out
+        assert "synchronization: pass" in out
+        code, out = run_cli(capsys, "--format", "structured", "validate", path)
+        assert code == 0
+        assert sync_findings(out) == [("control-paths", "control", "checked 1 control path(s)")]
+        paths_argv = ("paths", path, "--behavior", "control", "--from", names[0], "--to", names[-1])
+        code, out = run_cli(capsys, *paths_argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"1 path(s) from {names[0]} to {names[-1]}"
+        code, out = run_cli(capsys, "--format", "structured", *paths_argv)
+        assert code == 0
+        assert json.loads(out)["paths"] == [{"states": names, "labels": ["go"] * 1499}]
+
+    def test_ladder_paths_are_counted_not_listed(self, capsys, tmp_path):
+        path = ladder(tmp_path, 40)
+        code, out = run_cli(capsys, "validate", path)
+        assert code == 0, out
+        code, out = run_cli(capsys, "--format", "structured", "validate", path)
+        assert code == 0
+        assert sync_findings(out) == [
+            ("control-paths", "control", "checked 1099511627776 control path(s)")]
+
+    def test_gap_after_ladder_names_the_first_path(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "--format", "structured", "validate",
+                            ladder(tmp_path, 40, gap_after=True))
+        assert code == 1
+        first = "s00" + "".join(f" -x-> b{i:02d} -x-> s{i:02d}" for i in range(1, 41))
+        assert sync_findings(out) == [
+            ("sync-gap", "tail", f"along control path {first} -x-> tail: "
+                                 "no preventive walk from {p80} to {island}"),
+            ("control-paths", "control", "checked 1099511627776 control path(s)"),
+        ]
+
+
 class TestPaths:
     def test_two_paths_to_end(self, capsys):
         code, out = run_cli(capsys, "paths", BUNDLED, "--behavior", "control",

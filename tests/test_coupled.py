@@ -18,7 +18,7 @@ from avmkit.coupled import (
 from avmkit.lts import Path, Transition, build_behavior, is_valid_path
 from avmkit.report import ModelValidationError
 
-from generators import random_behavior
+from generators import naive_check_synchronization, random_behavior, random_coupled_model
 
 PROTECTION_PATH = Path(
     ("SystemProtection", "PCProtection", "RealTimeProtection"), ("offline", "auto")
@@ -269,6 +269,42 @@ class TestSynchronization:
         report = check_synchronization(model)
         assert report.passed
         assert any(f.code == "no-final-states" for f in report.findings)
+
+
+# Paths to F in depth-first order: I -a-> A -b-> F (gaps at A), I -a-> Alt -b-> F
+# and I -a-> B -a-> F (both gap at F). In (labels, states) order the path
+# through B comes first, so the F gap is named by it and reported first.
+DFS_ORDER_MISLEADS = {
+    "preventive": (["P0", "X", "Y", "Z"], "P0", ["p"], [("P0", "p", "Y")]),
+    "control": (["I", "A", "Alt", "B", "F"], "I", ["a", "b"],
+                [("I", "a", "A"), ("I", "a", "Alt"), ("I", "a", "B"),
+                 ("A", "b", "F"), ("Alt", "b", "F"), ("B", "a", "F")], ["F"]),
+    "map": {"I": "P0", "A": "Z", "Alt": "Y", "B": "Y", "F": "X"},
+}
+
+
+class TestSynchronizationWalk:
+    def test_reported_in_labels_then_states_order(self):
+        spec = DFS_ORDER_MISLEADS
+        model = build_coupled_model(
+            build_behavior(*spec["preventive"]), build_behavior(*spec["control"]),
+            mapping_process({c: [Path((p,))] for c, p in spec["map"].items()}),
+            approach_partition({}))
+        expected = [
+            ("sync-gap", "F", "along control path I -a-> B -a-> F: "
+                              "no preventive walk from {Y} to {X}"),
+            ("sync-gap", "A", "along control path I -a-> A -b-> F: "
+                              "no preventive walk from {P0} to {Z}"),
+            ("control-paths", "control", "checked 3 control path(s)"),
+        ]
+        for check in (check_synchronization, naive_check_synchronization):
+            assert [(f.code, f.subject, f.detail) for f in check(model).findings] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
+    def test_matches_path_enumeration(self, seed, acyclic):
+        model = random_coupled_model(Random(seed), acyclic)
+        assert check_synchronization(model) == naive_check_synchronization(model)
 
 
 class TestApproachPartition:

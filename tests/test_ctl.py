@@ -186,11 +186,11 @@ class TestFold:
 
     def test_long_chains_need_no_recursion(self):
         chain = at("a")
-        for _ in range(5_000):
+        for _ in range(20_000):
             chain = And(chain, at("b"))
-        assert fold(chain, lambda node, sizes: 1 + sum(sizes)) == 10_001
-        assert render(chain) == " & ".join(["at(a)"] + ["at(b)"] * 5_000)
-        assert len(list(atoms(normalize(chain)))) == 5_001
+        assert fold(chain, lambda node, sizes: 1 + sum(sizes)) == 40_001
+        assert render(chain) == " & ".join(["at(a)"] + ["at(b)"] * 20_000)
+        assert len(list(atoms(normalize(chain)))) == 20_001
 
 
 class TestRender:

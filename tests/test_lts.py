@@ -13,6 +13,7 @@ from avmkit.lts import (
     find_deadlocks,
     is_valid_path,
     reachable_states,
+    strongly_connected_components,
     successors,
 )
 from avmkit.report import ModelValidationError
@@ -185,6 +186,38 @@ class TestReachability:
         for target in sorted(behavior.states):
             for p in enumerate_simple_paths(behavior, behavior.initial, target):
                 assert set(p.states) <= reachable
+
+
+class TestStronglyConnectedComponents:
+    def test_bundled_control(self, control):
+        components = strongly_connected_components(control, sorted(control.states))
+        # the verdict loop is the one cycle
+        assert sorted(map(sorted, components)) == [
+            ["Aborted"], ["Activated"], ["Done"], ["End"], ["NotActivated"],
+            ["Process", "Recognition"]]
+        assert components[0] == ("End",) and components[-1] == ("NotActivated",)
+
+    @settings(max_examples=60, deadline=None)
+    @given(behaviors(max_states=8))
+    def test_matches_mutual_reachability_sinks_first(self, behavior):
+        reach = {s: reachable_states(behavior, s) for s in behavior.states}
+        for roots in (sorted(behavior.states), [behavior.initial]):
+            components = strongly_connected_components(behavior, roots)
+            covered = sorted(s for c in components for s in c)
+            assert covered == sorted(set().union(*(reach[r] for r in roots)))
+            position = {s: i for i, c in enumerate(components) for s in c}
+            for a in covered:
+                for b in reach[a]:
+                    assert (position[a] == position[b]) == (a in reach[b])
+                    assert position[b] <= position[a]
+
+    def test_long_chain_needs_no_recursion(self):
+        names = [f"S{i}" for i in range(5000)]
+        b = build_behavior(names, "S0", {"l"}, [(a, "l", c) for a, c in zip(names, names[1:])])
+        assert strongly_connected_components(b, names) == [(s,) for s in reversed(names)]
+        ring = build_behavior(names, "S0", {"l"},
+                              [(a, "l", c) for a, c in zip(names, names[1:] + names[:1])])
+        assert [sorted(c) for c in strongly_connected_components(ring, names[:1])] == [sorted(names)]
 
 
 class TestDeadlocks:
