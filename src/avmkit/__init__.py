@@ -7,7 +7,7 @@ checks CTL properties with twin explicit-state and BDD-symbolic engines, and
 exports SMV programs and DOT diagrams.
 """
 
-from .bdd import AND, IMPLIES, OR, XOR, BddManager, BddRef
+from .bdd import AND, OR, BddManager, BddRef
 from .checker import (
     KripkeStructure,
     UnknownAtomError,
@@ -41,16 +41,13 @@ from .lts import (
     build_behavior,
     enumerate_simple_paths,
     find_deadlocks,
-    is_valid_path,
-    reachable_states,
-    successors,
 )
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AND", "OR", "XOR", "IMPLIES", "BddManager", "BddRef",
+    "AND", "OR", "BddManager", "BddRef",
     "KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
     "holds", "to_kripke", "witness",
     "APPROACH_NAMES", "Approach", "ApproachPartition", "CoupledModel",
@@ -61,8 +58,7 @@ __all__ = [
     "ModelDocument", "ModelSyntaxError", "PropertySpec", "parse_model", "render_model",
     "NameCollisionError", "to_dot", "to_smv",
     "Behavior", "Path", "Transition", "UnknownStateError", "build_behavior",
-    "enumerate_simple_paths", "find_deadlocks", "is_valid_path",
-    "reachable_states", "successors",
+    "enumerate_simple_paths", "find_deadlocks",
     "CheckReport", "Finding", "ModelValidationError", "SourcePos",
     "__version__",
 ]

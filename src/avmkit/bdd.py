@@ -8,16 +8,17 @@ is memoized in one computed table that lives as long as the manager, so a
 client that keeps one manager for many queries (the checker keeps one per
 Kripke structure) reuses earlier results.
 
-`and_exists` is the fused relational product of Burch, Clarke, McMillan and
-Dill: it quantifies variables while it conjoins, so the full conjunction is
-never built.
+The operations are what the symbolic engine uses: `apply` with AND or OR,
+`negate`, and `and_exists`, the fused relational product of Burch, Clarke,
+McMillan and Dill, which quantifies variables while it conjoins, so the full
+conjunction is never built. The engine builds state sets and renames
+variables by interning nodes itself (`_mk`). `sat_count`, `node_count` and
+`check_invariants` are there to test the manager by.
 """
 
 AND = "and"
 OR = "or"
-XOR = "xor"
-IMPLIES = "implies"
-_OPS = (AND, OR, XOR, IMPLIES)
+_OPS = (AND, OR)
 
 _FALSE = 0
 _TRUE = 1
@@ -110,9 +111,6 @@ class BddManager:
 
     # -- constructors -----------------------------------------------------
 
-    def mk_const(self, value: bool) -> BddRef:
-        return self.true if value else self.false
-
     def mk_var(self, var: int) -> BddRef:
         self._check_var(var)
         return self._ref(self._mk(var, _FALSE, _TRUE))
@@ -132,33 +130,15 @@ class BddManager:
                 return b
             if b == _TRUE or a == b:
                 return a
-        elif op == OR:
+        else:  # OR
             if a == _TRUE or b == _TRUE:
                 return _TRUE
             if a == _FALSE:
                 return b
             if b == _FALSE or a == b:
                 return a
-        elif op == XOR:
-            if a == b:
-                return _FALSE
-            if a == _FALSE:
-                return b
-            if b == _FALSE:
-                return a
-            if a == _TRUE:
-                return self._negate(b)
-            if b == _TRUE:
-                return self._negate(a)
-        else:  # IMPLIES
-            if a == _FALSE or b == _TRUE or a == b:
-                return _TRUE
-            if a == _TRUE:
-                return b
-            if b == _FALSE:
-                return self._negate(a)
-        if op in (AND, OR, XOR) and a > b:
-            a, b = b, a  # commutative: one cache entry per unordered pair
+        if a > b:
+            a, b = b, a  # both commutative: one cache entry per unordered pair
         key = (op, a, b)
         res = self._cache.get(key)
         if res is not None:
@@ -184,64 +164,7 @@ class BddManager:
             self._cache[key] = res
         return res
 
-    def ite(self, f: BddRef, g: BddRef, h: BddRef) -> BddRef:
-        return self._ref(self._ite(self._index(f), self._index(g), self._index(h)))
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        if f == _TRUE:
-            return g
-        if f == _FALSE:
-            return h
-        if g == h:
-            return g
-        if g == _TRUE and h == _FALSE:
-            return f
-        if g == _FALSE and h == _TRUE:
-            return self._negate(f)
-        key = ("ite", f, g, h)
-        res = self._cache.get(key)
-        if res is not None:
-            return res
-        v = min(self._var[f], self._var[g], self._var[h])
-        f0, f1 = (self._low[f], self._high[f]) if self._var[f] == v else (f, f)
-        g0, g1 = (self._low[g], self._high[g]) if self._var[g] == v else (g, g)
-        h0, h1 = (self._low[h], self._high[h]) if self._var[h] == v else (h, h)
-        res = self._mk(v, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
-        self._cache[key] = res
-        return res
-
-    # -- cofactors and quantification ---------------------------------------
-
-    def restrict(self, f: BddRef, var: int, value: bool) -> BddRef:
-        self._check_var(var)
-        return self._ref(self._restrict(self._index(f), var, bool(value)))
-
-    def _restrict(self, a: int, var: int, value: bool) -> int:
-        if self._var[a] > var:
-            return a  # ordering: var cannot occur below here
-        key = ("restrict", a, var, value)
-        res = self._cache.get(key)
-        if res is None:
-            if self._var[a] == var:
-                res = self._high[a] if value else self._low[a]
-            else:
-                res = self._mk(
-                    self._var[a],
-                    self._restrict(self._low[a], var, value),
-                    self._restrict(self._high[a], var, value),
-                )
-            self._cache[key] = res
-        return res
-
-    def exists(self, f: BddRef, variables) -> BddRef:
-        """Existential quantification: OR of the two cofactors, per variable."""
-        idx = self._index(f)
-        for var in sorted(set(variables), reverse=True):
-            self._check_var(var)
-            idx = self._apply(
-                OR, self._restrict(idx, var, False), self._restrict(idx, var, True)
-            )
-        return self._ref(idx)
+    # -- quantification -----------------------------------------------------
 
     def and_exists(self, f: BddRef, g: BddRef, variables) -> BddRef:
         """Relational product: exists(apply(AND, f, g), variables), computed in
@@ -276,7 +199,7 @@ class BddManager:
         self._cache[key] = res
         return res
 
-    # -- model counting and evaluation --------------------------------------
+    # -- model counting -----------------------------------------------------
 
     def sat_count(self, f: BddRef, nvars: int) -> int:
         """Satisfying assignments over variables 0..nvars-1."""
@@ -310,59 +233,7 @@ class BddManager:
         total = count(root)
         return total * 2 ** level(root)  # free variables above the root double the count
 
-    def pick_one(self, f: BddRef) -> dict[int, bool] | None:
-        """A satisfying assignment (variables on one root-to-TRUE walk), or None."""
-        idx = self._index(f)
-        if idx == _FALSE:
-            return None
-        assignment: dict[int, bool] = {}
-        while idx >= 2:
-            if self._low[idx] != _FALSE:
-                assignment[self._var[idx]] = False
-                idx = self._low[idx]
-            else:
-                assignment[self._var[idx]] = True
-                idx = self._high[idx]
-        return assignment
-
-    def evaluate(self, f: BddRef, assignment) -> bool:
-        """Evaluate under a var->bool mapping covering every variable on the walk."""
-        idx = self._index(f)
-        while idx >= 2:
-            var = self._var[idx]
-            try:
-                bit = assignment[var]
-            except KeyError:
-                raise BddError(f"no value for variable {var}") from None
-            idx = self._high[idx] if bit else self._low[idx]
-        return idx == _TRUE
-
     # -- introspection -------------------------------------------------------
-
-    def node_var(self, f: BddRef) -> int:
-        return self._var[self._index(f)]
-
-    def node_low(self, f: BddRef) -> BddRef:
-        return self._ref(self._low[self._index(f)])
-
-    def node_high(self, f: BddRef) -> BddRef:
-        return self._ref(self._high[self._index(f)])
-
-    def is_terminal(self, f: BddRef) -> bool:
-        return self._index(f) < 2
-
-    def size(self, f: BddRef) -> int:
-        """Decision nodes reachable from f (terminals excluded)."""
-        seen: set[int] = set()
-        stack = [self._index(f)]
-        while stack:
-            idx = stack.pop()
-            if idx < 2 or idx in seen:
-                continue
-            seen.add(idx)
-            stack.append(self._low[idx])
-            stack.append(self._high[idx])
-        return len(seen)
 
     def node_count(self) -> int:
         """Total interned decision nodes in this manager."""
@@ -388,31 +259,3 @@ class BddManager:
                         f"node {idx} (var {var}) has child with var {self._var[child]}"
                     )
         return violations
-
-    def to_dot(self, f: BddRef, name: str = "bdd") -> str:
-        """Debug dump of the nodes reachable from f in DOT syntax."""
-        root = self._index(f)
-        order: list[int] = []
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            idx = stack.pop()
-            if idx in seen:
-                continue
-            seen.add(idx)
-            order.append(idx)
-            if idx >= 2:
-                stack.append(self._low[idx])
-                stack.append(self._high[idx])
-        lines = [f"digraph {name} {{"]
-        for idx in sorted(order):
-            if idx < 2:
-                lines.append(f'  n{idx} [shape=box, label="{idx}"];')
-            else:
-                lines.append(f'  n{idx} [shape=circle, label="x{self._var[idx]}"];')
-        for idx in sorted(order):
-            if idx >= 2:
-                lines.append(f"  n{idx} -> n{self._low[idx]} [style=dashed];")
-                lines.append(f"  n{idx} -> n{self._high[idx]};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"

@@ -208,7 +208,7 @@ class _Symbolic:
         self.bits = max(1, (len(self.states) - 1).bit_length())
         self.mgr = BddManager(2 * self.bits)
         self.next_vars = frozenset(2 * b + 1 for b in range(self.bits))
-        self._shift_memo: dict[int, BddRef] = {}
+        self._shift_memo: dict[int, int] = {}
 
         self.universe = self._set_to_bdd(range(len(self.states)))
         index = {s: i for i, s in enumerate(self.states)}
@@ -268,22 +268,21 @@ class _Symbolic:
     def _shift_to_next(self, ref: BddRef) -> BddRef:
         """Rename current-state variables to their next-state partners.
 
-        Interleaving keeps the order monotone (2b -> 2b+1), so a structural
-        rebuild is sound.
+        Interleaving keeps the order monotone (2b -> 2b+1), so interning the
+        renamed nodes one for one gives the reduced, canonical BDD directly.
         """
-        if self.mgr.is_terminal(ref):
-            return ref
-        cached = self._shift_memo.get(ref.index)
-        if cached is not None:
-            return cached
-        var = self.mgr.node_var(ref)
-        shifted = self.mgr.ite(
-            self.mgr.mk_var(var + 1),
-            self._shift_to_next(self.mgr.node_high(ref)),
-            self._shift_to_next(self.mgr.node_low(ref)),
-        )
-        self._shift_memo[ref.index] = shifted
-        return shifted
+        mgr, memo = self.mgr, self._shift_memo
+
+        def shift(node: int) -> int:
+            if node < 2:
+                return node
+            res = memo.get(node)
+            if res is None:
+                res = mgr._mk(mgr._var[node] + 1, shift(mgr._low[node]), shift(mgr._high[node]))
+                memo[node] = res
+            return res
+
+        return mgr._ref(shift(ref.index))
 
     def _not(self, ref: BddRef) -> BddRef:
         # Complement within the valid state codes, never the raw BDD space.

@@ -45,88 +45,109 @@ class AtomicProposition:
     def __post_init__(self):
         if self.kind not in ("at", "in"):
             raise ValueError(f"atom kind must be 'at' or 'in', not {self.kind!r}")
+        # Formula equality compares rendered text, which only names tell apart.
+        if not _NAME_RE.fullmatch(self.subject):
+            raise ValueError(f"atom subject must be an identifier, not {self.subject!r}")
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"
 
 
 class CtlFormula:
-    """Base class of formula nodes; concrete nodes are frozen dataclasses."""
+    """Base class of formula nodes; concrete nodes are frozen dataclasses.
+
+    Equality, hashing and repr go through the text `render` builds without
+    recursion, which re-parses to the same tree, so they work at any depth.
+    """
 
     def __str__(self) -> str:
         return render(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CtlFormula):
+            return NotImplemented
+        return self is other or render(self) == render(other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(render(self))
+
+    def __repr__(self) -> str:
+        return f"parse_ctl({render(self)!r})"
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Const(CtlFormula):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(CtlFormula):
     prop: AtomicProposition
 
 
-@dataclass(frozen=True)
+@_node
 class Not(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class And(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class EX(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class EG(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class EU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class EF(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class AX(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class AF(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class AG(CtlFormula):
     operand: CtlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class AU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -160,8 +181,8 @@ def fold(formula: CtlFormula, combine: Callable[[CtlFormula, tuple], T]) -> T:
 
     `combine(node, results)` receives the node and its children's results in
     `children` order. Nodes are told apart by identity, so a subformula shared
-    in a DAG is combined once; equality and hashing of the frozen dataclasses
-    would recurse through the whole subtree.
+    in a DAG is combined once; equality and hashing would render the whole
+    subtree.
     """
     done: dict[int, T] = {}
     # (node, None) asks to expand the node; (node, kids) to combine it.

@@ -1,13 +1,16 @@
-"""Labeled transition systems: behaviors, paths, and the graph queries built on them.
+"""Labeled transition systems: behaviors, paths, and three graph walks.
 
 A behavior is a finite set of named states with one initial state, a finite
 label set, a labeled transition relation, and an optional set of declared
 final states. A path is an alternating state/label sequence; a single state
 is a valid degenerate path.
+
+The walks: `enumerate_simple_paths` behind `avm paths`,
+`strongly_connected_components` behind the synchronization check, and
+`find_deadlocks`, which reads the reachable states off those components.
 """
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -167,22 +170,6 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
     )
 
 
-def is_valid_path(behavior: Behavior, path: Path) -> bool:
-    """True iff every state/label belongs to the behavior and every triple is a transition."""
-    if any(s not in behavior.states for s in path.states):
-        return False
-    if any(l not in behavior.labels for l in path.labels):
-        return False
-    return all(t in behavior.transition_set for t in path.triples())
-
-
-def successors(behavior: Behavior, state: str) -> set[tuple[str, str]]:
-    """The (label, target) pairs leaving `state`."""
-    if state not in behavior.states:
-        raise UnknownStateError(state)
-    return set(behavior.successor_map[state])
-
-
 def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list[Path]:
     """All paths from source to target with no repeated state.
 
@@ -220,22 +207,6 @@ def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list
                 labels_acc.pop()
     out.sort(key=lambda p: (p.labels, p.states))
     return out
-
-
-def reachable_states(behavior: Behavior, origin: str | None = None) -> frozenset[str]:
-    """Least fixpoint of successor closure from `origin` (the initial state by default)."""
-    start = behavior.initial if origin is None else origin
-    if start not in behavior.states:
-        raise UnknownStateError(start)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for _, nxt in behavior.successor_map[state]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
 
 
 def strongly_connected_components(behavior: Behavior, roots) -> list[tuple[str, ...]]:
@@ -286,6 +257,7 @@ def find_deadlocks(behavior: Behavior) -> frozenset[str]:
     """Reachable states with no outgoing transition that are not declared final."""
     return frozenset(
         s
-        for s in reachable_states(behavior)
+        for component in strongly_connected_components(behavior, [behavior.initial])
+        for s in component
         if not behavior.successor_map[s] and s not in behavior.finals
     )

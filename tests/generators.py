@@ -7,9 +7,10 @@ under test.
 """
 
 import itertools
+from collections import deque
 from random import Random
 
-from avmkit.bdd import AND, IMPLIES, OR, XOR, BddManager
+from avmkit.bdd import AND, OR, BddManager, BddRef
 from avmkit.checker import KripkeStructure
 from avmkit.ctl import (
     AF,
@@ -37,7 +38,7 @@ from avmkit.coupled import (
     approach_partition,
     mapping_process,
 )
-from avmkit.lts import Behavior, Path, build_behavior, enumerate_simple_paths, reachable_states
+from avmkit.lts import Behavior, Path, build_behavior, enumerate_simple_paths
 from avmkit.report import CheckReport, Finding
 
 # -- labeled transition systems -----------------------------------------------
@@ -55,6 +56,28 @@ def random_behavior(rng: Random, max_states: int = 6) -> Behavior:
                     transitions.append((source, label, target))
     finals = {s for s in states if rng.random() < 0.3}
     return build_behavior(states, "S0", labels, transitions, finals)
+
+
+def reachable_states(behavior: Behavior, origin: str | None = None) -> frozenset[str]:
+    """Breadth-first closure of the successors of `origin` (the initial state
+    by default)."""
+    start = behavior.initial if origin is None else origin
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for _, nxt in behavior.successor_map[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+def is_valid_path(behavior: Behavior, path: Path) -> bool:
+    """True iff every state and label belongs to the behavior and every step
+    is one of its transitions."""
+    return (all(s in behavior.states for s in path.states)
+            and all(label in behavior.labels for label in path.labels)
+            and all(t in behavior.transition_set for t in path.triples()))
 
 
 def naive_simple_paths(behavior: Behavior, source: str, target: str) -> set[Path]:
@@ -371,13 +394,45 @@ def truth_table(formula, nvars: int) -> tuple[bool, ...]:
     return tuple(rows)
 
 
-def bool_to_bdd(mgr: BddManager, formula):
+def restrict_formula(formula, var: int, value: bool):
+    """The formula with variable `var` replaced by the constant `value`."""
+    op = formula[0]
+    if op == "var":
+        return ("const", value) if formula[1] == var else formula
+    if op == "const":
+        return formula
+    return (op, *(restrict_formula(arg, var, value) for arg in formula[1:]))
+
+
+def exists_formula(formula, variables):
+    """Existential quantification by Shannon expansion on the formula:
+    f[v:=0] | f[v:=1] per variable."""
+    for var in sorted(set(variables)):
+        formula = ("or", restrict_formula(formula, var, False),
+                   restrict_formula(formula, var, True))
+    return formula
+
+
+def bool_to_bdd(mgr: BddManager, formula) -> BddRef:
+    """The formula's BDD, built from mk_var, negate and AND/OR alone."""
     op = formula[0]
     if op == "var":
         return mgr.mk_var(formula[1])
     if op == "const":
-        return mgr.mk_const(formula[1])
+        return mgr.true if formula[1] else mgr.false
     if op == "not":
         return mgr.negate(bool_to_bdd(mgr, formula[1]))
-    ops = {"and": AND, "or": OR, "xor": XOR, "implies": IMPLIES}
-    return mgr.apply(ops[op], bool_to_bdd(mgr, formula[1]), bool_to_bdd(mgr, formula[2]))
+    a, b = bool_to_bdd(mgr, formula[1]), bool_to_bdd(mgr, formula[2])
+    if op == "xor":
+        return mgr.apply(OR, mgr.apply(AND, a, mgr.negate(b)), mgr.apply(AND, mgr.negate(a), b))
+    if op == "implies":
+        return mgr.apply(OR, mgr.negate(a), b)
+    return mgr.apply({"and": AND, "or": OR}[op], a, b)
+
+
+def evaluate(mgr: BddManager, ref: BddRef, assignment) -> bool:
+    """The BDD's value under a var -> bool mapping, by one root-to-leaf walk."""
+    node = ref.index
+    while node >= 2:
+        node = mgr._high[node] if assignment[mgr._var[node]] else mgr._low[node]
+    return node == mgr.true.index

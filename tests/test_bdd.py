@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avmkit.bdd import (
-    AND,
-    IMPLIES,
-    OR,
-    XOR,
-    BddManager,
-    ManagerMismatchError,
-    VarOutOfRangeError,
+from avmkit.bdd import AND, OR, BddManager, ManagerMismatchError, VarOutOfRangeError
+
+from generators import (
+    bool_to_bdd,
+    eval_bool,
+    evaluate,
+    exists_formula,
+    random_bool_formula,
+    restrict_formula,
+    truth_table,
 )
 
-from generators import bool_to_bdd, eval_bool, random_bool_formula, truth_table
+XOR_01 = ("xor", ("var", 0), ("var", 1))
 
 
 def formulas(nvars=4):
@@ -31,9 +33,9 @@ def mgr():
 
 class TestConstruction:
     def test_constants_are_interned(self, mgr):
-        assert mgr.mk_const(True) == mgr.true
-        assert mgr.mk_const(True) == mgr.mk_const(True)
-        assert mgr.mk_const(False) == mgr.false
+        x = mgr.mk_var(0)
+        assert mgr.apply(OR, x, mgr.negate(x)) == mgr.true
+        assert mgr.apply(AND, x, mgr.negate(x)) == mgr.false
         assert mgr.true != mgr.false
 
     def test_variables_are_interned(self, mgr):
@@ -57,17 +59,19 @@ class TestApply:
         f = bool_to_bdd(mgr, random_bool_formula(Random(7), 4))
         assert mgr.apply(AND, f, f) == f
         assert mgr.apply(OR, f, f) == f
-        assert mgr.apply(XOR, f, f) == mgr.false
-        assert mgr.apply(IMPLIES, f, f) == mgr.true
+        assert mgr.apply(AND, f, mgr.negate(f)) == mgr.false
+        assert mgr.apply(OR, f, mgr.negate(f)) == mgr.true
 
     def test_xor_of_two_vars_has_three_nodes(self, mgr):
-        f = mgr.apply(XOR, mgr.mk_var(0), mgr.mk_var(1))
-        assert mgr.size(f) == 3
+        f = bool_to_bdd(mgr, XOR_01).index
+        x1 = mgr.mk_var(1)
+        # one x0 node whose two branches are x1 and its complement
+        assert mgr._var[f] == 0
+        assert {mgr._low[f], mgr._high[f]} == {x1.index, mgr.negate(x1).index}
 
-    def test_ite_projects(self, mgr):
-        f = bool_to_bdd(mgr, random_bool_formula(Random(11), 4))
-        assert mgr.ite(f, mgr.true, mgr.false) == f
-        assert mgr.ite(f, mgr.false, mgr.true) == mgr.negate(f)
+    def test_unknown_operation(self, mgr):
+        with pytest.raises(ValueError):
+            mgr.apply("xor", mgr.mk_var(0), mgr.mk_var(1))
 
     def test_double_negation(self, mgr):
         f = bool_to_bdd(mgr, random_bool_formula(Random(13), 5))
@@ -88,36 +92,43 @@ class TestApply:
 
 
 class TestRestrictExists:
+    """The formula-level cofactor and quantifier that TestAndExists checks
+    against, and existential quantification as `and_exists` with TRUE."""
+
     def test_restrict_projection(self, mgr):
-        assert mgr.restrict(mgr.mk_var(0), 0, True) == mgr.true
-        assert mgr.restrict(mgr.mk_var(0), 0, False) == mgr.false
+        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, True)) == mgr.true
+        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, False)) == mgr.false
+        assert restrict_formula(("var", 1), 0, True) == ("var", 1)
 
     def test_exists_drops_one_var(self, mgr):
-        both = mgr.apply(AND, mgr.mk_var(0), mgr.mk_var(1))
-        assert mgr.exists(both, {0}) == mgr.mk_var(1)
+        both = ("and", ("var", 0), ("var", 1))
+        assert bool_to_bdd(mgr, exists_formula(both, {0})) == mgr.mk_var(1)
+        assert mgr.and_exists(mgr.true, bool_to_bdd(mgr, both), {0}) == mgr.mk_var(1)
 
     def test_exists_identity(self, mgr):
-        f = bool_to_bdd(mgr, random_bool_formula(Random(3), 4))
-        assert mgr.exists(f, set()) == f
+        formula = random_bool_formula(Random(3), 4)
+        f = bool_to_bdd(mgr, formula)
+        assert exists_formula(formula, set()) == formula
+        assert mgr.and_exists(mgr.true, f, set()) == f
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), st.integers(min_value=0, max_value=3))
     def test_shannon_expansion(self, formula, var):
         mgr = BddManager(4)
-        f = bool_to_bdd(mgr, formula)
-        rebuilt = mgr.ite(mgr.mk_var(var),
-                          mgr.restrict(f, var, True),
-                          mgr.restrict(f, var, False))
-        assert rebuilt == f
+        x = ("var", var)
+        rebuilt = ("or", ("and", x, restrict_formula(formula, var, True)),
+                   ("and", ("not", x), restrict_formula(formula, var, False)))
+        assert bool_to_bdd(mgr, rebuilt) == bool_to_bdd(mgr, formula)
 
     @settings(max_examples=60, deadline=None)
     @given(formulas(), st.integers(min_value=0, max_value=3))
     def test_exists_matches_or_of_cofactors(self, formula, var):
         mgr = BddManager(4)
         f = bool_to_bdd(mgr, formula)
-        assert mgr.exists(f, {var}) == mgr.apply(
-            OR, mgr.restrict(f, var, False), mgr.restrict(f, var, True)
-        )
+        expected = [any(row) for row in zip(truth_table(restrict_formula(formula, var, False), 4),
+                                            truth_table(restrict_formula(formula, var, True), 4))]
+        assert list(truth_table(exists_formula(formula, {var}), 4)) == expected
+        assert mgr.and_exists(mgr.true, f, {var}) == bool_to_bdd(mgr, exists_formula(formula, {var}))
 
 
 class TestAndExists:
@@ -127,7 +138,8 @@ class TestAndExists:
         mgr = BddManager(6)
         f = bool_to_bdd(mgr, fa)
         g = bool_to_bdd(mgr, fb)
-        assert mgr.and_exists(f, g, variables) == mgr.exists(mgr.apply(AND, f, g), variables)
+        expected = bool_to_bdd(mgr, exists_formula(("and", fa, fb), variables))
+        assert mgr.and_exists(f, g, variables) == expected
         assert mgr.check_invariants() == []
 
     def test_empty_variable_set_is_conjunction(self, mgr):
@@ -136,11 +148,12 @@ class TestAndExists:
         assert mgr.and_exists(f, g, set()) == mgr.apply(AND, f, g)
 
     def test_terminal_operands(self, mgr):
-        f = bool_to_bdd(mgr, random_bool_formula(Random(23), 6))
+        formula = random_bool_formula(Random(23), 6)
+        f = bool_to_bdd(mgr, formula)
         assert mgr.and_exists(mgr.false, f, {0, 1}) == mgr.false
         assert mgr.and_exists(f, mgr.false, {0, 1}) == mgr.false
         assert mgr.and_exists(mgr.true, mgr.true, {0}) == mgr.true
-        assert mgr.and_exists(mgr.true, f, {0, 1}) == mgr.exists(f, {0, 1})
+        assert mgr.and_exists(mgr.true, f, {0, 1}) == bool_to_bdd(mgr, exists_formula(formula, {0, 1}))
         assert mgr.and_exists(f, mgr.true, set()) == f
 
     def test_var_out_of_range(self, mgr):
@@ -155,27 +168,12 @@ class TestCounting:
         assert mgr.sat_count(mgr.true, 3) == 8
 
     def test_xor_over_two_vars(self, mgr):
-        f = mgr.apply(XOR, mgr.mk_var(0), mgr.mk_var(1))
-        assert mgr.sat_count(f, 2) == 2
+        assert mgr.sat_count(bool_to_bdd(mgr, XOR_01), 2) == 2
 
     def test_nvars_too_small(self, mgr):
         f = mgr.mk_var(2)
         with pytest.raises(VarOutOfRangeError):
             mgr.sat_count(f, 2)
-
-    def test_pick_one_of_false_is_none(self, mgr):
-        assert mgr.pick_one(mgr.false) is None
-
-    @settings(max_examples=80, deadline=None)
-    @given(formulas(6))
-    def test_pick_one_satisfies(self, formula):
-        mgr = BddManager(6)
-        f = bool_to_bdd(mgr, formula)
-        picked = mgr.pick_one(f)
-        if picked is None:
-            assert f == mgr.false
-        else:
-            assert mgr.evaluate(f, {v: picked.get(v, False) for v in range(6)})
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(5))
@@ -210,7 +208,7 @@ class TestCanonicity:
             ref = bool_to_bdd(mgr, formula)
             for bits in itertools.product((False, True), repeat=4):
                 assignment = dict(enumerate(bits))
-                assert mgr.evaluate(ref, assignment) == eval_bool(formula, assignment)
+                assert evaluate(mgr, ref, assignment) == eval_bool(formula, assignment)
 
     def test_invariants_after_workload(self, mgr):
         rng = Random(5)
@@ -218,11 +216,3 @@ class TestCanonicity:
             bool_to_bdd(mgr, random_bool_formula(rng, 6))
         assert mgr.check_invariants() == []
 
-
-class TestDotDump:
-    def test_contains_nodes_and_edges(self, mgr):
-        f = mgr.apply(XOR, mgr.mk_var(0), mgr.mk_var(1))
-        dot = mgr.to_dot(f)
-        assert dot.startswith("digraph")
-        assert 'label="x0"' in dot
-        assert "style=dashed" in dot

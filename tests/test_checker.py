@@ -21,6 +21,7 @@ from avmkit.ctl import AU, EX, And, AtomicProposition, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
+    is_valid_path,
     naive_eg_chain,
     naive_eu_chain,
     naive_preimage,
@@ -124,6 +125,16 @@ class TestSymbolic:
         k = to_kripke(b)
         assert check_symbolic(k, parse_ctl("EG at(A)")) == frozenset({"A"})
 
+    @settings(max_examples=80, deadline=None)
+    @given(kripkes(max_states=40, max_out=3), st.randoms(use_true_random=False))
+    def test_shift_to_next_encodes_on_next_state_variables(self, k, rng):
+        context = k._symbolic
+        subset = [i for i in range(len(k.states)) if rng.random() < 0.5]
+        next_levels = [(2 * b + 1, b) for b in range(context.bits)]
+        shifted = context._shift_to_next(context._set_to_bdd(subset))
+        assert shifted == context._codes_to_bdd(subset, next_levels)
+        assert context.mgr.check_invariants() == []
+
 
 class TestDuality:
     @settings(max_examples=60, deadline=None)
@@ -224,8 +235,6 @@ class TestWitness:
         path = witness(control_kripke, parse_ctl("EF at(Done)"))
         assert path.states == ("NotActivated", "Activated", "Process", "Recognition", "Done")
         assert path.labels == ("activate", "start", "found", "remove")
-        from avmkit.lts import is_valid_path
-
         assert is_valid_path(control, path)
 
     def test_unreachable_target_gives_none(self, bundled_doc):

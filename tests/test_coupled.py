@@ -15,10 +15,15 @@ from avmkit.coupled import (
     mapping_process,
     model_occurrences,
 )
-from avmkit.lts import Path, Transition, build_behavior, is_valid_path
+from avmkit.lts import Path, Transition, build_behavior
 from avmkit.report import ModelValidationError
 
-from generators import naive_check_synchronization, random_behavior, random_coupled_model
+from generators import (
+    is_valid_path,
+    naive_check_synchronization,
+    random_behavior,
+    random_coupled_model,
+)
 
 PROTECTION_PATH = Path(
     ("SystemProtection", "PCProtection", "RealTimeProtection"), ("offline", "auto")

@@ -30,12 +30,21 @@ from avmkit.ctl import (
     parse_ctl,
     render,
 )
+from avmkit.dsl import parse_model
 
+from conftest import MODEL_FILE
 from generators import random_formula
 
 
 def at(name):
     return Atom(AtomicProposition("at", name))
+
+
+def shape(f):
+    """The tree as nested tuples of node type, own field and children, so
+    comparing shapes does not go through `render`."""
+    return fold(f, lambda node, kids: (type(node), getattr(node, "value", None),
+                                       getattr(node, "prop", None), kids))
 
 
 class TestParse:
@@ -208,7 +217,33 @@ class TestRender:
     @given(st.integers(min_value=0, max_value=100_000))
     def test_parse_render_roundtrip(self, seed):
         f = random_formula(Random(seed), ["StateA", "StateB", "StateC"])
-        assert parse_ctl(render(f)) == f
+        assert shape(parse_ctl(render(f))) == shape(f)
+
+
+class TestEquality:
+    CHAIN = " & ".join(["at(Done)"] * 3001)
+
+    def test_long_chain_eq_hash_repr(self):
+        f, g = parse_ctl(self.CHAIN), parse_ctl(self.CHAIN)
+        assert f == g and hash(f) == hash(g)
+        assert f != parse_ctl(self.CHAIN + " & at(End)")
+        assert repr(f) == f"parse_ctl({self.CHAIN!r})"
+
+    def test_equal_iff_same_tree(self):
+        a, b, c = at("a"), at("b"), at("c")
+        assert And(And(a, b), c) == And(And(at("a"), b), c)
+        assert hash(And(And(a, b), c)) == hash(And(And(at("a"), b), c))
+        assert And(And(a, b), c) != And(a, And(b, c))
+        assert Implies(a, b) != Or(Not(a), b)
+        assert at("a") != Atom(AtomicProposition("in", "a"))
+        assert TRUE != at("true") and TRUE != "true"
+
+    def test_documents_with_a_long_spec_compare(self):
+        text = MODEL_FILE.read_text(encoding="utf-8") + f"spec deep on control: {self.CHAIN}\n"
+        first, second = parse_model(text), parse_model(text)
+        assert first == second
+        assert hash(first.properties[-1]) == hash(second.properties[-1])
+        assert first.properties[-1].formula == parse_ctl(self.CHAIN)
 
 
 class TestAtoms:
@@ -223,3 +258,8 @@ class TestAtoms:
     def test_atom_kind_validated(self):
         with pytest.raises(ValueError):
             AtomicProposition("on", "X")
+
+    def test_atom_subject_is_an_identifier(self):
+        # otherwise at(A) & at(B) would also render from one atom
+        with pytest.raises(ValueError):
+            AtomicProposition("at", "A) & at(B")

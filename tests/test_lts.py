@@ -11,14 +11,11 @@ from avmkit.lts import (
     build_behavior,
     enumerate_simple_paths,
     find_deadlocks,
-    is_valid_path,
-    reachable_states,
     strongly_connected_components,
-    successors,
 )
 from avmkit.report import ModelValidationError
 
-from generators import naive_simple_paths, random_behavior
+from generators import is_valid_path, naive_simple_paths, random_behavior, reachable_states
 
 
 def behaviors(max_states=6):
@@ -96,18 +93,14 @@ class TestPaths:
 
 class TestSuccessors:
     def test_recognition_branches(self, control):
-        assert successors(control, "Recognition") == {
-            ("remove", "Done"), ("ignore", "Aborted"), ("rescan", "Process"),
-        }
+        assert control.successor_map["Recognition"] == (
+            ("ignore", "Aborted"), ("remove", "Done"), ("rescan", "Process"),
+        )
 
     def test_end_is_transition_free(self, control):
         # the bundled model declares End final instead of self-looping it
-        assert successors(control, "End") == set()
+        assert control.successor_map["End"] == ()
         assert "End" in control.finals
-
-    def test_unknown_state(self, control):
-        with pytest.raises(UnknownStateError):
-            successors(control, "Nope")
 
 
 class TestEnumerateSimplePaths:
@@ -237,3 +230,10 @@ class TestDeadlocks:
     @given(behaviors())
     def test_never_reports_finals(self, behavior):
         assert find_deadlocks(behavior) & behavior.finals == frozenset()
+
+    @settings(max_examples=60, deadline=None)
+    @given(behaviors(max_states=8))
+    def test_matches_reachable_dead_ends(self, behavior):
+        assert find_deadlocks(behavior) == frozenset(
+            s for s in reachable_states(behavior)
+            if not behavior.successor_map[s] and s not in behavior.finals)
