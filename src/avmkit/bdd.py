@@ -3,10 +3,12 @@
 One BddManager owns one static variable order and interns every node in a
 unique table, so two handles in the same manager are equal exactly when they
 denote the same boolean function. Managers are arena-style: nodes are never
-collected within a run, the whole manager is dropped at once. Every operation
-is memoized in one computed table that lives as long as the manager, so a
-client that keeps one manager for many queries (the checker keeps one per
-Kripke structure) reuses earlier results.
+collected within a run, the whole manager is dropped at once. Each operation
+has computed tables of its own (Brace, Rudell and Bryant): AND and OR are
+keyed by the ordered pair of operand nodes, negation by the node, and
+`and_exists` keeps one table per quantified-variable set. The tables live as
+long as the manager, so a client that keeps one manager for many queries (the
+checker keeps one per Kripke structure) reuses earlier results.
 
 The operations are what the symbolic engine uses: `apply` with AND or OR,
 `negate`, and `and_exists`, the fused relational product of Burch, Clarke,
@@ -72,7 +74,10 @@ class BddManager:
         self._low: list[int] = [_FALSE, _TRUE]
         self._high: list[int] = [_FALSE, _TRUE]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        self._and_table: dict[tuple[int, int], int] = {}
+        self._or_table: dict[tuple[int, int], int] = {}
+        self._not_table: dict[int, int] = {}
+        self._products: dict[frozenset[int], object] = {}  # quantified set -> product
         self.false = BddRef(self, _FALSE)
         self.true = BddRef(self, _TRUE)
 
@@ -120,35 +125,51 @@ class BddManager:
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         if op not in _OPS:
             raise ValueError(f"unknown operation {op!r}")
-        return self._ref(self._apply(op, self._index(f), self._index(g)))
+        binary = self._and if op == AND else self._or
+        return self._ref(binary(self._index(f), self._index(g)))
 
-    def _apply(self, op: str, a: int, b: int) -> int:
-        if op == AND:
-            if a == _FALSE or b == _FALSE:
-                return _FALSE
-            if a == _TRUE:
-                return b
-            if b == _TRUE or a == b:
-                return a
-        else:  # OR
-            if a == _TRUE or b == _TRUE:
-                return _TRUE
-            if a == _FALSE:
-                return b
-            if b == _FALSE or a == b:
-                return a
+    def _and(self, a: int, b: int) -> int:
+        if a == _FALSE or b == _FALSE:
+            return _FALSE
+        if a == _TRUE:
+            return b
+        if b == _TRUE or a == b:
+            return a
         if a > b:
-            a, b = b, a  # both commutative: one cache entry per unordered pair
-        key = (op, a, b)
-        res = self._cache.get(key)
-        if res is not None:
-            return res
-        va, vb = self._var[a], self._var[b]
-        v = min(va, vb)
-        a0, a1 = (self._low[a], self._high[a]) if va == v else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if vb == v else (b, b)
-        res = self._mk(v, self._apply(op, a0, b0), self._apply(op, a1, b1))
-        self._cache[key] = res
+            a, b = b, a  # commutative: one table entry per unordered pair
+        res = self._and_table.get((a, b))
+        if res is None:
+            va, vb = self._var[a], self._var[b]
+            if va == vb:
+                res = self._mk(va, self._and(self._low[a], self._low[b]),
+                               self._and(self._high[a], self._high[b]))
+            elif va < vb:
+                res = self._mk(va, self._and(self._low[a], b), self._and(self._high[a], b))
+            else:
+                res = self._mk(vb, self._and(a, self._low[b]), self._and(a, self._high[b]))
+            self._and_table[a, b] = res
+        return res
+
+    def _or(self, a: int, b: int) -> int:
+        if a == _TRUE or b == _TRUE:
+            return _TRUE
+        if a == _FALSE:
+            return b
+        if b == _FALSE or a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        res = self._or_table.get((a, b))
+        if res is None:
+            va, vb = self._var[a], self._var[b]
+            if va == vb:
+                res = self._mk(va, self._or(self._low[a], self._low[b]),
+                               self._or(self._high[a], self._high[b]))
+            elif va < vb:
+                res = self._mk(va, self._or(self._low[a], b), self._or(self._high[a], b))
+            else:
+                res = self._mk(vb, self._or(a, self._low[b]), self._or(a, self._high[b]))
+            self._or_table[a, b] = res
         return res
 
     def negate(self, f: BddRef) -> BddRef:
@@ -157,11 +178,10 @@ class BddManager:
     def _negate(self, a: int) -> int:
         if a < 2:
             return 1 - a
-        key = ("not", a)
-        res = self._cache.get(key)
+        res = self._not_table.get(a)
         if res is None:
             res = self._mk(self._var[a], self._negate(self._low[a]), self._negate(self._high[a]))
-            self._cache[key] = res
+            self._not_table[a] = res
         return res
 
     # -- quantification -----------------------------------------------------
@@ -170,34 +190,63 @@ class BddManager:
         """Relational product: exists(apply(AND, f, g), variables), computed in
         one memoized pass without building the conjunction."""
         quantified = frozenset(variables)
-        for var in quantified:
-            self._check_var(var)
-        return self._ref(self._and_exists(self._index(f), self._index(g), quantified))
-
-    def _and_exists(self, a: int, b: int, quantified: frozenset[int]) -> int:
+        product = self._products.get(quantified)
+        if product is None:
+            for var in quantified:
+                self._check_var(var)
+            product = self._products[quantified] = self._relational_product(quantified)
+        a, b = self._index(f), self._index(g)
         if a == _FALSE or b == _FALSE:
-            return _FALSE
-        if a == _TRUE and b == _TRUE:
-            return _TRUE
-        if a > b:
-            a, b = b, a
-        key = ("and_exists", a, b, quantified)
-        res = self._cache.get(key)
-        if res is not None:
+            return self.false
+        return self._ref(_TRUE if a == b == _TRUE else product(a, b))
+
+    def _relational_product(self, quantified: frozenset[int]):
+        """The `and_exists` recursion and table for one quantified set. Its
+        callers resolve a FALSE operand or two TRUE ones before the call."""
+        var, low, high, unique = self._var, self._low, self._high, self._unique
+        disjoin = self._or
+        bound = [v in quantified for v in range(self.var_count)]
+        table: dict[tuple[int, int], int] = {}
+
+        def product(a: int, b: int) -> int:
+            if a > b:
+                a, b = b, a
+            res = table.get((a, b))
+            if res is not None:
+                return res
+            va, vb = var[a], var[b]
+            if va == vb:
+                v, a0, a1, b0, b1 = va, low[a], high[a], low[b], high[b]
+            elif va < vb:
+                v, a0, a1, b0, b1 = va, low[a], high[a], b, b
+            else:
+                v, a0, a1, b0, b1 = vb, a, a, low[b], high[b]
+            if a0 == _FALSE or b0 == _FALSE:
+                r0 = _FALSE
+            else:
+                r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)
+            if r0 == _TRUE and bound[v]:
+                res = _TRUE  # the other cofactor cannot add to a tautology
+            else:
+                if a1 == _FALSE or b1 == _FALSE:
+                    r1 = _FALSE
+                else:
+                    r1 = _TRUE if a1 == b1 == _TRUE else product(a1, b1)
+                if bound[v]:
+                    res = r1 if r0 == _FALSE else r0 if r1 == _FALSE or r0 == r1 else disjoin(r0, r1)
+                elif r0 == r1:
+                    res = r0
+                else:
+                    res = unique.get((v, r0, r1))
+                    if res is None:
+                        res = unique[v, r0, r1] = len(var)
+                        var.append(v)
+                        low.append(r0)
+                        high.append(r1)
+            table[a, b] = res
             return res
-        va, vb = self._var[a], self._var[b]
-        v = min(va, vb)
-        a0, a1 = (self._low[a], self._high[a]) if va == v else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if vb == v else (b, b)
-        low = self._and_exists(a0, b0, quantified)
-        if v not in quantified:
-            res = self._mk(v, low, self._and_exists(a1, b1, quantified))
-        elif low == _TRUE:
-            res = _TRUE  # the other cofactor cannot add to a tautology
-        else:
-            res = self._apply(OR, low, self._and_exists(a1, b1, quantified))
-        self._cache[key] = res
-        return res
+
+        return product
 
     # -- model counting -----------------------------------------------------
 

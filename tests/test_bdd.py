@@ -26,6 +26,11 @@ def formulas(nvars=4):
     )
 
 
+def table_of(mgr, ref, nvars=6):
+    return tuple(evaluate(mgr, ref, dict(enumerate(bits)))
+                 for bits in itertools.product((False, True), repeat=nvars))
+
+
 @pytest.fixture
 def mgr():
     return BddManager(6)
@@ -155,6 +160,28 @@ class TestAndExists:
         assert mgr.and_exists(mgr.true, mgr.true, {0}) == mgr.true
         assert mgr.and_exists(mgr.true, f, {0, 1}) == bool_to_bdd(mgr, exists_formula(formula, {0, 1}))
         assert mgr.and_exists(f, mgr.true, set()) == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas(6), formulas(6), st.sets(st.integers(min_value=0, max_value=5), min_size=1))
+    def test_operations_in_one_manager(self, fa, fb, variables):
+        """One operand pair through every operation in one manager, so a
+        computed table that answered for another operation or another
+        quantified set returns a wrong node. The references are built in a
+        fresh manager each and compared by truth table."""
+        mgr = BddManager(6)
+        f, g = bool_to_bdd(mgr, fa), bool_to_bdd(mgr, fb)
+        results = [
+            (mgr.apply(AND, f, g), ("and", fa, fb)),
+            (mgr.apply(OR, f, g), ("or", fa, fb)),
+            (mgr.negate(f), ("not", fa)),
+            (mgr.and_exists(f, g, set()), exists_formula(("and", fa, fb), set())),
+            (mgr.and_exists(f, g, variables), exists_formula(("and", fa, fb), variables)),
+            (mgr.and_exists(g, f, set()), ("and", fb, fa)),
+        ]
+        for got, reference in results:
+            ref_mgr = BddManager(6)
+            assert table_of(mgr, got) == table_of(ref_mgr, bool_to_bdd(ref_mgr, reference))
+        assert mgr.check_invariants() == []
 
     def test_var_out_of_range(self, mgr):
         with pytest.raises(VarOutOfRangeError):

@@ -117,8 +117,19 @@ class TestSymbolic:
     @settings(max_examples=80, deadline=None)
     @given(kripkes(), st.integers(min_value=0, max_value=100_000))
     def test_agrees_with_explicit_on_random_structures(self, k, seed):
-        f = random_formula(Random(seed), k.states)
-        assert check_symbolic(k, f) == check_explicit(k, f)
+        # formulas checked in sequence share the structure's BDD manager and tables
+        rng = Random(seed)
+        for _ in range(4):
+            f = random_formula(rng, k.states)
+            assert check_symbolic(k, f) == check_explicit(k, f)
+
+    def test_bundled_suite_node_count(self, bundled_doc):
+        # Pinned: a kernel that interned more intermediate nodes would raise it.
+        k = to_kripke(bundled_doc.coupled.control,
+                      bundled_doc.coupled.approaches.states_by_side("control"))
+        for prop in bundled_doc.properties:
+            check_symbolic(k, prop.formula)
+        assert k._symbolic.mgr.node_count() == 82
 
     def test_single_state_structure(self):
         b = build_behavior({"A"}, "A", set(), [])
