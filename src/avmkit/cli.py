@@ -142,7 +142,7 @@ def cmd_check(args) -> int:
 
     def kripke_for(target: str):
         if target not in kripkes:
-            behavior = doc.coupled.control if target == "control" else doc.coupled.preventive
+            behavior = doc.coupled.behavior(target)
             kripkes[target] = to_kripke(behavior, doc.coupled.approaches.states_by_side(target))
         return kripkes[target]
 
@@ -221,7 +221,7 @@ def cmd_paths(args) -> int:
     doc, findings, code = _load(args.file)
     if doc is None:
         return _failure_payload(args, "paths", findings, code)
-    behavior = doc.coupled.control if args.behavior == "control" else doc.coupled.preventive
+    behavior = doc.coupled.behavior(args.behavior)
     try:
         paths = enumerate_simple_paths(behavior, args.from_state, args.to_state)
     except UnknownStateError as exc:
@@ -251,7 +251,7 @@ def cmd_export(args) -> int:
         if args.export_format == "smv":
             text = to_smv(doc, args.target)
         else:
-            behavior = doc.coupled.control if args.target == "control" else doc.coupled.preventive
+            behavior = doc.coupled.behavior(args.target)
             text = to_dot(behavior, approaches=doc.coupled.approaches.states_by_side(args.target),
                           name=args.target)
     except NameCollisionError as exc:

@@ -96,6 +96,14 @@ class CoupledModel:
     mapping: MappingProcess
     approaches: ApproachPartition
 
+    def behavior(self, side: str) -> Behavior:
+        """The control or the preventive behavior, by name."""
+        if side == "control":
+            return self.control
+        if side == "preventive":
+            return self.preventive
+        raise ValueError(f"target must be 'control' or 'preventive', not {side!r}")
+
 
 def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, approaches,
                         control_positions: Mapping[str, SourcePos] | None = None) -> list[Finding]:

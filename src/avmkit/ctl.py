@@ -9,13 +9,22 @@ AG``, and until forms ``E [ f U g ]`` / ``A [ f U g ]``. Precedence is
 ``!``/temporal > ``&`` > ``|`` > ``->`` with ``->`` right-associative.
 Parentheses, negations, temporal operators, until brackets and implications
 nest at most ``MAX_NESTING`` deep; deeper text is a syntax error.
+
+This grammar and the model document's (`dsl`) share one `Lexer`: the same
+identifiers, whitespace and positions, each grammar with its own marks. CTL's
+marks are ``-> ( ) [ ] ! & |``; it has no comments, and a formula is scanned
+whole before it is parsed, so a bad character anywhere is the error reported.
 """
 
+import bisect
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from functools import cache, cached_property
+from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+from .lts import NAME_RE
+
 
 # Deep enough for any hand-written property, shallow enough that the
 # recursive-descent parser stays well inside Python's recursion limit.
@@ -46,7 +55,7 @@ class AtomicProposition:
         if self.kind not in ("at", "in"):
             raise ValueError(f"atom kind must be 'at' or 'in', not {self.kind!r}")
         # Formula equality compares rendered text, which only names tell apart.
-        if not _NAME_RE.fullmatch(self.subject):
+        if not NAME_RE.fullmatch(self.subject):
             raise ValueError(f"atom subject must be an identifier, not {self.subject!r}")
 
     def __str__(self) -> str:
@@ -292,58 +301,116 @@ def render(
     return "".join(pieces)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "punct" | "eof"
+@cache
+def _patterns(marks: tuple[str, ...], comments: bool) -> tuple[Callable, Callable]:
+    """Matchers for skipped text then a mark (group 1) or a name (group 2),
+    and for the skipped text alone."""
+    # The lookahead keeps a failed match from backtracking into a comment.
+    skip = r"(?:[ \t\r\n]|#[^\n]*(?=\n|\Z))*" if comments else r"[ \t\r\n]*"
+    token = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({NAME_RE.pattern}))"
+    return re.compile(token).match, re.compile(skip).match
+
+
+_REST_OF_LINE = re.compile(r"[^\n#]*")
+
+
+class Token(NamedTuple):
+    kind: str  # "ident" | "punct" | "eof", or "text" for a raw rest of line
     value: str
-    line: int
-    column: int
+    offset: int
 
 
-def _tokenize(text: str, start_line: int, start_column: int) -> list[_Token]:
-    def place(line: int, col: int) -> tuple[int, int]:
-        if line == 1:
-            return start_line, start_column + col - 1
-        return start_line + line - 1, col
+class Lexer:
+    """Tokens and a peek/take cursor over one text, for either grammar.
 
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if text.startswith("->", i):
-            l, c = place(line, col)
-            tokens.append(_Token("punct", "->", l, c))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[]!&|":
-            l, c = place(line, col)
-            tokens.append(_Token("punct", ch, l, c))
-            i += 1
-            col += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            l, c = place(line, col)
-            tokens.append(_Token("ident", m.group(), l, c))
-            col += m.end() - i
-            i = m.end()
-            continue
-        l, c = place(line, col)
-        raise CtlSyntaxError(f"unexpected character {ch!r}", l, c)
-    l, c = place(line, col)
-    tokens.append(_Token("eof", "", l, c))
-    return tokens
+    `marks` lists the punctuation, two-character marks first. `comments`
+    skips ``#`` to end of line. Errors are built by
+    `error(message, line, column, expected)`; positions count from
+    `start_line`/`start_column`, which locate the text inside a larger one.
+    """
+
+    def __init__(self, text: str, marks: tuple[str, ...], error: Callable[..., Exception], *,
+                 comments: bool = False, start_line: int = 1, start_column: int = 1):
+        self.text = text
+        self.error = error
+        self.match_token, self.match_skip = _patterns(marks, comments)
+        self.start_line = start_line
+        self.start_column = start_column
+        self.cursor = 0
+        self.buffer: deque[Token] = deque()
+
+    # Built on first use: a formula that parses never needs a position.
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return [0] + [m.end() for m in re.finditer("\n", self.text)]
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """(line, column) of a text offset, shifted by the start point."""
+        index = bisect.bisect_right(self.line_starts, offset) - 1
+        column = offset - self.line_starts[index] + 1
+        if index == 0:
+            return self.start_line, self.start_column + column - 1
+        return self.start_line + index, column
+
+    def fail(self, message: str, tok: Token, expected: tuple[str, ...] = ()) -> NoReturn:
+        raise self.error(message, *self.position(tok.offset), expected)
+
+    def _scan(self) -> Token:
+        m = self.match_token(self.text, self.cursor)
+        if m is None:
+            start = self.match_skip(self.text, self.cursor).end()
+            if start < len(self.text):
+                raise self.error(f"unexpected character {self.text[start]!r}",
+                                 *self.position(start), ())
+            self.cursor = start
+            return Token("eof", "", start)
+        self.cursor = m.end()
+        group = m.lastindex
+        return Token("punct" if group == 1 else "ident", m.group(group), m.start(group))
+
+    def scan_all(self) -> None:
+        """Scan to the end now, so that a bad character anywhere is reported
+        before any parse error."""
+        while not self.buffer or self.buffer[-1].kind != "eof":
+            self.buffer.append(self._scan())
+
+    def peek(self, ahead: int = 0) -> Token:
+        while len(self.buffer) <= ahead:
+            self.buffer.append(self._scan())
+        return self.buffer[ahead]
+
+    def take(self) -> Token:
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.buffer.popleft()
+        return tok
+
+    def accept(self, value: str) -> Token | None:
+        """Take the next token if it is the mark or name `value`."""
+        if self.peek().value == value:
+            return self.take()
+        return None
+
+    def expect_ident(self, description: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail(f"expected {description}", tok, ("identifier",))
+        return self.take()
+
+    def expect_punct(self, value: str) -> Token:
+        tok = self.peek()
+        if not (tok.kind == "punct" and tok.value == value):
+            self.fail(f"expected '{value}'", tok, (value,))
+        return self.take()
+
+    def take_rest_of_line(self) -> Token:
+        """The raw text from the cursor to end of line, ``#`` comment
+        stripped, as one "text" token; the cursor moves past that line.
+        Call it with no token peeked."""
+        start = self.cursor
+        eol = self.text.find("\n", start)
+        self.cursor = len(self.text) if eol == -1 else eol + 1
+        return Token("text", _REST_OF_LINE.match(self.text, start).group(), start)
 
 
 _UNARY_KEYWORDS = {"EX": EX, "EF": EF, "EG": EG, "AX": AX, "AF": AF, "AG": AG}
@@ -352,38 +419,18 @@ _FORMULA_START = (
 )
 
 
+_CTL_MARKS = ("->", "(", ")", "[", "]", "!", "&", "|")
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, lexer: Lexer):
+        self.lx = lexer
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == value:
-            return self.take()
-        raise CtlSyntaxError(f"expected '{value}'", tok.line, tok.column, expected=(value,))
-
-    def expect_ident(self, description: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.take()
-        raise CtlSyntaxError(f"expected {description}", tok.line, tok.column,
-                             expected=("identifier",))
-
-    def nested(self, opener: _Token, parse: Callable[[], CtlFormula]):
+    def nested(self, opener: Token, parse: Callable[[], CtlFormula]):
         """Run `parse` one nesting level below `opener`, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise CtlSyntaxError("formula nested too deep", opener.line, opener.column)
+            self.lx.fail("formula nested too deep", opener)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -391,87 +438,76 @@ class _Parser:
 
     def parse_implies(self) -> CtlFormula:
         left = self.parse_or()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "->":
-            self.take()
-            return Implies(left, self.nested(tok, self.parse_implies))
+        arrow = self.lx.accept("->")
+        if arrow:
+            return Implies(left, self.nested(arrow, self.parse_implies))
         return left
 
     def parse_or(self) -> CtlFormula:
         node = self.parse_and()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == "|":
-                self.take()
-                node = Or(node, self.parse_and())
-            else:
-                return node
+        while self.lx.accept("|"):
+            node = Or(node, self.parse_and())
+        return node
 
     def parse_and(self) -> CtlFormula:
         node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == "&":
-                self.take()
-                node = And(node, self.parse_unary())
-            else:
-                return node
+        while self.lx.accept("&"):
+            node = And(node, self.parse_unary())
+        return node
 
     def parse_unary(self) -> CtlFormula:
-        tok = self.peek()
+        tok = self.lx.peek()
         if tok.kind == "punct" and tok.value == "!":
-            self.take()
+            self.lx.take()
             return Not(self.nested(tok, self.parse_unary))
         if tok.kind == "ident" and tok.value in _UNARY_KEYWORDS:
-            self.take()
+            self.lx.take()
             return _UNARY_KEYWORDS[tok.value](self.nested(tok, self.parse_unary))
         if tok.kind == "ident" and tok.value in ("E", "A"):
-            self.take()
+            self.lx.take()
             left, right = self.nested(tok, self.parse_until)
             return EU(left, right) if tok.value == "E" else AU(left, right)
         return self.parse_primary()
 
     def parse_until(self) -> tuple[CtlFormula, CtlFormula]:
-        self.expect_punct("[")
+        self.lx.expect_punct("[")
         left = self.parse_implies()
-        until = self.peek()
-        if not (until.kind == "ident" and until.value == "U"):
-            raise CtlSyntaxError("expected 'U'", until.line, until.column, expected=("U",))
-        self.take()
+        if not self.lx.accept("U"):
+            self.lx.fail("expected 'U'", self.lx.peek(), ("U",))
         right = self.parse_implies()
-        self.expect_punct("]")
+        self.lx.expect_punct("]")
         return left, right
 
     def parse_primary(self) -> CtlFormula:
-        tok = self.peek()
+        tok = self.lx.peek()
         if tok.kind == "punct" and tok.value == "(":
-            self.take()
+            self.lx.take()
             node = self.nested(tok, self.parse_implies)
-            self.expect_punct(")")
+            self.lx.expect_punct(")")
             return node
         if tok.kind == "ident":
             if tok.value == "true":
-                self.take()
+                self.lx.take()
                 return TRUE
             if tok.value == "false":
-                self.take()
+                self.lx.take()
                 return FALSE
             if tok.value in ("at", "in"):
-                self.take()
-                self.expect_punct("(")
-                name = self.expect_ident("a state or approach name")
-                self.expect_punct(")")
+                self.lx.take()
+                self.lx.expect_punct("(")
+                name = self.lx.expect_ident("a state or approach name")
+                self.lx.expect_punct(")")
                 return Atom(AtomicProposition(tok.value, name.value))
-        raise CtlSyntaxError("expected a formula", tok.line, tok.column,
-                             expected=_FORMULA_START)
+        self.lx.fail("expected a formula", tok, _FORMULA_START)
 
 
 def parse_ctl(text: str, *, start_line: int = 1, start_column: int = 1) -> CtlFormula:
     """Parse concrete CTL syntax; positions in errors are offset by the start point."""
-    parser = _Parser(_tokenize(text, start_line, start_column))
-    formula = parser.parse_implies()
-    tok = parser.peek()
+    lexer = Lexer(text, _CTL_MARKS, CtlSyntaxError,
+                  start_line=start_line, start_column=start_column)
+    lexer.scan_all()
+    formula = _Parser(lexer).parse_implies()
+    tok = lexer.peek()
     if tok.kind != "eof":
-        raise CtlSyntaxError("unexpected trailing input", tok.line, tok.column,
-                             expected=("end of input", "&", "|", "->"))
+        lexer.fail("unexpected trailing input", tok, ("end of input", "&", "|", "->"))
     return formula

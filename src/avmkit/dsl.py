@@ -11,10 +11,13 @@ A document is a sequence of statements:
 
 Comments run from ``#`` to end of line. Edge endpoints and labels declare
 themselves; ``state`` lines are only needed for otherwise unmentioned states.
+
+The document is read with the lexer the CTL grammar uses (`ctl.Lexer`), with
+the marks ``-> => { } : , -`` and ``#`` comments, scanning as it parses. A
+spec's formula is taken raw to end of line, minus any comment, and handed to
+`parse_ctl`, so an error in it is a ``ctl-syntax`` finding.
 """
 
-import bisect
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,11 +29,11 @@ from .coupled import (
     coupled_diagnostics,
     mapping_process,
 )
-from .ctl import CtlFormula, CtlSyntaxError, parse_ctl
+from .ctl import CtlFormula, CtlSyntaxError, Lexer, Token, parse_ctl
 from .lts import Behavior, Path, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
 
 
 class ModelSyntaxError(ValueError):
@@ -39,6 +42,11 @@ class ModelSyntaxError(ValueError):
     def __init__(self, message: str, position: SourcePos):
         self.position = position
         super().__init__(f"{message} at {position}")
+
+
+def _syntax_error(message: str, line: int, column: int, expected) -> ModelSyntaxError:
+    """The lexer's error factory; document errors list no expected tokens."""
+    return ModelSyntaxError(message, SourcePos(line, column))
 
 
 @dataclass(frozen=True)
@@ -61,83 +69,6 @@ class ModelDocument:
     source_positions: dict[str, SourcePos] = field(
         default_factory=dict, compare=False, repr=False
     )
-
-
-# -- lexer ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "ident" | "punct" | "eof"
-    value: str
-    offset: int
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.cursor = 0
-        self.buffer: list[_Tok] = []
-        self.line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-
-    def pos_of(self, offset: int) -> SourcePos:
-        line_index = bisect.bisect_right(self.line_starts, offset) - 1
-        return SourcePos(line_index + 1, offset - self.line_starts[line_index] + 1)
-
-    def _scan(self) -> _Tok:
-        text, n = self.text, self.n
-        while self.cursor < n:
-            ch = text[self.cursor]
-            if ch in " \t\r\n":
-                self.cursor += 1
-                continue
-            if ch == "#":
-                eol = text.find("\n", self.cursor)
-                self.cursor = n if eol == -1 else eol
-                continue
-            break
-        if self.cursor >= n:
-            return _Tok("eof", "", n)
-        start = self.cursor
-        two = text[start:start + 2]
-        if two in ("->", "=>"):
-            self.cursor += 2
-            return _Tok("punct", two, start)
-        ch = text[start]
-        if ch in "{}:,-":
-            self.cursor += 1
-            return _Tok("punct", ch, start)
-        m = _IDENT_RE.match(text, start)
-        if m:
-            self.cursor = m.end()
-            return _Tok("ident", m.group(), start)
-        raise ModelSyntaxError(f"unexpected character {ch!r}", self.pos_of(start))
-
-    def peek(self, ahead: int = 0) -> _Tok:
-        while len(self.buffer) <= ahead:
-            self.buffer.append(self._scan())
-        return self.buffer[ahead]
-
-    def take(self) -> _Tok:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.buffer.pop(0)
-        return tok
-
-    def take_rest_of_line(self) -> tuple[str, SourcePos]:
-        """Raw text (comment stripped) from the next token to end of line;
-        resynchronizes the token stream past that line."""
-        start = self.buffer[0].offset if self.buffer else self.cursor
-        eol = self.text.find("\n", start)
-        if eol == -1:
-            eol = self.n
-        hash_at = self.text.find("#", start, eol)
-        end = hash_at if hash_at != -1 else eol
-        raw = self.text[start:end]
-        self.cursor = min(eol + 1, self.n)
-        self.buffer.clear()
-        return raw, self.pos_of(start)
 
 
 # -- raw statement collection ----------------------------------------------------
@@ -177,7 +108,7 @@ class _RawSpec:
 
 class _DocParser:
     def __init__(self, text: str):
-        self.lx = _Lexer(text)
+        self.lx = Lexer(text, _DOC_MARKS, _syntax_error, comments=True)
         self.behaviors: dict[str, _RawBehavior] = {}
         self.maps: list[_RawMap] = []
         self.approaches: list[_RawApproach] = []
@@ -185,23 +116,8 @@ class _DocParser:
         self.specs: list[_RawSpec] = []
         self.findings: list[Finding] = []
 
-    def fail(self, message: str, tok: _Tok):
-        raise ModelSyntaxError(message, self.lx.pos_of(tok.offset))
-
-    def pos(self, tok: _Tok) -> SourcePos:
-        return self.lx.pos_of(tok.offset)
-
-    def expect_ident(self, description: str) -> _Tok:
-        tok = self.lx.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {description}", tok)
-        return self.lx.take()
-
-    def expect_punct(self, value: str) -> _Tok:
-        tok = self.lx.peek()
-        if not (tok.kind == "punct" and tok.value == value):
-            self.fail(f"expected '{value}'", tok)
-        return self.lx.take()
+    def pos(self, tok: Token) -> SourcePos:
+        return SourcePos(*self.lx.position(tok.offset))
 
     def parse(self) -> None:
         while True:
@@ -209,7 +125,7 @@ class _DocParser:
             if tok.kind == "eof":
                 return
             if tok.kind != "ident":
-                self.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
+                self.lx.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
             if tok.value == "behavior":
                 self._behavior()
             elif tok.value == "approach":
@@ -221,30 +137,27 @@ class _DocParser:
             elif tok.value == "spec":
                 self._spec()
             else:
-                self.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
+                self.lx.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
 
     def _behavior(self) -> None:
         head = self.lx.take()
-        kind_tok = self.expect_ident("'preventive' or 'control'")
+        kind_tok = self.lx.expect_ident("'preventive' or 'control'")
         if kind_tok.value not in ("preventive", "control"):
-            self.fail("expected 'preventive' or 'control'", kind_tok)
-        self.expect_punct("{")
+            self.lx.fail("expected 'preventive' or 'control'", kind_tok)
+        self.lx.expect_punct("{")
         raw = _RawBehavior(kind=kind_tok.value, pos=self.pos(head))
-        while True:
+        while not self.lx.accept("}"):
             tok = self.lx.peek()
-            if tok.kind == "punct" and tok.value == "}":
-                self.lx.take()
-                break
             if tok.kind == "eof":
-                self.fail("unclosed behavior block; expected '}'", tok)
+                self.lx.fail("unclosed behavior block; expected '}'", tok)
             if tok.kind != "ident":
-                self.fail("expected a state declaration or an edge", tok)
+                self.lx.fail("expected a state declaration or an edge", tok)
             after = self.lx.peek(1)
             is_edge_start = after.kind == "punct" and after.value == "-"
             if tok.value in ("initial", "final", "state") and not is_edge_start:
                 self.lx.take()
                 if tok.value == "initial":
-                    name = self.expect_ident("a state name")
+                    name = self.lx.expect_ident("a state name")
                     if raw.initial is not None:
                         self.findings.append(
                             Finding("error", "duplicate-initial", name.value,
@@ -268,16 +181,17 @@ class _DocParser:
                         raw.finals.append((candidate.value, self.pos(candidate)))
                         taken += 1
                     if taken == 0:
-                        self.fail("expected at least one state name after 'final'", self.lx.peek())
+                        self.lx.fail("expected at least one state name after 'final'",
+                                     self.lx.peek())
                 else:
-                    name = self.expect_ident("a state name")
+                    name = self.lx.expect_ident("a state name")
                     raw.decls.append((name.value, self.pos(name)))
             else:
                 src = self.lx.take()
-                self.expect_punct("-")
-                label = self.expect_ident("a transition label")
-                self.expect_punct("->")
-                target = self.expect_ident("a target state")
+                self.lx.expect_punct("-")
+                label = self.lx.expect_ident("a transition label")
+                self.lx.expect_punct("->")
+                target = self.lx.expect_ident("a target state")
                 raw.edges.append((src.value, label.value, target.value, self.pos(src)))
         if raw.kind in self.behaviors:
             self.findings.append(
@@ -289,16 +203,13 @@ class _DocParser:
 
     def _approach(self) -> None:
         self.lx.take()
-        name = self.expect_ident("an approach name")
+        name = self.lx.expect_ident("an approach name")
         raw = _RawApproach(name.value, self.pos(name), {})
-        self.expect_punct("{")
-        while True:
+        self.lx.expect_punct("{")
+        while not self.lx.accept("}"):
             tok = self.lx.peek()
-            if tok.kind == "punct" and tok.value == "}":
-                self.lx.take()
-                break
             if tok.kind == "eof":
-                self.fail("unclosed approach block; expected '}'", tok)
+                self.lx.fail("unclosed approach block; expected '}'", tok)
             after = self.lx.peek(1)
             if (tok.kind == "ident" and tok.value in ("control", "preventive")
                     and after.kind == "punct" and after.value == ":"):
@@ -322,63 +233,56 @@ class _DocParser:
                     self.lx.take()
                     members.append((member.value, self.pos(member)))
             else:
-                self.fail("expected 'control:', 'preventive:', or '}'", tok)
+                self.lx.fail("expected 'control:', 'preventive:', or '}'", tok)
         self.approaches.append(raw)
 
     def _path_expr(self) -> tuple[Path, tuple[SourcePos, ...]]:
-        first = self.expect_ident("a preventive state name")
+        first = self.lx.expect_ident("a preventive state name")
         states = [first.value]
         positions = [self.pos(first)]
         labels: list[str] = []
-        while True:
-            tok = self.lx.peek()
-            if not (tok.kind == "punct" and tok.value == "-"):
-                break
-            self.lx.take()
-            labels.append(self.expect_ident("a transition label").value)
-            self.expect_punct("->")
-            target = self.expect_ident("a target state")
+        while self.lx.accept("-"):
+            labels.append(self.lx.expect_ident("a transition label").value)
+            self.lx.expect_punct("->")
+            target = self.lx.expect_ident("a target state")
             states.append(target.value)
             positions.append(self.pos(target))
         return Path(tuple(states), tuple(labels)), tuple(positions)
 
     def _map(self) -> None:
         self.lx.take()
-        key = self.expect_ident("a control state name")
-        self.expect_punct("=>")
+        key = self.lx.expect_ident("a control state name")
+        self.lx.expect_punct("=>")
         paths = [self._path_expr()]
-        while self.lx.peek().kind == "punct" and self.lx.peek().value == ",":
-            self.lx.take()
+        while self.lx.accept(","):
             paths.append(self._path_expr())
         self.maps.append(_RawMap(key.value, self.pos(key), paths))
 
     def _exempt(self) -> None:
         self.lx.take()
-        name = self.expect_ident("a control state name")
+        name = self.lx.expect_ident("a control state name")
         self.exempts.append((name.value, self.pos(name)))
 
     def _spec(self) -> None:
         self.lx.take()
-        name = self.expect_ident("a property name")
-        on = self.expect_ident("'on'")
+        name = self.lx.expect_ident("a property name")
+        on = self.lx.expect_ident("'on'")
         if on.value != "on":
-            self.fail("expected 'on'", on)
-        target = self.expect_ident("'control' or 'preventive'")
+            self.lx.fail("expected 'on'", on)
+        target = self.lx.expect_ident("'control' or 'preventive'")
         if target.value not in ("control", "preventive"):
-            self.fail("expected 'control' or 'preventive'", target)
+            self.lx.fail("expected 'control' or 'preventive'", target)
         expected = None
-        tok = self.lx.peek()
-        if tok.kind == "ident" and tok.value == "expect":
-            self.lx.take()
-            verdict = self.expect_ident("'holds' or 'fails'")
+        if self.lx.accept("expect"):
+            verdict = self.lx.expect_ident("'holds' or 'fails'")
             if verdict.value not in ("holds", "fails"):
-                self.fail("expected 'holds' or 'fails'", verdict)
+                self.lx.fail("expected 'holds' or 'fails'", verdict)
             expected = verdict.value
-        self.expect_punct(":")
-        formula_text, formula_pos = self.lx.take_rest_of_line()
+        self.lx.expect_punct(":")
+        formula = self.lx.take_rest_of_line()
         self.specs.append(
             _RawSpec(name=name.value, pos=self.pos(name), target=target.value,
-                     expected=expected, formula_text=formula_text, formula_pos=formula_pos)
+                     expected=expected, formula_text=formula.value, formula_pos=self.pos(formula))
         )
 
 
@@ -547,7 +451,7 @@ def render_model(doc: ModelDocument) -> str:
     four approach blocks; parse(render(doc)) is structurally identical to doc."""
     lines: list[str] = []
     for kind in ("preventive", "control"):
-        behavior = doc.coupled.preventive if kind == "preventive" else doc.coupled.control
+        behavior = doc.coupled.behavior(kind)
         lines.append(f"behavior {kind} {{")
         lines.append(f"  initial {behavior.initial}")
         if behavior.finals:

@@ -31,14 +31,6 @@ def _sanitize(name: str) -> str:
     return name
 
 
-def _target_behavior(doc: ModelDocument, target: str):
-    if target == "control":
-        return doc.coupled.control
-    if target == "preventive":
-        return doc.coupled.preventive
-    raise ValueError(f"target must be 'control' or 'preventive', not {target!r}")
-
-
 def to_smv(doc: ModelDocument, target: str) -> str:
     """One MODULE main over a single `state` enum variable.
 
@@ -47,7 +39,7 @@ def to_smv(doc: ModelDocument, target: str) -> str:
     and every property targeting `target` becomes a SPEC line with atoms
     rewritten at(S) -> at_S and in(A) -> in_A.
     """
-    behavior = _target_behavior(doc, target)
+    behavior = doc.coupled.behavior(target)
     names = sorted(behavior.states)
 
     ident = {s: _sanitize(s) for s in names}

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .report import Finding, ModelValidationError
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class UnknownStateError(ValueError):
@@ -30,7 +30,7 @@ class UnknownStateError(ValueError):
 
 def is_valid_name(name: str) -> bool:
     """True for identifiers: letters, digits, underscore; no leading digit."""
-    return bool(_NAME_RE.match(name))
+    return bool(NAME_RE.fullmatch(name))
 
 
 @dataclass(frozen=True, order=True)

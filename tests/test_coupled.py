@@ -68,6 +68,12 @@ class TestBuildCoupledModel:
     def test_single_state_mapping_entry(self, coupled):
         assert coupled.mapping.paths_for("Process") == (Path(("DetectingFiles",)),)
 
+    def test_behavior_by_side(self, coupled):
+        assert coupled.behavior("control") is coupled.control
+        assert coupled.behavior("preventive") is coupled.preventive
+        with pytest.raises(ValueError):
+            coupled.behavior("sideways")
+
     def test_mapping_into_control_behavior_rejected(self, coupled):
         bad = mapping_dict(coupled.mapping)
         bad["NotActivated"] = [Path(("Activated",))]

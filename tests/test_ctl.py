@@ -108,6 +108,19 @@ class TestParse:
         with pytest.raises(CtlSyntaxError):
             parse_ctl("at(A) % at(B)")
 
+    def test_bad_character_wins_over_earlier_parse_error(self):
+        with pytest.raises(CtlSyntaxError) as err:
+            parse_ctl("at(A) ) $")
+        assert str(err.value).startswith("unexpected character '$'")
+        assert (err.value.line, err.value.column) == (1, 9)
+
+    @pytest.mark.parametrize("mark", ["#", "=>", "-"])
+    def test_document_marks_are_not_ctl(self, mark):
+        with pytest.raises(CtlSyntaxError) as err:
+            parse_ctl(f"at(A) {mark} at(B)")
+        assert str(err.value).startswith(f"unexpected character {mark[0]!r}")
+        assert (err.value.line, err.value.column) == (1, 7)
+
 
 class TestNestingLimit:
     # (repeated prefix, offset of the nesting token inside it, repeated suffix)

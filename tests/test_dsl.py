@@ -171,6 +171,19 @@ class TestComments:
         doc = parse_model(MINIMAL.replace("\n", "\r\n"))
         assert doc.coupled.control.initial == "C"
 
+    def test_comment_ends_spec_formula(self):
+        doc = parse_model(MINIMAL + "spec p on control: EF at(C)  # note\n")
+        assert str(doc.properties[0].formula) == "EF at(C)"
+
+    def test_bad_character_in_formula_is_ctl_finding(self):
+        text = MINIMAL.replace("map C", "spec p on control: EF at(C) $\nmap C")
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(text)
+        [found] = err.value.findings
+        assert found.code == "ctl-syntax"
+        assert "unexpected character '$'" in found.detail
+        assert str(found.position) == "line 10, col 29"
+
 
 class TestRender:
     def test_roundtrip_bundled(self, bundled_doc):
