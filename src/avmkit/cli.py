@@ -5,7 +5,6 @@ Exit codes are stable for CI use: 0 success, 1 model/property/engine failure,
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path as FsPath
@@ -64,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str):
     """Returns (document, findings, exit_code); document is None on failure."""
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        text = FsPath(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         return None, [Finding("error", "io-error", path, str(exc))], EXIT_IO
     try:
         return parse_model(text, name=FsPath(path).stem), [], EXIT_OK
     except ModelSyntaxError as exc:
-        finding = Finding("error", "syntax-error", path, str(exc), exc.position)
+        finding = Finding("error", "syntax-error", path, exc.detail, exc.position)
         return None, [finding], EXIT_FAIL
     except ModelValidationError as exc:
         return None, list(exc.findings), EXIT_FAIL
@@ -99,11 +98,11 @@ def _failure_payload(args, command: str, findings, code: int) -> int:
 def _position_findings(report, doc):
     """Point check findings back into the source text where the subject appears."""
     decorated = tuple(
-        dataclasses.replace(f, position=doc.source_positions.get(f.subject))
+        f._replace(position=doc.source_positions.get(f.subject))
         if f.position is None and f.subject in doc.source_positions else f
         for f in report.findings
     )
-    return dataclasses.replace(report, findings=decorated)
+    return report._replace(findings=decorated)
 
 
 def cmd_validate(args) -> int:

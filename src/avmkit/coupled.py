@@ -4,7 +4,7 @@ consistency checks."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .lts import Behavior, Path, UnknownStateError, strongly_connected_components
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
@@ -41,15 +41,13 @@ def mapping_process(entries: Mapping[str, Iterable[Path]], exempt=()) -> Mapping
     return MappingProcess(entries=normalized, exempt=frozenset(exempt))
 
 
-@dataclass(frozen=True)
-class Approach:
+class Approach(NamedTuple):
     name: str
     control_states: frozenset[str]
     preventive_states: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ApproachPartition:
+class ApproachPartition(NamedTuple):
     """The four named approaches, each covering states on both sides."""
 
     approaches: tuple[Approach, ...]
@@ -88,8 +86,7 @@ def approach_partition(assignments: Mapping[str, tuple[Iterable[str], Iterable[s
     return ApproachPartition(tuple(approaches))
 
 
-@dataclass(frozen=True)
-class CoupledModel:
+class CoupledModel(NamedTuple):
     name: str
     preventive: Behavior
     control: Behavior

@@ -19,7 +19,7 @@ whole before it is parsed, so a bad character anywhere is the error reported.
 import bisect
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 
@@ -32,16 +32,16 @@ MAX_NESTING = 100
 
 
 class CtlSyntaxError(ValueError):
-    """Formula text failed to parse; carries position and the expected tokens."""
+    """Formula text failed to parse; carries position and the expected tokens.
+    `detail` is the text without the position, for a finding that has one."""
 
     def __init__(self, message: str, line: int, column: int, expected: tuple[str, ...] = ()):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
-        at = f"{message} at line {line}, col {column}"
-        if expected:
-            at += "; expected one of: " + ", ".join(expected)
-        super().__init__(at)
+        suffix = "; expected one of: " + ", ".join(expected) if expected else ""
+        self.detail = message + suffix
+        super().__init__(f"{message} at line {line}, col {column}{suffix}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,30 @@ class AtomicProposition:
 
 
 class CtlFormula:
-    """Base class of formula nodes; concrete nodes are frozen dataclasses.
+    """Base class of formula nodes: immutable, with `__slots__` naming the
+    node's fields, which the constructor takes in that order. A constant's
+    field is its bool, an atom's its `AtomicProposition`, any other node's
+    its subformulas.
 
     Equality, hashing and repr go through the text `render` builds without
     recursion, which re-parses to the same tree, so they work at any depth.
     """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Rebuild through the constructor: restoring slots by assignment would raise.
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __str__(self) -> str:
         return render(self)
@@ -84,82 +103,60 @@ class CtlFormula:
         return f"parse_ctl({render(self)!r})"
 
 
-_node = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_node
 class Const(CtlFormula):
-    value: bool
+    __slots__ = ("value",)
 
 
-@_node
 class Atom(CtlFormula):
-    prop: AtomicProposition
+    __slots__ = ("prop",)
 
 
-@_node
 class Not(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class And(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
 
 
-@_node
 class Or(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
 
 
-@_node
 class Implies(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
 
 
-@_node
 class EX(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class EG(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class EU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
 
 
-@_node
 class EF(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class AX(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class AF(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class AG(CtlFormula):
-    operand: CtlFormula
+    __slots__ = ("operand",)
 
 
-@_node
 class AU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
 
 
 TRUE = Const(True)

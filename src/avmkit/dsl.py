@@ -37,10 +37,12 @@ _DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
 
 
 class ModelSyntaxError(ValueError):
-    """Document text failed to parse; carries the offending position."""
+    """Document text failed to parse; carries the offending position, and
+    `detail`, the text without it."""
 
     def __init__(self, message: str, position: SourcePos):
         self.position = position
+        self.detail = message
         super().__init__(f"{message} at {position}")
 
 
@@ -96,8 +98,7 @@ class _RawApproach(NamedTuple):
     sides: dict[str, list[tuple[str, SourcePos]]]
 
 
-@dataclass
-class _RawSpec:
+class _RawSpec(NamedTuple):
     name: str
     pos: SourcePos
     target: str
@@ -381,7 +382,7 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
                                 start_column=raw_spec.formula_pos.column)
         except CtlSyntaxError as exc:
             findings.append(
-                Finding("error", "ctl-syntax", raw_spec.name, str(exc),
+                Finding("error", "ctl-syntax", raw_spec.name, exc.detail,
                         SourcePos(exc.line, exc.column))
             )
             continue

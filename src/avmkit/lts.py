@@ -13,7 +13,7 @@ The walks: `enumerate_simple_paths` behind `avm paths`,
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .report import Finding, ModelValidationError
 
@@ -33,8 +33,7 @@ def is_valid_name(name: str) -> bool:
     return bool(NAME_RE.fullmatch(name))
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     label: str
     target: str

@@ -1,13 +1,12 @@
 """Diagnostic findings shared by structural validation, the model checks, and the CLI."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """1-based line/column location inside a model file."""
 
     line: int
@@ -17,8 +16,7 @@ class SourcePos:
         return f"line {self.line}, col {self.column}"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One diagnostic: a severity, a stable code, the offending element, and detail text."""
 
     severity: str
@@ -32,30 +30,21 @@ class Finding:
         return f"[{self.severity}] {self.code} {self.subject}: {self.detail}{where}"
 
     def to_record(self) -> dict:
-        pos = None
-        if self.position is not None:
-            pos = {"line": self.position.line, "column": self.position.column}
-        return {
-            "severity": self.severity,
-            "code": self.code,
-            "subject": self.subject,
-            "detail": self.detail,
-            "position": pos,
-        }
+        pos = self.position._asdict() if self.position is not None else None
+        return self._asdict() | {"position": pos}
 
 
 def sort_findings(findings) -> list[Finding]:
     """Deterministic ordering: by position, then severity, code, subject."""
 
     def key(f: Finding):
-        pos = (f.position.line, f.position.column) if f.position else (1 << 30, 0)
+        pos = f.position or (1 << 30, 0)
         return (pos, _SEVERITY_RANK.get(f.severity, 99), f.code, f.subject, f.detail)
 
     return sorted(findings, key=key)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one model check: named, with findings; passes iff no error finding."""
 
     name: str

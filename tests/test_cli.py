@@ -87,6 +87,40 @@ class TestValidate:
         assert record["position"] is not None
 
 
+class TestInputText:
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        path = tmp_path / "bom.avm"
+        path.write_bytes(b"\xef\xbb\xbf" + MODEL_FILE.read_bytes())
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 0, out
+        code, out = run_cli(capsys, "check", str(path))
+        assert (code, out) == run_cli(capsys, "check", BUNDLED)
+
+    # A finding's detail carries no position: the finding prints it once.
+    @pytest.mark.parametrize("tail, subject, detail, position, line", [
+        (None, None, "unexpected character '$'", {"line": 2, "column": 13},
+         "[error] syntax-error {path}: unexpected character '$' (line 2, col 13)"),
+        ("spec bad on control: EF at(Done\n", "bad", "expected ')'; expected one of: )",
+         {"line": 76, "column": 32},
+         "[error] ctl-syntax bad: expected ')'; expected one of: ) (line 76, col 32)"),
+    ], ids=["document", "formula"])
+    def test_syntax_findings_print_position_once(self, capsys, tmp_path, tail, subject, detail,
+                                                 position, line):
+        path = tmp_path / "bad.avm"
+        if tail is None:
+            path.write_text("behavior control {\n  initial C $\n}\n", encoding="utf-8")
+        else:
+            path.write_text(MODEL_FILE.read_text(encoding="utf-8") + tail, encoding="utf-8")
+        code, out = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (1, line.format(path=path) + "\n")
+        code, out = run_cli(capsys, "--format", "structured", "validate", str(path))
+        assert code == 1
+        assert json.loads(out)["findings"] == [{
+            "severity": "error", "code": "ctl-syntax" if tail else "syntax-error",
+            "subject": subject or str(path), "detail": detail, "position": position,
+        }]
+
+
 class TestCheck:
     def test_bundled_suite(self, capsys):
         code, out = run_cli(capsys, "check", BUNDLED)

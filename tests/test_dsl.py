@@ -9,6 +9,7 @@ from avmkit.coupled import (
     build_coupled_model,
     mapping_process,
 )
+from avmkit.ctl import CtlSyntaxError, parse_ctl
 from avmkit.dsl import ModelSyntaxError, parse_model, render_model
 from avmkit.lts import Path, build_behavior
 from avmkit.report import ModelValidationError
@@ -100,6 +101,16 @@ class TestParseErrors:
         with pytest.raises(ModelSyntaxError) as err:
             parse_model(MINIMAL + "map C => P$\n")
         assert err.value.position.column == 11
+
+    def test_error_text_has_the_position_and_detail_does_not(self):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL + "map C => P$\n")
+        assert str(err.value) == "unexpected character '$' at line 11, col 11"
+        assert err.value.detail == "unexpected character '$'"
+        with pytest.raises(CtlSyntaxError) as err:
+            parse_ctl("EF at(Done", start_line=4, start_column=7)
+        assert str(err.value) == "expected ')' at line 4, col 17; expected one of: )"
+        assert err.value.detail == "expected ')'; expected one of: )"
 
     def test_mapping_unknown_state(self):
         found = findings_of(MINIMAL + "map C => Nowhere\n", "cross-behavior-reference")
