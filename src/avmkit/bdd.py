@@ -10,6 +10,14 @@ keyed by the ordered pair of operand nodes, negation by the node, and
 long as the manager, so a client that keeps one manager for many queries (the
 checker keeps one per Kripke structure) reuses earlier results.
 
+Every table key is one int, like the fixed-width records of a C package,
+not a tuple: AND, OR and each relational product key an ordered operand pair
+a <= b by `a << 32 | b`, and the unique table keys a node by
+`(var << 32 | low) << 32 | high`. An int key takes less memory than a tuple
+and the garbage collector does not track it. The packing is exact because
+node ids are list indices below 2**32 (a manager that large would need
+hundreds of GB); the leading field, a or var, needs no bound.
+
 The operations are what the symbolic engine uses: `apply` with AND or OR,
 `negate`, and `and_exists`, the fused relational product of Burch, Clarke,
 McMillan and Dill, which quantifies variables while it conjoins, so the full
@@ -24,6 +32,7 @@ _OPS = (AND, OR)
 
 _FALSE = 0
 _TRUE = 1
+_LOW32 = (1 << 32) - 1
 
 
 class BddError(Exception):
@@ -73,9 +82,9 @@ class BddManager:
         self._var: list[int] = [var_count, var_count]
         self._low: list[int] = [_FALSE, _TRUE]
         self._high: list[int] = [_FALSE, _TRUE]
-        self._unique: dict[tuple[int, int, int], int] = {}
-        self._and_table: dict[tuple[int, int], int] = {}
-        self._or_table: dict[tuple[int, int], int] = {}
+        self._unique: dict[int, int] = {}  # packed (var, low, high) -> node
+        self._and_table: dict[int, int] = {}  # packed (a, b) -> node
+        self._or_table: dict[int, int] = {}
         self._not_table: dict[int, int] = {}
         self._products: dict[frozenset[int], object] = {}  # quantified set -> product
         self.false = BddRef(self, _FALSE)
@@ -104,7 +113,7 @@ class BddManager:
     def _mk(self, var: int, low: int, high: int) -> int:
         if low == high:
             return low
-        key = (var, low, high)
+        key = (var << 32 | low) << 32 | high
         idx = self._unique.get(key)
         if idx is None:
             idx = len(self._var)
@@ -137,7 +146,8 @@ class BddManager:
             return a
         if a > b:
             a, b = b, a  # commutative: one table entry per unordered pair
-        res = self._and_table.get((a, b))
+        key = a << 32 | b
+        res = self._and_table.get(key)
         if res is None:
             va, vb = self._var[a], self._var[b]
             if va == vb:
@@ -147,7 +157,7 @@ class BddManager:
                 res = self._mk(va, self._and(self._low[a], b), self._and(self._high[a], b))
             else:
                 res = self._mk(vb, self._and(a, self._low[b]), self._and(a, self._high[b]))
-            self._and_table[a, b] = res
+            self._and_table[key] = res
         return res
 
     def _or(self, a: int, b: int) -> int:
@@ -159,7 +169,8 @@ class BddManager:
             return a
         if a > b:
             a, b = b, a
-        res = self._or_table.get((a, b))
+        key = a << 32 | b
+        res = self._or_table.get(key)
         if res is None:
             va, vb = self._var[a], self._var[b]
             if va == vb:
@@ -169,7 +180,7 @@ class BddManager:
                 res = self._mk(va, self._or(self._low[a], b), self._or(self._high[a], b))
             else:
                 res = self._mk(vb, self._or(a, self._low[b]), self._or(a, self._high[b]))
-            self._or_table[a, b] = res
+            self._or_table[key] = res
         return res
 
     def negate(self, f: BddRef) -> BddRef:
@@ -206,12 +217,13 @@ class BddManager:
         var, low, high, unique = self._var, self._low, self._high, self._unique
         disjoin = self._or
         bound = [v in quantified for v in range(self.var_count)]
-        table: dict[tuple[int, int], int] = {}
+        table: dict[int, int] = {}  # packed (a, b) -> node
 
         def product(a: int, b: int) -> int:
             if a > b:
                 a, b = b, a
-            res = table.get((a, b))
+            key = a << 32 | b
+            res = table.get(key)
             if res is not None:
                 return res
             va, vb = var[a], var[b]
@@ -237,13 +249,14 @@ class BddManager:
                 elif r0 == r1:
                     res = r0
                 else:
-                    res = unique.get((v, r0, r1))
+                    node_key = (v << 32 | r0) << 32 | r1
+                    res = unique.get(node_key)
                     if res is None:
-                        res = unique[v, r0, r1] = len(var)
+                        res = unique[node_key] = len(var)
                         var.append(v)
                         low.append(r0)
                         high.append(r1)
-            table[a, b] = res
+            table[key] = res
             return res
 
         return product
@@ -292,7 +305,8 @@ class BddManager:
         """Scan the unique table; returns reducedness/ordering violations (empty = sound)."""
         violations: list[str] = []
         seen_ids: set[int] = set()
-        for (var, low, high), idx in self._unique.items():
+        for key, idx in self._unique.items():
+            var, low, high = key >> 64, key >> 32 & _LOW32, key & _LOW32
             if idx in seen_ids:
                 violations.append(f"node {idx} interned twice")
             seen_ids.add(idx)

@@ -75,6 +75,16 @@ class KripkeStructure:
         return {t: tuple(sorted(ss)) for t, ss in into.items()}
 
     @cached_property
+    def atom_states(self) -> dict[AtomicProposition, frozenset[str]]:
+        """The states each atom labels, from one pass over the labeling. An
+        atom that labels no state is absent."""
+        out: dict[AtomicProposition, list[str]] = {}
+        for s in self.states:
+            for prop in self.labeling[s]:
+                out.setdefault(prop, []).append(s)
+        return {prop: frozenset(ss) for prop, ss in out.items()}
+
+    @cached_property
     def _symbolic(self) -> "_Symbolic":
         """The BDD context every symbolic check on this structure shares."""
         return _Symbolic(self)
@@ -171,7 +181,7 @@ def _sat_explicit(k: KripkeStructure, node: CtlFormula,
     if isinstance(node, ctl.Const):
         return frozenset(k.states) if node.value else frozenset()
     if isinstance(node, ctl.Atom):
-        return frozenset(s for s in k.states if node.prop in k.labeling[s])
+        return k.atom_states.get(node.prop, frozenset())
     if isinstance(node, ctl.Not):
         return frozenset(k.states) - sats[0]
     if isinstance(node, ctl.And):
@@ -211,7 +221,7 @@ class _Symbolic:
         self._shift_memo: dict[int, int] = {}
 
         self.universe = self._set_to_bdd(range(len(self.states)))
-        index = {s: i for i, s in enumerate(self.states)}
+        self.index = index = {s: i for i, s in enumerate(self.states)}
         # A pair's code holds the source index in its low bits and the target
         # index above them; variable v reads bit v // 2 of the source (v even)
         # or of the target (v odd).
@@ -296,9 +306,8 @@ class _Symbolic:
         if isinstance(node, ctl.Const):
             return self.universe if node.value else self.mgr.false
         if isinstance(node, ctl.Atom):
-            return self._set_to_bdd(
-                [i for i, s in enumerate(self.states) if node.prop in self.k.labeling[s]]
-            )
+            members = self.k.atom_states.get(node.prop, frozenset())
+            return self._set_to_bdd([self.index[s] for s in members])
         if isinstance(node, ctl.Not):
             return self._not(sats[0])
         if isinstance(node, ctl.And):

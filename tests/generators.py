@@ -244,6 +244,24 @@ def random_kripke(rng: Random, max_states: int = 8,
     )
 
 
+def ring_kripke(rng: Random, n: int) -> KripkeStructure:
+    """n >= 3 states on the ring i -> i+1 (mod n) plus one random chord per
+    state that is neither a self-loop nor the ring edge: strongly connected,
+    with shallow fixpoints. Only at(...) atoms label it."""
+    states = [f"p{i:03d}" for i in range(n)]
+    relation = set()
+    for i in range(n):
+        chord = rng.choice([t for t in range(n) if t not in (i, (i + 1) % n)])
+        relation.add((states[i], states[(i + 1) % n]))
+        relation.add((states[i], states[chord]))
+    return KripkeStructure(
+        states=tuple(states),
+        initial=states[0],
+        relation=frozenset(relation),
+        labeling={s: frozenset({AtomicProposition("at", s)}) for s in states},
+    )
+
+
 def naive_preimage(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
     """States with a successor in targets, by scanning every state."""
     return frozenset(s for s in k.states if any(t in targets for t in k.successors[s]))

@@ -243,3 +243,53 @@ class TestCanonicity:
             bool_to_bdd(mgr, random_bool_formula(rng, 6))
         assert mgr.check_invariants() == []
 
+
+def unique_key(mgr, var, low, high):
+    """The unique-table key of (var, low, high), in whichever form the
+    manager's table keys take: a tuple, or the fields packed into one int."""
+    if isinstance(next(iter(mgr._unique)), tuple):
+        return var, low, high
+    return (var << 32 | low) << 32 | high
+
+
+class TestInvariantScan:
+    """Each fault the scan reports, planted in a small manager."""
+
+    @pytest.fixture
+    def nodes(self):
+        mgr = BddManager(4)
+        x0, x1, x2 = (mgr.mk_var(v) for v in range(3))
+        either = mgr.apply(OR, x1, x2)  # var 1: low x2, high TRUE
+        top = mgr.apply(AND, x0, either)  # var 0: low FALSE, high either
+        assert mgr.check_invariants() == []
+        return mgr, x1.index, x2.index, either.index, top.index
+
+    def test_node_interned_twice(self, nodes):
+        mgr, x1, _, _, top = nodes
+        key = next(key for key, idx in mgr._unique.items() if idx == x1)
+        mgr._unique[key] = top
+        assert f"node {top} interned twice" in mgr.check_invariants()
+
+    def test_redundant_node(self, nodes):
+        mgr, _, x2, _, _ = nodes
+        idx = len(mgr._var)
+        mgr._var.append(1)
+        mgr._low.append(x2)
+        mgr._high.append(x2)
+        mgr._unique[unique_key(mgr, 1, x2, x2)] = idx
+        assert mgr.check_invariants() == [f"node {idx} is redundant: low == high == {x2}"]
+
+    def test_out_of_range_variable(self, nodes):
+        mgr, _, x2, _, _ = nodes
+        mgr.var_count = 2
+        assert mgr.check_invariants() == [f"node {x2} has out-of-range variable 2"]
+
+    def test_node_disagrees_with_its_key(self, nodes):
+        mgr, _, _, _, top = nodes
+        mgr._high[top] = 1
+        assert mgr.check_invariants() == [f"node {top} disagrees with its unique-table key"]
+
+    def test_child_out_of_order(self, nodes):
+        mgr, _, x2, either, _ = nodes
+        mgr._var[x2] = 0
+        assert f"node {either} (var 1) has child with var 0" in mgr.check_invariants()

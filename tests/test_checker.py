@@ -17,7 +17,8 @@ from avmkit.checker import (
     witness,
     witness_shape,
 )
-from avmkit.ctl import AU, EX, And, AtomicProposition, parse_ctl
+from avmkit.coupled import APPROACH_NAMES
+from avmkit.ctl import AU, EX, And, Atom, AtomicProposition, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
@@ -29,6 +30,7 @@ from generators import (
     random_behavior,
     random_formula,
     random_kripke,
+    ring_kripke,
 )
 
 
@@ -75,6 +77,22 @@ class TestToKripke:
         k = to_kripke(random_behavior(Random(seed)))
         sources = {s for s, _ in k.relation}
         assert sources == set(k.states)
+
+
+class TestAtomStates:
+    @settings(max_examples=60, deadline=None)
+    @given(kripkes())
+    def test_matches_per_state_scan(self, k):
+        in_atoms = {AtomicProposition("in", name) for name in APPROACH_NAMES}
+        labeled = set().union(*k.labeling.values())
+        for prop in labeled | in_atoms:
+            scan = frozenset(s for s in k.states if prop in k.labeling[s])
+            assert k.atom_states.get(prop, frozenset()) == scan
+        for prop in in_atoms - labeled:
+            # a valid approach with no member on this side is empty, not unknown
+            assert prop not in k.atom_states
+            formula = Atom(prop)
+            assert check_explicit(k, formula) == check_symbolic(k, formula) == frozenset()
 
 
 class TestExplicit:
@@ -130,6 +148,25 @@ class TestSymbolic:
         for prop in bundled_doc.properties:
             check_symbolic(k, prop.formula)
         assert k._symbolic.mgr.node_count() == 82
+
+    def test_wide_structure_specs_on_one_manager(self):
+        # A 256-state ring plus chords under the spec shapes of the
+        # random-wide benchmark, all on one manager; the pin catches a
+        # kernel change that interns a different set of nodes.
+        k = ring_kripke(Random(1), 256)
+        targets = Random(2).sample(k.states[1:], 4)
+        specs = [
+            f"EF at({targets[0]})",
+            f"AG EF at({targets[1]})",
+            f"AG !at({targets[2]})",
+            f"EX at({k.states[1]})",
+            f"E [ !at({targets[3]}) U at({targets[3]}) ]",
+        ]
+        for text in specs:
+            formula = parse_ctl(text)
+            assert check_symbolic(k, formula) == check_explicit(k, formula), text
+        assert k._symbolic.mgr.check_invariants() == []
+        assert k._symbolic.mgr.node_count() == 4718
 
     def test_single_state_structure(self):
         b = build_behavior({"A"}, "A", set(), [])
