@@ -20,7 +20,7 @@ from typing import Mapping
 
 from . import ctl
 from .bdd import AND, OR, BddManager, BddRef
-from .coupled import APPROACH_NAMES
+from .coupled import unresolved_atoms
 from .ctl import AtomicProposition, CtlFormula
 from .lts import Behavior, Path
 
@@ -128,12 +128,9 @@ def to_kripke(behavior: Behavior,
 
 
 def _validate_atoms(k: KripkeStructure, formula: CtlFormula) -> None:
-    state_set = set(k.states)
-    for prop in ctl.atoms(formula):
-        if prop.kind == "at" and prop.subject not in state_set:
-            raise UnknownAtomError(prop)
-        if prop.kind == "in" and prop.subject not in APPROACH_NAMES:
-            raise UnknownAtomError(prop)
+    unresolved = unresolved_atoms(formula, frozenset(k.states))
+    if unresolved:
+        raise UnknownAtomError(unresolved[0])
 
 
 # -- explicit-state engine ----------------------------------------------------

@@ -84,9 +84,9 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
     return payload["exit_code"]
 
 
-def _failure_payload(args, command: str, findings, code: int) -> int:
+def _failure_payload(args, findings, code: int) -> int:
     payload = {
-        "command": command,
+        "command": args.command,
         "file": args.file,
         "findings": [f.to_record() for f in findings],
         "exit_code": code,
@@ -105,11 +105,7 @@ def _position_findings(report, doc):
     return report._replace(findings=decorated)
 
 
-def cmd_validate(args) -> int:
-    doc, findings, code = _load(args.file)
-    if doc is None:
-        return _failure_payload(args, "validate", findings, code)
-
+def cmd_validate(args, doc) -> int:
     reports = [check_mapping(doc.coupled), check_approach_alignment(doc.coupled)]
     skipped = []
     if args.no_sync:
@@ -132,11 +128,7 @@ def cmd_validate(args) -> int:
     return _emit(args, payload, lines)
 
 
-def cmd_check(args) -> int:
-    doc, findings, code = _load(args.file)
-    if doc is None:
-        return _failure_payload(args, "check", findings, code)
-
+def cmd_check(args, doc) -> int:
     kripkes = {}
 
     def kripke_for(target: str):
@@ -216,17 +208,14 @@ def cmd_check(args) -> int:
     return _emit(args, payload, lines)
 
 
-def cmd_paths(args) -> int:
-    doc, findings, code = _load(args.file)
-    if doc is None:
-        return _failure_payload(args, "paths", findings, code)
+def cmd_paths(args, doc) -> int:
     behavior = doc.coupled.behavior(args.behavior)
     try:
         paths = enumerate_simple_paths(behavior, args.from_state, args.to_state)
     except UnknownStateError as exc:
         finding = Finding("error", "unknown-state", exc.state,
                           f"no state named {exc.state} in the {args.behavior} behavior")
-        return _failure_payload(args, "paths", [finding], EXIT_FAIL)
+        return _failure_payload(args, [finding], EXIT_FAIL)
     lines = [str(p) for p in paths]
     lines.append(f"{len(paths)} path(s) from {args.from_state} to {args.to_state}")
     payload = {
@@ -242,10 +231,7 @@ def cmd_paths(args) -> int:
     return _emit(args, payload, lines)
 
 
-def cmd_export(args) -> int:
-    doc, findings, code = _load(args.file)
-    if doc is None:
-        return _failure_payload(args, "export", findings, code)
+def cmd_export(args, doc) -> int:
     try:
         if args.export_format == "smv":
             text = to_smv(doc, args.target)
@@ -255,22 +241,19 @@ def cmd_export(args) -> int:
                           name=args.target)
     except NameCollisionError as exc:
         finding = Finding("error", "name-collision", args.target, str(exc))
-        return _failure_payload(args, "export", [finding], EXIT_FAIL)
+        return _failure_payload(args, [finding], EXIT_FAIL)
     if args.output:
         try:
             FsPath(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             finding = Finding("error", "io-error", args.output, str(exc))
-            return _failure_payload(args, "export", [finding], EXIT_IO)
+            return _failure_payload(args, [finding], EXIT_IO)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_info(args) -> int:
-    doc, findings, code = _load(args.file)
-    if doc is None:
-        return _failure_payload(args, "info", findings, code)
+def cmd_info(args, doc) -> int:
     coupled = doc.coupled
     preventive = coupled.preventive
     control = coupled.control
@@ -312,7 +295,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    doc, findings, code = _load(args.file)
+    if doc is None:
+        return _failure_payload(args, findings, code)
+    return _COMMANDS[args.command](args, doc)
 
 
 def run() -> None:

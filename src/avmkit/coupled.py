@@ -6,10 +6,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from . import ctl
 from .lts import Behavior, Path, UnknownStateError, strongly_connected_components
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
+
+
+def unresolved_atoms(formula: ctl.CtlFormula, states) -> tuple[ctl.AtomicProposition, ...]:
+    """The formula's atoms that name nothing, each once, in `ctl.atoms` order:
+    at(S) resolves when S is one of `states`, in(A) when A is an approach."""
+    return tuple(dict.fromkeys(
+        prop for prop in ctl.atoms(formula)
+        if prop.subject not in (states if prop.kind == "at" else APPROACH_NAMES)
+    ))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 from . import ctl
 from .coupled import (
-    APPROACH_NAMES,
     CoupledModel,
     approach_partition,
     coupled_diagnostics,
     mapping_process,
+    unresolved_atoms,
 )
 from .ctl import CtlFormula, CtlSyntaxError, Lexer, Token, parse_ctl
 from .lts import Behavior, Path, build_behavior
@@ -388,19 +388,11 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
             continue
         target_behavior = built.get(raw_spec.target)
         if target_behavior is not None:
-            for prop in ctl.atoms(formula):
-                if prop.kind == "at" and prop.subject not in target_behavior.states:
-                    findings.append(
-                        Finding("error", "unknown-atom", str(prop),
-                                f"property {raw_spec.name}: no state {prop.subject} in the "
-                                f"{raw_spec.target} behavior", raw_spec.pos)
-                    )
-                elif prop.kind == "in" and prop.subject not in APPROACH_NAMES:
-                    findings.append(
-                        Finding("error", "unknown-atom", str(prop),
-                                f"property {raw_spec.name}: no approach named {prop.subject}",
-                                raw_spec.pos)
-                    )
+            for prop in unresolved_atoms(formula, target_behavior.states):
+                detail = (f"no state {prop.subject} in the {raw_spec.target} behavior"
+                          if prop.kind == "at" else f"no approach named {prop.subject}")
+                findings.append(Finding("error", "unknown-atom", str(prop),
+                                        f"property {raw_spec.name}: {detail}", raw_spec.pos))
         properties.append(
             PropertySpec(name=raw_spec.name, target=raw_spec.target, formula=formula,
                          expected=raw_spec.expected, position=raw_spec.pos)

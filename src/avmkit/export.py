@@ -3,6 +3,7 @@
 from typing import Mapping
 
 from . import ctl
+from .checker import to_kripke
 from .coupled import APPROACH_NAMES
 from .dsl import ModelDocument
 from .lts import Behavior
@@ -32,44 +33,47 @@ def _sanitize(name: str) -> str:
 
 
 def to_smv(doc: ModelDocument, target: str) -> str:
-    """One MODULE main over a single `state` enum variable.
+    """One MODULE main over a single `state` enum variable, rendered from
+    `checker.to_kripke`'s structure of the target behavior.
 
-    Successor sets use SMV set-choice syntax; dead-end states self-loop.
-    Every state gets an `at_` DEFINE, every approach an `in_` disjunction,
-    and every property targeting `target` becomes a SPEC line with atoms
+    Successor sets use SMV set-choice syntax and are the structure's
+    successors, so dead ends carry its self-loops. Every state gets an `at_`
+    DEFINE, every approach an `in_` disjunction of the states it labels, and
+    every property targeting `target` becomes a SPEC line with atoms
     rewritten at(S) -> at_S and in(A) -> in_A.
     """
-    behavior = doc.coupled.behavior(target)
-    names = sorted(behavior.states)
+    k = to_kripke(doc.coupled.behavior(target), doc.coupled.approaches.states_by_side(target))
 
-    ident = {s: _sanitize(s) for s in names}
+    ident = {s: _sanitize(s) for s in k.states}
+    defines = {f"at_{i}" for i in ident.values()} | {f"in_{a}" for a in APPROACH_NAMES}
     by_sanitized: dict[str, str] = {}
-    for s in names:
+    for s in k.states:
         clash = by_sanitized.get(ident[s])
         if clash is not None:
             raise NameCollisionError(
                 f"states {clash} and {s} both sanitize to SMV identifier {ident[s]}"
             )
+        if ident[s] in defines:
+            raise NameCollisionError(
+                f"state {s} exports as SMV identifier {ident[s]}, which is also a DEFINE name"
+            )
         by_sanitized[ident[s]] = s
 
     lines = ["MODULE main"]
-    lines.append("VAR state : {" + ", ".join(ident[s] for s in names) + "};")
+    lines.append("VAR state : {" + ", ".join(ident[s] for s in k.states) + "};")
     lines.append("ASSIGN")
-    lines.append(f"  init(state) := {ident[behavior.initial]};")
+    lines.append(f"  init(state) := {ident[k.initial]};")
     lines.append("  next(state) := case")
-    for s in names:
-        succ = sorted({target_state for _, target_state in behavior.successor_map[s]})
-        if not succ:
-            succ = [s]  # totalized: dead ends self-loop
-        lines.append(f"    state = {ident[s]} : {{" + ", ".join(ident[t] for t in succ) + "};")
+    for s in k.states:
+        lines.append(f"    state = {ident[s]} : {{"
+                     + ", ".join(ident[t] for t in k.successors[s]) + "};")
     lines.append("  esac;")
 
     lines.append("DEFINE")
-    for s in names:
+    for s in k.states:
         lines.append(f"  at_{ident[s]} := state = {ident[s]};")
-    side_sets = doc.coupled.approaches.states_by_side(target)
     for approach_name in APPROACH_NAMES:
-        members = sorted(side_sets.get(approach_name, frozenset()) & behavior.states)
+        members = sorted(k.atom_states.get(ctl.AtomicProposition("in", approach_name), ()))
         expr = " | ".join(f"state = {ident[m]}" for m in members) if members else "FALSE"
         lines.append(f"  in_{approach_name} := {expr};")
 

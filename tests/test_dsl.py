@@ -145,6 +145,17 @@ class TestParseErrors:
         found = findings_of(text, "unknown-atom")
         assert found and found[0].subject == "at(Q)"
 
+    def test_unknown_atom_reported_once_per_property(self):
+        text = MINIMAL + "spec p on control: EF at(Nope) | AG !at(Nope)\n"
+        found = findings_of(text, "unknown-atom")
+        assert [f.subject for f in found] == ["at(Nope)"]
+
+    def test_unknown_approach_atom_in_property(self):
+        text = MINIMAL + "spec p on control: EF in(Cleanup)\n"
+        found = findings_of(text, "unknown-atom")
+        assert [(f.subject, f.detail) for f in found] == [
+            ("in(Cleanup)", "property p: no approach named Cleanup")]
+
     def test_unknown_approach_block(self):
         text = MINIMAL + "approach Cleanup {\n  control: C\n  preventive: P\n}\n"
         found = findings_of(text, "unknown-approach")

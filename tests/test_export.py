@@ -101,6 +101,21 @@ class TestSmv:
         with pytest.raises(NameCollisionError):
             to_smv(doc, "control")
 
+    @pytest.mark.parametrize("state", ["at_Foo", "in_Protection"])
+    def test_state_named_like_a_define(self, state):
+        # at_Foo is state Foo's DEFINE; in_Protection is an approach's
+        preventive = build_behavior({"P"}, "P", set(), [])
+        control = build_behavior({"Foo", state}, "Foo", set(), [])
+        coupled = build_coupled_model(
+            preventive,
+            control,
+            mapping_process({}, {"Foo", state}),
+            approach_partition({}),
+        )
+        doc = ModelDocument(coupled=coupled, properties=())
+        with pytest.raises(NameCollisionError, match=state):
+            to_smv(doc, "control")
+
     def test_reserved_word_sanitized(self):
         text = to_smv(one_state_doc("case"), "control")
         assert "state = case_ : {case_};" in text
