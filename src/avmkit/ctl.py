@@ -10,18 +10,20 @@ AG``, and until forms ``E [ f U g ]`` / ``A [ f U g ]``. Precedence is
 Parentheses, negations, temporal operators, until brackets and implications
 nest at most ``MAX_NESTING`` deep; deeper text is a syntax error.
 
-This grammar and the model document's (`dsl`) share one `Lexer`: the same
-identifiers, whitespace and positions, each grammar with its own marks. CTL's
-marks are ``-> ( ) [ ] ! & |``; it has no comments, and a formula is scanned
-whole before it is parsed, so a bad character anywhere is the error reported.
+This grammar and the model document's (`dsl`) share one `Lexer`. It scans
+the whole text once, up front, into flat per-token lists (kind, value, line,
+column) that the parsers read through an int cursor. Both grammars have the
+same identifiers, whitespace and positions, each with its own marks. A
+character that is not whitespace, a mark or part of a name becomes a stray
+token, and each grammar decides when a stray is an error. CTL's marks are
+``-> ( ) [ ] ! & |`` and it has no comments; a stray anywhere in a formula is
+the error reported, before any parse error.
 """
 
-import bisect
 import re
-from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property
-from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
+from functools import cache
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .lts import NAME_RE
 
@@ -298,116 +300,104 @@ def render(
     return "".join(pieces)
 
 
+# Token kinds: the pattern group each comes from, and the end of the text.
+MARK, NAME, STRAY, END = 1, 2, 3, 0
+
+
 @cache
-def _patterns(marks: tuple[str, ...], comments: bool) -> tuple[Callable, Callable]:
-    """Matchers for skipped text then a mark (group 1) or a name (group 2),
-    and for the skipped text alone."""
-    # The lookahead keeps a failed match from backtracking into a comment.
-    skip = r"(?:[ \t\r\n]|#[^\n]*(?=\n|\Z))*" if comments else r"[ \t\r\n]*"
-    token = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({NAME_RE.pattern}))"
-    return re.compile(token).match, re.compile(skip).match
-
-
-_REST_OF_LINE = re.compile(r"[^\n#]*")
-
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "punct" | "eof", or "text" for a raw rest of line
-    value: str
-    offset: int
+def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
+    """Finds, within one line, skipped text then a mark (group 1), a name (2),
+    any other character but whitespace or a comment's ``#`` (3), or the end
+    of the line, so that every character is covered."""
+    skip = r"(?:[ \t\r]|#.*)*" if comments else r"[ \t\r]*"
+    stray = r"[^ \t\r#]" if comments else r"[^ \t\r]"
+    pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({NAME_RE.pattern})|({stray})|\\Z)"
+    return re.compile(pattern).finditer
 
 
 class Lexer:
-    """Tokens and a peek/take cursor over one text, for either grammar.
+    """One text scanned once into flat per-token lists, read through an int
+    cursor `i`, for either grammar.
 
+    `kinds[k]`, `values[k]`, `lines[k]` and `columns[k]` describe token k;
+    the last real token is `END`, with value "" at the end of the text, and
+    a few copies of it follow so that a lookahead never runs off the lists.
     `marks` lists the punctuation, two-character marks first. `comments`
-    skips ``#`` to end of line. Errors are built by
-    `error(message, line, column, expected)`; positions count from
-    `start_line`/`start_column`, which locate the text inside a larger one.
+    skips ``#`` to end of line. A character neither a mark nor part of a
+    name becomes a `STRAY` token rather than an error, so each grammar
+    decides when it is reported; `fail` at a stray reports it.
+    Errors are built by `error(message, line, column, expected)`; positions
+    count from `start_line`/`start_column`, which locate the text inside a
+    larger one.
     """
 
     def __init__(self, text: str, marks: tuple[str, ...], error: Callable[..., Exception], *,
                  comments: bool = False, start_line: int = 1, start_column: int = 1):
-        self.text = text
         self.error = error
-        self.match_token, self.match_skip = _patterns(marks, comments)
         self.start_line = start_line
         self.start_column = start_column
-        self.cursor = 0
-        self.buffer: deque[Token] = deque()
+        self.source_lines = text.split("\n")
+        self.i = 0
+        self.kinds: list[int] = []
+        self.values: list[str] = []
+        self.lines: list[int] = []
+        self.columns: list[int] = []
+        kinds, values = self.kinds.append, self.values.append
+        lines, columns = self.lines.append, self.columns.append
+        scan = _token_scanner(marks, comments)
+        base = start_column  # columns of the first line start at start_column
+        for line, source in enumerate(self.source_lines, start_line):
+            for m in scan(source):
+                kind = m.lastindex
+                if kind is None:
+                    break
+                kinds(kind)
+                values(m[kind])
+                lines(line)
+                columns(m.start(kind) + base)
+            base = 1
+        end = len(self.source_lines[-1]) + (start_column if len(self.source_lines) == 1 else 1)
+        self.kinds += [END] * 5
+        self.values += [""] * 5
+        self.lines += [start_line + len(self.source_lines) - 1] * 5
+        self.columns += [end] * 5
 
-    # Built on first use: a formula that parses never needs a position.
-    @cached_property
-    def line_starts(self) -> list[int]:
-        return [0] + [m.end() for m in re.finditer("\n", self.text)]
+    def fail(self, message: str, k: int, expected: tuple[str, ...] = ()) -> NoReturn:
+        """Raise the grammar's error at token k, or, at a stray character,
+        that the character is unexpected."""
+        if self.kinds[k] == STRAY:
+            message, expected = f"unexpected character {self.values[k]!r}", ()
+        raise self.error(message, self.lines[k], self.columns[k], expected)
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """(line, column) of a text offset, shifted by the start point."""
-        index = bisect.bisect_right(self.line_starts, offset) - 1
-        column = offset - self.line_starts[index] + 1
-        if index == 0:
-            return self.start_line, self.start_column + column - 1
-        return self.start_line + index, column
-
-    def fail(self, message: str, tok: Token, expected: tuple[str, ...] = ()) -> NoReturn:
-        raise self.error(message, *self.position(tok.offset), expected)
-
-    def _scan(self) -> Token:
-        m = self.match_token(self.text, self.cursor)
-        if m is None:
-            start = self.match_skip(self.text, self.cursor).end()
-            if start < len(self.text):
-                raise self.error(f"unexpected character {self.text[start]!r}",
-                                 *self.position(start), ())
-            self.cursor = start
-            return Token("eof", "", start)
-        self.cursor = m.end()
-        group = m.lastindex
-        return Token("punct" if group == 1 else "ident", m.group(group), m.start(group))
-
-    def scan_all(self) -> None:
-        """Scan to the end now, so that a bad character anywhere is reported
-        before any parse error."""
-        while not self.buffer or self.buffer[-1].kind != "eof":
-            self.buffer.append(self._scan())
-
-    def peek(self, ahead: int = 0) -> Token:
-        while len(self.buffer) <= ahead:
-            self.buffer.append(self._scan())
-        return self.buffer[ahead]
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.buffer.popleft()
-        return tok
-
-    def accept(self, value: str) -> Token | None:
+    def accept(self, value: str) -> bool:
         """Take the next token if it is the mark or name `value`."""
-        if self.peek().value == value:
-            return self.take()
-        return None
+        if self.values[self.i] == value:
+            self.i += 1
+            return True
+        return False
 
-    def expect_ident(self, description: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {description}", tok, ("identifier",))
-        return self.take()
+    def expect_ident(self, description: str) -> int:
+        if self.kinds[self.i] != NAME:
+            self.fail(f"expected {description}", self.i, ("identifier",))
+        self.i += 1
+        return self.i - 1
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if not (tok.kind == "punct" and tok.value == value):
-            self.fail(f"expected '{value}'", tok, (value,))
-        return self.take()
+    def expect_punct(self, value: str) -> None:
+        if self.values[self.i] != value:
+            self.fail(f"expected '{value}'", self.i, (value,))
+        self.i += 1
 
-    def take_rest_of_line(self) -> Token:
-        """The raw text from the cursor to end of line, ``#`` comment
-        stripped, as one "text" token; the cursor moves past that line.
-        Call it with no token peeked."""
-        start = self.cursor
-        eol = self.text.find("\n", start)
-        self.cursor = len(self.text) if eol == -1 else eol + 1
-        return Token("text", _REST_OF_LINE.match(self.text, start).group(), start)
+    def take_rest_of_line(self) -> tuple[str, int, int]:
+        """The raw text after the token just taken to end of line, ``#``
+        comment stripped, with its line and column; the cursor moves to the
+        first token of a later line."""
+        line = self.lines[self.i - 1]
+        column = self.columns[self.i - 1] + len(self.values[self.i - 1])
+        source = self.source_lines[line - self.start_line]
+        first = self.start_column if line == self.start_line else 1
+        while self.lines[self.i] == line and self.kinds[self.i] != END:
+            self.i += 1
+        return source[column - first:].partition("#")[0], line, column
 
 
 _UNARY_KEYWORDS = {"EX": EX, "EF": EF, "EG": EG, "AX": AX, "AF": AF, "AG": AG}
@@ -422,10 +412,11 @@ _CTL_MARKS = ("->", "(", ")", "[", "]", "!", "&", "|")
 class _Parser:
     def __init__(self, lexer: Lexer):
         self.lx = lexer
+        self.values = lexer.values
         self.depth = 0
 
-    def nested(self, opener: Token, parse: Callable[[], CtlFormula]):
-        """Run `parse` one nesting level below `opener`, within MAX_NESTING."""
+    def nested(self, opener: int, parse: Callable[[], CtlFormula]):
+        """Run `parse` one nesting level below token `opener`, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
             self.lx.fail("formula nested too deep", opener)
         self.depth += 1
@@ -435,8 +426,8 @@ class _Parser:
 
     def parse_implies(self) -> CtlFormula:
         left = self.parse_or()
-        arrow = self.lx.accept("->")
-        if arrow:
+        arrow = self.lx.i
+        if self.lx.accept("->"):
             return Implies(left, self.nested(arrow, self.parse_implies))
         return left
 
@@ -452,59 +443,59 @@ class _Parser:
             node = And(node, self.parse_unary())
         return node
 
+    # Every mark and keyword below has one kind, so its value alone identifies it.
     def parse_unary(self) -> CtlFormula:
-        tok = self.lx.peek()
-        if tok.kind == "punct" and tok.value == "!":
-            self.lx.take()
-            return Not(self.nested(tok, self.parse_unary))
-        if tok.kind == "ident" and tok.value in _UNARY_KEYWORDS:
-            self.lx.take()
-            return _UNARY_KEYWORDS[tok.value](self.nested(tok, self.parse_unary))
-        if tok.kind == "ident" and tok.value in ("E", "A"):
-            self.lx.take()
-            left, right = self.nested(tok, self.parse_until)
-            return EU(left, right) if tok.value == "E" else AU(left, right)
+        k = self.lx.i
+        value = self.values[k]
+        if value == "!":
+            self.lx.i += 1
+            return Not(self.nested(k, self.parse_unary))
+        if value in _UNARY_KEYWORDS:
+            self.lx.i += 1
+            return _UNARY_KEYWORDS[value](self.nested(k, self.parse_unary))
+        if value in ("E", "A"):
+            self.lx.i += 1
+            left, right = self.nested(k, self.parse_until)
+            return EU(left, right) if value == "E" else AU(left, right)
         return self.parse_primary()
 
     def parse_until(self) -> tuple[CtlFormula, CtlFormula]:
         self.lx.expect_punct("[")
         left = self.parse_implies()
         if not self.lx.accept("U"):
-            self.lx.fail("expected 'U'", self.lx.peek(), ("U",))
+            self.lx.fail("expected 'U'", self.lx.i, ("U",))
         right = self.parse_implies()
         self.lx.expect_punct("]")
         return left, right
 
     def parse_primary(self) -> CtlFormula:
-        tok = self.lx.peek()
-        if tok.kind == "punct" and tok.value == "(":
-            self.lx.take()
-            node = self.nested(tok, self.parse_implies)
+        k = self.lx.i
+        value = self.values[k]
+        if value == "(":
+            self.lx.i += 1
+            node = self.nested(k, self.parse_implies)
             self.lx.expect_punct(")")
             return node
-        if tok.kind == "ident":
-            if tok.value == "true":
-                self.lx.take()
-                return TRUE
-            if tok.value == "false":
-                self.lx.take()
-                return FALSE
-            if tok.value in ("at", "in"):
-                self.lx.take()
-                self.lx.expect_punct("(")
-                name = self.lx.expect_ident("a state or approach name")
-                self.lx.expect_punct(")")
-                return Atom(AtomicProposition(tok.value, name.value))
-        self.lx.fail("expected a formula", tok, _FORMULA_START)
+        if value in ("true", "false"):
+            self.lx.i += 1
+            return TRUE if value == "true" else FALSE
+        if value in ("at", "in"):
+            self.lx.i += 1
+            self.lx.expect_punct("(")
+            name = self.lx.expect_ident("a state or approach name")
+            self.lx.expect_punct(")")
+            return Atom(AtomicProposition(value, self.values[name]))
+        self.lx.fail("expected a formula", k, _FORMULA_START)
 
 
 def parse_ctl(text: str, *, start_line: int = 1, start_column: int = 1) -> CtlFormula:
-    """Parse concrete CTL syntax; positions in errors are offset by the start point."""
+    """Parse concrete CTL syntax; positions in errors are offset by the start point.
+    A stray character anywhere is reported before any parse error."""
     lexer = Lexer(text, _CTL_MARKS, CtlSyntaxError,
                   start_line=start_line, start_column=start_column)
-    lexer.scan_all()
+    if STRAY in lexer.kinds:
+        lexer.fail("unexpected character", lexer.kinds.index(STRAY))
     formula = _Parser(lexer).parse_implies()
-    tok = lexer.peek()
-    if tok.kind != "eof":
-        lexer.fail("unexpected trailing input", tok, ("end of input", "&", "|", "->"))
+    if lexer.kinds[lexer.i] != END:
+        lexer.fail("unexpected trailing input", lexer.i, ("end of input", "&", "|", "->"))
     return formula

@@ -12,10 +12,16 @@ A document is a sequence of statements:
 Comments run from ``#`` to end of line. Edge endpoints and labels declare
 themselves; ``state`` lines are only needed for otherwise unmentioned states.
 
-The document is read with the lexer the CTL grammar uses (`ctl.Lexer`), with
-the marks ``-> => { } : , -`` and ``#`` comments, scanning as it parses. A
+The document is scanned once, up front, by the lexer the CTL grammar uses
+(`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments. The
+statement parsers read whole edges, path steps and runs of names off its
+token lists. A document reports its first fault in reading order: a stray
+character is an error only when the parser reaches it, and a grammar error
+before it wins. (An approach block judges a section head such as
+``control:`` as a pair, so a stray in its second token is reached first.) A
 spec's formula is taken raw to end of line, minus any comment, and handed to
-`parse_ctl`, so an error in it is a ``ctl-syntax`` finding.
+`parse_ctl`, so an error in it, a stray included, is a ``ctl-syntax``
+finding and the statements after it are read as usual.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +35,8 @@ from .coupled import (
     mapping_process,
     unresolved_atoms,
 )
-from .ctl import CtlFormula, CtlSyntaxError, Lexer, Token, parse_ctl
-from .lts import Behavior, Path, build_behavior
+from .ctl import END, NAME, STRAY, CtlFormula, CtlSyntaxError, Lexer, parse_ctl
+from .lts import Behavior, Path, Transition, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
 _DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
@@ -76,14 +82,14 @@ class ModelDocument:
 # -- raw statement collection ----------------------------------------------------
 
 
-@dataclass
-class _RawBehavior:
+class _RawBehavior(NamedTuple):
     kind: str
     pos: SourcePos
-    initial: tuple[str, SourcePos] | None = None
-    finals: list[tuple[str, SourcePos]] = field(default_factory=list)
-    decls: list[tuple[str, SourcePos]] = field(default_factory=list)
-    edges: list[tuple[str, str, str, SourcePos]] = field(default_factory=list)
+    initial: tuple[str, SourcePos] | None
+    finals: list[tuple[str, SourcePos]]
+    decls: list[tuple[str, SourcePos]]
+    edges: list[Transition]
+    edge_positions: list[SourcePos]  # each edge's source
 
 
 class _RawMap(NamedTuple):
@@ -107,9 +113,20 @@ class _RawSpec(NamedTuple):
     formula_pos: SourcePos
 
 
+_STATEMENT = "expected 'behavior', 'approach', 'map', 'exempt', or 'spec'"
+_DECLARATIONS = ("initial", "final", "state")
+_SIDES = ("control", "preventive")
+
+
 class _DocParser:
+    """Reads the statements off the lexer's token lists. A whole edge, path
+    step or run of names is read with index arithmetic; where the tokens do
+    not fit, the `expect_*` calls re-read them to raise at the token at
+    fault."""
+
     def __init__(self, text: str):
         self.lx = Lexer(text, _DOC_MARKS, _syntax_error, comments=True)
+        self.kinds, self.values = self.lx.kinds, self.lx.values
         self.behaviors: dict[str, _RawBehavior] = {}
         self.maps: list[_RawMap] = []
         self.approaches: list[_RawApproach] = []
@@ -117,174 +134,165 @@ class _DocParser:
         self.specs: list[_RawSpec] = []
         self.findings: list[Finding] = []
 
-    def pos(self, tok: Token) -> SourcePos:
-        return SourcePos(*self.lx.position(tok.offset))
+    def pos(self, k: int) -> SourcePos:
+        return SourcePos(self.lx.lines[k], self.lx.columns[k])
+
+    def named(self, k: int) -> tuple[str, SourcePos]:
+        return self.values[k], self.pos(k)
 
     def parse(self) -> None:
-        while True:
-            tok = self.lx.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind != "ident":
-                self.lx.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
-            if tok.value == "behavior":
-                self._behavior()
-            elif tok.value == "approach":
-                self._approach()
-            elif tok.value == "map":
-                self._map()
-            elif tok.value == "exempt":
-                self._exempt()
-            elif tok.value == "spec":
-                self._spec()
-            else:
-                self.lx.fail("expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", tok)
+        statements = {"behavior": self._behavior, "approach": self._approach,
+                      "map": self._map, "exempt": self._exempt, "spec": self._spec}
+        while self.kinds[self.lx.i] != END:
+            statement = statements.get(self.values[self.lx.i])
+            if statement is None:
+                self.lx.fail(_STATEMENT, self.lx.i)
+            self.lx.i += 1
+            statement()
+
+    def _step(self, k: int) -> bool:
+        """Whether a path step ``- ID -> ID`` starts at token k. A '-' that
+        starts anything else is a syntax error."""
+        kinds, values = self.kinds, self.values
+        if values[k] != "-":
+            return False
+        if not (kinds[k + 1] == NAME and values[k + 2] == "->" and kinds[k + 3] == NAME):
+            self.lx.i = k + 1
+            self.lx.expect_ident("a transition label")
+            self.lx.expect_punct("->")
+            self.lx.expect_ident("a target state")
+        return True
+
+    def _take_names(self, end: int) -> list[tuple[str, SourcePos]]:
+        """The names from the cursor up to token `end`, each with its
+        position; the cursor moves to `end`."""
+        lx = self.lx
+        names = list(zip(self.values[lx.i:end],
+                         map(SourcePos, lx.lines[lx.i:end], lx.columns[lx.i:end])))
+        lx.i = end
+        return names
 
     def _behavior(self) -> None:
-        head = self.lx.take()
-        kind_tok = self.lx.expect_ident("'preventive' or 'control'")
-        if kind_tok.value not in ("preventive", "control"):
-            self.lx.fail("expected 'preventive' or 'control'", kind_tok)
-        self.lx.expect_punct("{")
-        raw = _RawBehavior(kind=kind_tok.value, pos=self.pos(head))
-        while not self.lx.accept("}"):
-            tok = self.lx.peek()
-            if tok.kind == "eof":
-                self.lx.fail("unclosed behavior block; expected '}'", tok)
-            if tok.kind != "ident":
-                self.lx.fail("expected a state declaration or an edge", tok)
-            after = self.lx.peek(1)
-            is_edge_start = after.kind == "punct" and after.value == "-"
-            if tok.value in ("initial", "final", "state") and not is_edge_start:
-                self.lx.take()
-                if tok.value == "initial":
-                    name = self.lx.expect_ident("a state name")
-                    if raw.initial is not None:
-                        self.findings.append(
-                            Finding("error", "duplicate-initial", name.value,
-                                    "behavior block declares more than one initial state",
-                                    self.pos(name))
-                        )
-                    else:
-                        raw.initial = (name.value, self.pos(name))
-                elif tok.value == "final":
-                    taken = 0
-                    while True:
-                        candidate = self.lx.peek()
-                        if candidate.kind != "ident":
-                            break
-                        lookahead = self.lx.peek(1)
-                        if lookahead.kind == "punct" and lookahead.value == "-":
-                            break  # next thing is an edge
-                        if candidate.value in ("initial", "final", "state"):
-                            break
-                        self.lx.take()
-                        raw.finals.append((candidate.value, self.pos(candidate)))
-                        taken += 1
-                    if taken == 0:
-                        self.lx.fail("expected at least one state name after 'final'",
-                                     self.lx.peek())
-                else:
-                    name = self.lx.expect_ident("a state name")
-                    raw.decls.append((name.value, self.pos(name)))
+        lx, kinds, values = self.lx, self.kinds, self.values
+        pos = self.pos(lx.i - 1)
+        kind = values[lx.expect_ident("'preventive' or 'control'")]
+        if kind not in _SIDES:
+            lx.fail("expected 'preventive' or 'control'", lx.i - 1)
+        lx.expect_punct("{")
+        initial = None
+        finals: list[tuple[str, SourcePos]] = []
+        decls: list[tuple[str, SourcePos]] = []
+        edges: list[Transition] = []
+        edge_positions: list[SourcePos] = []
+        while True:
+            k = lx.i
+            if kinds[k] == NAME and self._step(k + 1):  # an edge, whatever its names
+                edges.append(Transition(values[k], values[k + 2], values[k + 4]))
+                edge_positions.append(self.pos(k))
+                lx.i = k + 5
+                continue
+            if values[k] == "}":
+                lx.i = k + 1
+                break
+            if kinds[k] == END:
+                lx.fail("unclosed behavior block; expected '}'", k)
+            if kinds[k] != NAME:
+                lx.fail("expected a state declaration or an edge", k)
+            if values[k] not in _DECLARATIONS:
+                lx.fail("expected '-'", k + 1, ("-",))
+            lx.i = k + 1
+            if values[k] == "final":
+                end = k + 1
+                while (kinds[end] == NAME and values[end + 1] != "-"
+                       and values[end] not in _DECLARATIONS):
+                    end += 1
+                if end == k + 1:
+                    lx.fail("expected at least one state name after 'final'", end)
+                finals += self._take_names(end)
+                continue
+            name = self.named(lx.expect_ident("a state name"))
+            if values[k] == "state":
+                decls.append(name)
+            elif initial is not None:
+                self.findings.append(
+                    Finding("error", "duplicate-initial", name[0],
+                            "behavior block declares more than one initial state", name[1])
+                )
             else:
-                src = self.lx.take()
-                self.lx.expect_punct("-")
-                label = self.lx.expect_ident("a transition label")
-                self.lx.expect_punct("->")
-                target = self.lx.expect_ident("a target state")
-                raw.edges.append((src.value, label.value, target.value, self.pos(src)))
-        if raw.kind in self.behaviors:
+                initial = name
+        if kind in self.behaviors:
             self.findings.append(
-                Finding("error", "duplicate-behavior", raw.kind,
-                        f"more than one {raw.kind} behavior block", raw.pos)
+                Finding("error", "duplicate-behavior", kind,
+                        f"more than one {kind} behavior block", pos)
             )
         else:
-            self.behaviors[raw.kind] = raw
+            self.behaviors[kind] = _RawBehavior(kind, pos, initial, finals, decls, edges,
+                                                 edge_positions)
 
     def _approach(self) -> None:
-        self.lx.take()
-        name = self.lx.expect_ident("an approach name")
-        raw = _RawApproach(name.value, self.pos(name), {})
-        self.lx.expect_punct("{")
-        while not self.lx.accept("}"):
-            tok = self.lx.peek()
-            if tok.kind == "eof":
-                self.lx.fail("unclosed approach block; expected '}'", tok)
-            after = self.lx.peek(1)
-            if (tok.kind == "ident" and tok.value in ("control", "preventive")
-                    and after.kind == "punct" and after.value == ":"):
-                self.lx.take()
-                self.lx.take()
-                if tok.value in raw.sides:
-                    self.findings.append(
-                        Finding("error", "duplicate-approach-section", tok.value,
-                                f"approach {raw.name} repeats its '{tok.value}:' section",
-                                self.pos(tok))
-                    )
-                members = raw.sides.setdefault(tok.value, [])
-                while True:
-                    member = self.lx.peek()
-                    if member.kind != "ident":
-                        break
-                    lookahead = self.lx.peek(1)
-                    if (member.value in ("control", "preventive")
-                            and lookahead.kind == "punct" and lookahead.value == ":"):
-                        break
-                    self.lx.take()
-                    members.append((member.value, self.pos(member)))
-            else:
-                self.lx.fail("expected 'control:', 'preventive:', or '}'", tok)
+        lx, kinds, values = self.lx, self.kinds, self.values
+        name = self.named(lx.expect_ident("an approach name"))
+        raw = _RawApproach(*name, {})
+        lx.expect_punct("{")
+        while not lx.accept("}"):
+            k = lx.i
+            if kinds[k] == END:
+                lx.fail("unclosed approach block; expected '}'", k)
+            if not (values[k] in _SIDES and values[k + 1] == ":"):
+                # A section head is read as a pair, so a stray character in
+                # its second place is reached before the first is judged.
+                at = k + 1 if kinds[k + 1] == STRAY and kinds[k] != STRAY else k
+                lx.fail("expected 'control:', 'preventive:', or '}'", at)
+            side = values[k]
+            if side in raw.sides:
+                self.findings.append(
+                    Finding("error", "duplicate-approach-section", side,
+                            f"approach {raw.name} repeats its '{side}:' section", self.pos(k))
+                )
+            end = lx.i = k + 2
+            while kinds[end] == NAME and not (values[end] in _SIDES and values[end + 1] == ":"):
+                end += 1
+            raw.sides.setdefault(side, []).extend(self._take_names(end))
         self.approaches.append(raw)
 
     def _path_expr(self) -> tuple[Path, tuple[SourcePos, ...]]:
         first = self.lx.expect_ident("a preventive state name")
-        states = [first.value]
-        positions = [self.pos(first)]
-        labels: list[str] = []
-        while self.lx.accept("-"):
-            labels.append(self.lx.expect_ident("a transition label").value)
-            self.lx.expect_punct("->")
-            target = self.lx.expect_ident("a target state")
-            states.append(target.value)
-            positions.append(self.pos(target))
-        return Path(tuple(states), tuple(labels)), tuple(positions)
+        k = first
+        while self._step(k + 1):
+            k += 4
+        lx, values = self.lx, self.values
+        lx.i = k + 1
+        return (Path(tuple(values[first:k + 1:4]), tuple(values[first + 2:k:4])),
+                tuple(map(SourcePos, lx.lines[first:k + 1:4], lx.columns[first:k + 1:4])))
 
     def _map(self) -> None:
-        self.lx.take()
-        key = self.lx.expect_ident("a control state name")
+        key = self.named(self.lx.expect_ident("a control state name"))
         self.lx.expect_punct("=>")
         paths = [self._path_expr()]
         while self.lx.accept(","):
             paths.append(self._path_expr())
-        self.maps.append(_RawMap(key.value, self.pos(key), paths))
+        self.maps.append(_RawMap(*key, paths))
 
     def _exempt(self) -> None:
-        self.lx.take()
-        name = self.lx.expect_ident("a control state name")
-        self.exempts.append((name.value, self.pos(name)))
+        self.exempts.append(self.named(self.lx.expect_ident("a control state name")))
 
     def _spec(self) -> None:
-        self.lx.take()
-        name = self.lx.expect_ident("a property name")
-        on = self.lx.expect_ident("'on'")
-        if on.value != "on":
-            self.lx.fail("expected 'on'", on)
-        target = self.lx.expect_ident("'control' or 'preventive'")
-        if target.value not in ("control", "preventive"):
-            self.lx.fail("expected 'control' or 'preventive'", target)
+        lx, values = self.lx, self.values
+        name = self.named(lx.expect_ident("a property name"))
+        on = lx.expect_ident("'on'")
+        if values[on] != "on":
+            lx.fail("expected 'on'", on)
+        target = values[lx.expect_ident("'control' or 'preventive'")]
+        if target not in _SIDES:
+            lx.fail("expected 'control' or 'preventive'", lx.i - 1)
         expected = None
-        if self.lx.accept("expect"):
-            verdict = self.lx.expect_ident("'holds' or 'fails'")
-            if verdict.value not in ("holds", "fails"):
-                self.lx.fail("expected 'holds' or 'fails'", verdict)
-            expected = verdict.value
-        self.lx.expect_punct(":")
-        formula = self.lx.take_rest_of_line()
-        self.specs.append(
-            _RawSpec(name=name.value, pos=self.pos(name), target=target.value,
-                     expected=expected, formula_text=formula.value, formula_pos=self.pos(formula))
-        )
+        if lx.accept("expect"):
+            expected = values[lx.expect_ident("'holds' or 'fails'")]
+            if expected not in ("holds", "fails"):
+                lx.fail("expected 'holds' or 'fails'", lx.i - 1)
+        lx.expect_punct(":")
+        text, line, column = lx.take_rest_of_line()
+        self.specs.append(_RawSpec(*name, target, expected, text, SourcePos(line, column)))
 
 
 # -- semantic assembly -------------------------------------------------------------
@@ -293,17 +301,10 @@ class _DocParser:
 def _assemble_behavior(raw: _RawBehavior, findings: list[Finding]):
     """Returns (Behavior | None, {state: first position})."""
     first_pos: dict[str, SourcePos] = {}
-
-    def note(name: str, pos: SourcePos) -> None:
-        first_pos.setdefault(name, pos)
-
-    if raw.initial is not None:
-        note(*raw.initial)
-    for name, pos in raw.finals:
+    note = first_pos.setdefault
+    for name, pos in ([raw.initial] if raw.initial else []) + raw.finals + raw.decls:
         note(name, pos)
-    for name, pos in raw.decls:
-        note(name, pos)
-    for source, label, target, pos in raw.edges:
+    for (source, _, target), pos in zip(raw.edges, raw.edge_positions):
         note(source, pos)
         note(target, pos)
 
@@ -324,10 +325,10 @@ def _assemble_behavior(raw: _RawBehavior, findings: list[Finding]):
         behavior = build_behavior(
             states=set(first_pos),
             initial=raw.initial[0],
-            labels={label for _, label, _, _ in raw.edges},
-            transitions=[edge[:3] for edge in raw.edges],
+            labels={edge.label for edge in raw.edges},
+            transitions=raw.edges,
             finals={name for name, _ in raw.finals},
-            positions=[edge[3] for edge in raw.edges],
+            positions=raw.edge_positions,
         )
     except ModelValidationError as exc:  # duplicate transitions; nothing else can fail here
         findings.extend(exc.findings)

@@ -1,7 +1,8 @@
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avmkit.coupled import (
@@ -10,12 +11,12 @@ from avmkit.coupled import (
     mapping_process,
 )
 from avmkit.ctl import CtlSyntaxError, parse_ctl
-from avmkit.dsl import ModelSyntaxError, parse_model, render_model
+from avmkit.dsl import ModelDocument, ModelSyntaxError, PropertySpec, parse_model, render_model
 from avmkit.lts import Path, build_behavior
 from avmkit.report import ModelValidationError
 
 from conftest import CORPUS_DIR, MODEL_FILE
-from generators import random_behavior
+from generators import random_behavior, random_coupled_model, random_formula
 
 MINIMAL = """
 behavior preventive {
@@ -205,6 +206,98 @@ class TestComments:
         assert found.code == "ctl-syntax"
         assert "unexpected character '$'" in found.detail
         assert str(found.position) == "line 10, col 29"
+
+
+class TestErrorOrder:
+    """A document reports its first fault in reading order: a stray character
+    is an error only once the parser reaches it."""
+
+    @pytest.mark.parametrize("replacement, message, column", [
+        ("map C P $", "expected '=>'", 7),
+        ("map C P\nexempt $", "expected '=>'", 7),
+        ("map C => P - go Q $", "expected '->'", 17),
+    ])
+    def test_grammar_error_before_a_later_stray(self, replacement, message, column):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL.replace("map C => P", replacement))
+        assert err.value.detail == message
+        assert tuple(err.value.position) == (10, column)
+
+    def test_spec_line_with_ctl_marks_leaves_later_statements(self):
+        spec = "spec p on control: !(E [ at(C) U at(C) ] & true) | $ false  # [ $ ]"
+        text = MINIMAL.replace("map C => P", f"{spec}\nmap C => P\nspec q on control: EF at(C)")
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(text)
+        [found] = err.value.findings
+        assert (found.code, found.subject) == ("ctl-syntax", "p")
+        assert found.detail == "unexpected character '$'"
+        assert tuple(found.position) == (10, spec.index("$") + 1)
+        doc = parse_model(text.replace("| $ false", "| false"))
+        assert doc.coupled.mapping == parse_model(MINIMAL).coupled.mapping
+        assert [(p.name, str(p.formula)) for p in doc.properties] == [
+            ("p", "!(E [ at(C) U at(C) ] & true) | false"), ("q", "EF at(C)")]
+
+    def test_final_comment_without_newline(self):
+        # Scanned as text, the comment would exempt a mapped state.
+        doc = parse_model(MINIMAL + "# exempt C")
+        assert doc.coupled.mapping.exempt == frozenset()
+
+    @pytest.mark.parametrize("body, message, column", [
+        ("bogus }", "expected 'control:', 'preventive:', or '}'", 23),
+        ("bogus $ }", "unexpected character '$'", 29),
+        ("control { }", "expected 'control:', 'preventive:', or '}'", 23),
+    ])
+    def test_approach_section_head_is_read_as_a_pair(self, body, message, column):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL + "approach Protection { " + body)
+        assert err.value.detail == message
+        assert tuple(err.value.position) == (11, column)
+
+
+_TOKEN = re.compile(r"->|=>|[{}:,-]|\w+")
+
+
+def line_and_column(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class TestErrorPositionOracle:
+    """A stray `$` or `{` inserted before a token of a rendered document, or
+    one `->` deleted, is reported at the token at fault."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["$", "{", "->"]),
+           st.data())
+    def test_fault_reported_at_its_token(self, seed, fault, data):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        specs = tuple(PropertySpec(f"p{i}", "control", random_formula(rng, model.control.states, 3))
+                      for i in range(2))
+        text = render_model(ModelDocument(model, specs))
+        specs_start = text.index("\nspec ")
+        tokens = [m for m in _TOKEN.finditer(text) if m.start() < specs_start]
+        if fault == "->":
+            arrows = [m for m in tokens if m[0] == "->"]
+            assume(arrows)
+            arrow = data.draw(st.sampled_from(arrows))
+            broken = text[:arrow.start()] + text[arrow.end() + 1:]
+            at = arrow.start()  # where the arrow's target moved to
+        else:
+            index = data.draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            token = tokens[index]
+            broken = text[:token.start()] + fault + " " + text[token.start():]
+            at = token.start()
+            if fault == "{" and token[0] == "{":
+                at += 2  # the inserted brace is the one expected
+            elif fault == "{" and token[0] == ":" and tokens[index - 2][0] == "{":
+                # `control {` opening the block is no section head; after a
+                # section, `preventive` would be read as one of its members.
+                at = tokens[index - 1].start()
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(broken)
+        assert tuple(err.value.position) == line_and_column(broken, at)
+        if fault == "$":
+            assert err.value.detail == "unexpected character '$'"
 
 
 class TestRender:
