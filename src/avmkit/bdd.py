@@ -4,8 +4,9 @@ One BddManager owns one static variable order and interns every node in a
 unique table, so two handles in the same manager are equal exactly when they
 denote the same boolean function. Managers are arena-style: nodes are never
 collected within a run, the whole manager is dropped at once. Each operation
-has computed tables of its own (Brace, Rudell and Bryant): AND and OR are
-keyed by the ordered pair of operand nodes, negation by the node, and
+has computed tables of its own (Brace, Rudell and Bryant): AND and OR, one
+recursion that differs only in which terminal absorbs, are each keyed by the
+ordered pair of operand nodes, negation by the node, and
 `and_exists` keeps one table per quantified-variable set. The tables live as
 long as the manager, so a client that keeps one manager for many queries (the
 checker keeps one per Kripke structure) reuses earlier results.
@@ -83,10 +84,10 @@ class BddManager:
         self._low: list[int] = [_FALSE, _TRUE]
         self._high: list[int] = [_FALSE, _TRUE]
         self._unique: dict[int, int] = {}  # packed (var, low, high) -> node
-        self._and_table: dict[int, int] = {}  # packed (a, b) -> node
-        self._or_table: dict[int, int] = {}
         self._not_table: dict[int, int] = {}
         self._products: dict[frozenset[int], object] = {}  # quantified set -> product
+        self._and = self._binary(_FALSE)
+        self._or = self._binary(_TRUE)
         self.false = BddRef(self, _FALSE)
         self.true = BddRef(self, _TRUE)
 
@@ -137,51 +138,36 @@ class BddManager:
         binary = self._and if op == AND else self._or
         return self._ref(binary(self._index(f), self._index(g)))
 
-    def _and(self, a: int, b: int) -> int:
-        if a == _FALSE or b == _FALSE:
-            return _FALSE
-        if a == _TRUE:
-            return b
-        if b == _TRUE or a == b:
-            return a
-        if a > b:
-            a, b = b, a  # commutative: one table entry per unordered pair
-        key = a << 32 | b
-        res = self._and_table.get(key)
-        if res is None:
-            va, vb = self._var[a], self._var[b]
-            if va == vb:
-                res = self._mk(va, self._and(self._low[a], self._low[b]),
-                               self._and(self._high[a], self._high[b]))
-            elif va < vb:
-                res = self._mk(va, self._and(self._low[a], b), self._and(self._high[a], b))
-            else:
-                res = self._mk(vb, self._and(a, self._low[b]), self._and(a, self._high[b]))
-            self._and_table[key] = res
-        return res
+    def _binary(self, zero: int):
+        """The AND (zero = FALSE) or OR (zero = TRUE) recursion and its table:
+        `zero` absorbs the other operand, the other terminal is the identity."""
+        var, low, high, mk = self._var, self._low, self._high, self._mk
+        one = 1 - zero
+        table: dict[int, int] = {}  # packed (a, b) -> node
 
-    def _or(self, a: int, b: int) -> int:
-        if a == _TRUE or b == _TRUE:
-            return _TRUE
-        if a == _FALSE:
-            return b
-        if b == _FALSE or a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        key = a << 32 | b
-        res = self._or_table.get(key)
-        if res is None:
-            va, vb = self._var[a], self._var[b]
-            if va == vb:
-                res = self._mk(va, self._or(self._low[a], self._low[b]),
-                               self._or(self._high[a], self._high[b]))
-            elif va < vb:
-                res = self._mk(va, self._or(self._low[a], b), self._or(self._high[a], b))
-            else:
-                res = self._mk(vb, self._or(a, self._low[b]), self._or(a, self._high[b]))
-            self._or_table[key] = res
-        return res
+        def binary(a: int, b: int) -> int:
+            if a == zero or b == zero:
+                return zero
+            if a == one:
+                return b
+            if b == one or a == b:
+                return a
+            if a > b:
+                a, b = b, a  # commutative: one table entry per unordered pair
+            key = a << 32 | b
+            res = table.get(key)
+            if res is None:
+                va, vb = var[a], var[b]
+                if va == vb:
+                    res = mk(va, binary(low[a], low[b]), binary(high[a], high[b]))
+                elif va < vb:
+                    res = mk(va, binary(low[a], b), binary(high[a], b))
+                else:
+                    res = mk(vb, binary(a, low[b]), binary(a, high[b]))
+                table[key] = res
+            return res
+
+        return binary
 
     def negate(self, f: BddRef) -> BddRef:
         return self._ref(self._negate(self._index(f)))

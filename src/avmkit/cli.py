@@ -95,11 +95,18 @@ def _failure_payload(args, findings, code: int) -> int:
     return _emit(args, payload, lines)
 
 
+# Findings about a whole behavior or model: their subject names no state.
+_UNPLACED = frozenset({"no-final-states", "control-paths", "uncovered-states",
+                       "fully-exempt-mapping"})
+
+
 def _position_findings(report, doc):
-    """Point check findings back into the source text where the subject appears."""
+    """Point check findings about a state back into the source text where the
+    state is mapped, exempted or first mentioned."""
     decorated = tuple(
-        f._replace(position=doc.source_positions.get(f.subject))
-        if f.position is None and f.subject in doc.source_positions else f
+        f._replace(position=doc.source_positions[f.subject])
+        if f.position is None and f.code not in _UNPLACED and f.subject in doc.source_positions
+        else f
         for f in report.findings
     )
     return report._replace(findings=decorated)

@@ -396,76 +396,64 @@ def _path_order(cell) -> tuple:
     return path.labels, path.states
 
 
-class _Frame:
-    """One state on the walk's current control path."""
-
-    __slots__ = ("state", "sync", "on_path", "next_edge", "count", "gaps", "label", "gap")
-
-    def __init__(self, state: str, sync, on_path: int):
-        self.state, self.sync, self.on_path = state, sync, on_path
-        self.next_edge = 0
-        self.count = 0
-        self.gaps: dict = {}
-        self.label = self.gap = None  # the edge to the child being walked
-
-    def absorb(self, label: str, gap, result) -> None:
-        """Adds what the successor reached by `label` returned; `gap` names
-        the gap that stepping to it opened, if any."""
-        count, gaps = result
-        self.count += count
-        for key, cell in gaps.items():
-            key = key if gap is None else gap
-            candidate = (self.state, label, cell)
-            best = self.gaps.get(key)
-            if best is None or _path_order(candidate) < _path_order(best):
-                self.gaps[key] = candidate
-
-
 def _stitch_paths(control: Behavior, final: str, step, component_of, bit):
     """(number of simple control paths from the initial state to `final`,
     {gap key: the smallest such path by (labels, states) that gaps there}).
 
-    A memoized depth-first walk without recursion. A node is (control state,
-    sync state, states of the current path in the state's SCC): every other
-    state of the path is unreachable from here, so what lies ahead depends on
-    nothing else. A result holds its smallest completions as shared cells;
-    below a gap they sit under the key None until the gap names them.
+    A memoized depth-first walk. A node is (control state, sync state, states
+    of the current path in the state's SCC): every other state of the path is
+    unreachable from here, so what lies ahead depends on nothing else. A
+    result holds its smallest completions as shared cells; below a gap they
+    sit under the key None until the gap names them.
+
+    `visit` is the recursion, except that where it would call itself it
+    yields the child node and is sent the child's result. The loop below it
+    keeps the suspended visits on a list, not on Python's stack, so a long
+    control chain needs no recursion. (`visit` does not call itself by name:
+    that would make it a reference cycle, and the memo would outlive the
+    walk until the garbage collector found it.)
     """
     if control.initial == final:
         return 1, {}
     memo: dict[tuple, tuple] = {}
-    stack = [_Frame(control.initial, step(None, control.initial)[0], bit[control.initial])]
-    while True:
-        frame = stack[-1]
-        edges = control.successor_map[frame.state]
-        child = None
-        while child is None and frame.next_edge < len(edges):
-            label, nxt = edges[frame.next_edge]
-            frame.next_edge += 1
-            if component_of[nxt] != component_of[frame.state]:
-                on_path = bit[nxt]
-            elif frame.on_path & bit[nxt]:
+
+    def visit(state: str, sync, on_path: int):
+        count, gaps = 0, {}
+        for label, nxt in control.successor_map[state]:
+            if component_of[nxt] != component_of[state]:
+                nxt_on_path = bit[nxt]
+            elif on_path & bit[nxt]:
                 continue
             else:
-                on_path = frame.on_path | bit[nxt]
-            sync, gap = step(frame.sync, nxt)
-            result = memo.get((nxt, sync, on_path))
-            if result is None and nxt == final:
-                result = (1, {None: (final, None, None)} if sync is _GAP else {})
+                nxt_on_path = on_path | bit[nxt]
+            nxt_sync, gap = step(sync, nxt)
+            node = (nxt, nxt_sync, nxt_on_path)
+            result = memo.get(node)
             if result is None:
-                frame.label, frame.gap = label, gap
-                child = _Frame(nxt, sync, on_path)
-            else:
-                frame.absorb(label, gap, result)
-        if child is not None:
-            stack.append(child)
-            continue
-        result = (frame.count, frame.gaps)
-        memo[frame.state, frame.sync, frame.on_path] = result
-        stack.pop()
-        if not stack:
-            return result
-        stack[-1].absorb(stack[-1].label, stack[-1].gap, result)
+                if nxt == final:
+                    result = 1, ({None: (final, None, None)} if nxt_sync is _GAP else {})
+                else:
+                    result = yield node
+            count += result[0]
+            for key, cell in result[1].items():
+                key = key if gap is None else gap  # the gap this edge opened names the paths
+                candidate = (state, label, cell)
+                best = gaps.get(key)
+                if best is None or _path_order(candidate) < _path_order(best):
+                    gaps[key] = candidate
+        memo[state, sync, on_path] = count, gaps
+        return count, gaps
+
+    walk = [visit(control.initial, step(None, control.initial)[0], bit[control.initial])]
+    result = None
+    while walk:
+        try:
+            walk.append(visit(*walk[-1].send(result)))
+            result = None
+        except StopIteration as done:
+            walk.pop()
+            result = done.value
+    return result
 
 
 def check_synchronization(model: CoupledModel) -> CheckReport:
@@ -480,9 +468,11 @@ def check_synchronization(model: CoupledModel) -> CheckReport:
     feasible fragments, previous fragments, path states in the state's SCC)
     visits each such node once per final, which is polynomial on an acyclic
     control behavior and exponential only in the size of its largest strongly
-    connected component. Each distinct gap is reported once, along the first
-    control path that meets it in (labels, states) order, finals in name
-    order. Reachability comes from one pass over the preventive condensation.
+    connected component. The walk is written as a recursion whose suspended
+    calls wait on a list, so no depth of control path overflows the stack.
+    Each distinct gap is reported once, along the first control path that
+    meets it in (labels, states) order, finals in name order. Reachability
+    comes from one pass over the preventive condensation.
     """
     findings: list[Finding] = []
     control = model.control

@@ -72,8 +72,9 @@ class PropertySpec:
 class ModelDocument:
     coupled: CoupledModel
     properties: tuple[PropertySpec, ...]
-    # Subject name -> source position, so reports on the built model can point
-    # back into the text. Not part of document identity.
+    # State name -> where it is mapped, exempted or first mentioned, so reports
+    # on the built model can point back into the text. Not part of document
+    # identity.
     source_positions: dict[str, SourcePos] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -423,8 +424,6 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
         source_positions[raw_map.key] = raw_map.pos
     for state, pos in parser.exempts:
         source_positions[state] = pos
-    for spec in parser.specs:
-        source_positions[spec.name] = spec.pos
 
     return ModelDocument(coupled=coupled, properties=tuple(properties),
                          source_positions=source_positions)

@@ -28,11 +28,6 @@ class UnknownStateError(ValueError):
         self.state = state
 
 
-def is_valid_name(name: str) -> bool:
-    """True for identifiers: letters, digits, underscore; no leading digit."""
-    return bool(NAME_RE.fullmatch(name))
-
-
 class Transition(NamedTuple):
     source: str
     label: str
@@ -106,16 +101,13 @@ def _as_transition(t) -> Transition:
     return Transition(source, label, target)
 
 
-def behavior_diagnostics(states, initial, labels, transitions, finals=(),
-                         positions=None) -> list[Finding]:
-    """Validate the raw pieces of a behavior and list every problem found.
-
-    `positions`, when given, holds one SourcePos per transition and places
-    the findings about that transition.
-    """
-    states = list(states)
-    labels = list(labels)
-    finals = list(finals)
+def build_behavior(states, initial, labels, transitions, finals=(), positions=None) -> Behavior:
+    """Construct a validated Behavior; raises ModelValidationError listing every
+    defect. `positions`, when given, holds one SourcePos per transition and
+    places the findings about that transition."""
+    states = frozenset(states)
+    labels = frozenset(labels)
+    finals = frozenset(finals)
     transitions = [_as_transition(t) for t in transitions]
     positions = [None] * len(transitions) if positions is None else list(positions)
     findings: list[Finding] = []
@@ -125,48 +117,31 @@ def behavior_diagnostics(states, initial, labels, transitions, finals=(),
 
     if not states:
         error("empty-state-set", "<behavior>", "behavior declares no states")
-        return findings
+        raise ModelValidationError(findings)
 
-    state_set = set(states)
-    label_set = set(labels)
+    for name in sorted(name for name in states | labels if not NAME_RE.fullmatch(name)):
+        error("invalid-identifier", name,
+              "identifiers are letters, digits and underscore, not starting with a digit")
 
-    for name in sorted(state_set | label_set):
-        if not is_valid_name(name):
-            error("invalid-identifier", name,
-                  "identifiers are letters, digits and underscore, not starting with a digit")
-
-    if initial not in state_set:
+    if initial not in states:
         error("bad-initial", str(initial), "initial state is not a declared state")
-    for name in sorted(set(finals) - state_set):
+    for name in sorted(finals - states):
         error("unknown-state", name, "final state is not a declared state")
 
     seen: set[Transition] = set()
     for t, pos in zip(transitions, positions, strict=True):
-        if t.source not in state_set:
+        if t.source not in states:
             error("unknown-state", t.source, f"transition {t} leaves an unknown state", pos)
-        if t.target not in state_set:
+        if t.target not in states:
             error("unknown-state", t.target, f"transition {t} enters an unknown state", pos)
-        if t.label not in label_set:
+        if t.label not in labels:
             error("unknown-label", t.label, f"transition {t} uses an undeclared label", pos)
         if t in seen:
             error("duplicate-transition", str(t), "transition appears more than once", pos)
         seen.add(t)
-    return findings
-
-
-def build_behavior(states, initial, labels, transitions, finals=(), positions=None) -> Behavior:
-    """Construct a validated Behavior; raises ModelValidationError listing every
-    defect, placed by `positions` as in behavior_diagnostics."""
-    diags = behavior_diagnostics(states, initial, labels, transitions, finals, positions)
-    if diags:
-        raise ModelValidationError(diags)
-    return Behavior(
-        states=frozenset(states),
-        initial=initial,
-        labels=frozenset(labels),
-        transitions=tuple(sorted(_as_transition(t) for t in transitions)),
-        finals=frozenset(finals),
-    )
+    if findings:
+        raise ModelValidationError(findings)
+    return Behavior(states, initial, labels, tuple(sorted(transitions)), finals)
 
 
 def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list[Path]:

@@ -87,6 +87,75 @@ class TestValidate:
         assert record["position"] is not None
 
 
+# Done is a control state and, with name=Done, a property too.
+SPEC_NAMED_LIKE_A_STATE = """behavior preventive {{
+  initial P
+  state Q
+}}
+behavior control {{
+  initial Start
+  final Done
+  Start - run -> Done
+}}
+map Start => P
+map Done => Q
+spec {name} on control: EF at(Done)
+"""
+
+# Control states named like the two sides; saved as preventive.avm, the model
+# is named like one of them too.
+STATES_NAMED_LIKE_SIDES = """behavior preventive {
+  initial P
+}
+behavior control {
+  initial control
+  state preventive
+  control - run -> preventive
+}
+exempt control
+exempt preventive
+"""
+
+
+class TestFindingPositions:
+    @pytest.mark.parametrize("name", ["Done", "reach"])
+    def test_state_finding_placed_at_its_map(self, capsys, tmp_path, name):
+        path = tmp_path / "spec.avm"
+        path.write_text(SPEC_NAMED_LIKE_A_STATE.format(name=name), encoding="utf-8")
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert ("  [error] sync-gap Done: along control path Start -run-> Done: "
+                "no preventive walk from {P} to {Q} (line 11, col 5)") in out.splitlines()
+        code, out = run_cli(capsys, "--format", "structured", "validate", str(path))
+        assert code == 1
+        [gap] = [f for c in json.loads(out)["checks"] for f in c["findings"]
+                 if f["code"] == "sync-gap"]
+        assert gap["position"] == {"line": 11, "column": 5}
+
+    def test_side_and_model_findings_are_not_placed(self, capsys, tmp_path):
+        path = tmp_path / "preventive.avm"
+        path.write_text(STATES_NAMED_LIKE_SIDES, encoding="utf-8")
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        assert "  [warning] no-final-states control: control behavior declares no final " \
+               "states; nothing to stitch" in out.splitlines()
+        assert "  [warning] fully-exempt-mapping preventive: fully exempt mapping: every " \
+               "control state is exempt" in out.splitlines()
+        code, out = run_cli(capsys, "--format", "structured", "validate", str(path))
+        assert code == 0
+        positions = {(f["code"], f["subject"]): f["position"]
+                     for c in json.loads(out)["checks"] for f in c["findings"]}
+        assert positions == {
+            ("exempt-state", "control"): {"line": 9, "column": 8},
+            ("exempt-state", "preventive"): {"line": 10, "column": 8},
+            ("fully-exempt-mapping", "preventive"): None,
+            ("uncovered-states", "control"): None,
+            ("uncovered-states", "preventive"): None,
+            ("no-final-states", "control"): None,
+            ("control-paths", "control"): None,
+        }
+
+
 class TestInputText:
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
         path = tmp_path / "bom.avm"

@@ -1,3 +1,4 @@
+import gc
 from random import Random
 
 import pytest
@@ -310,6 +311,28 @@ class TestSynchronizationWalk:
         ]
         for check in (check_synchronization, naive_check_synchronization):
             assert [(f.code, f.subject, f.detail) for f in check(model).findings] == expected
+
+    def test_long_control_chain_needs_no_recursion(self):
+        names = [f"C{i}" for i in range(5000)]
+        control = build_behavior(names, "C0", {"l"},
+                                 [(a, "l", c) for a, c in zip(names, names[1:])], {names[-1]})
+        fragments = {c: [Path(("P",))] for c in names[:-2]}
+        fragments.update({c: [Path(("Q",))] for c in names[-2:]})
+        model = build_coupled_model(build_behavior({"P", "Q"}, "P", set(), []), control,
+                                    mapping_process(fragments), approach_partition({}))
+        findings = check_synchronization(model).findings
+        assert [(f.code, f.subject) for f in findings] == [("sync-gap", names[-2]),
+                                                           ("control-paths", "control")]
+        assert findings[-1].detail == "checked 1 control path(s)"
+
+    def test_walk_frees_its_memo_on_return(self, coupled):
+        gc.collect()
+        gc.disable()
+        try:
+            check_synchronization(coupled)
+            assert gc.collect() == 0  # nothing left for the cycle collector
+        finally:
+            gc.enable()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())

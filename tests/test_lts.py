@@ -66,6 +66,19 @@ class TestBuildBehavior:
             build_behavior({"1bad"}, "1bad", set(), [])
         assert any(f.code == "invalid-identifier" for f in err.value.findings)
 
+    def test_invalid_identifiers_in_name_order(self):
+        with pytest.raises(ModelValidationError) as err:
+            build_behavior({"1b", "A", "0a", "B_2"}, "A", {"9x", "ok"}, [])
+        assert [f.subject for f in err.value.findings] == ["0a", "1b", "9x"]
+
+    def test_generator_arguments_are_read_once(self):
+        states, labels = ["A", "B"], ["l", "m"]
+        transitions, finals = [("A", "l", "B"), ("B", "m", "A")], ["B"]
+        built = build_behavior((s for s in states), "A", (l for l in labels),
+                               (t for t in transitions), (f for f in finals))
+        assert built == build_behavior(states, "A", labels, transitions, finals)
+        assert built.transitions == (Transition("A", "l", "B"), Transition("B", "m", "A"))
+
 
 class TestPaths:
     def test_path_through_aborted_is_valid(self, control):
