@@ -6,6 +6,7 @@ Exit codes are stable for CI use: 0 success, 1 model/property/engine failure,
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -75,24 +76,22 @@ def _load(path: str):
         return None, list(exc.findings), EXIT_FAIL
 
 
-def _emit(args, payload: dict, lines: list[str]) -> int:
+def _emit(args, lines, code: int = EXIT_OK, findings=(), **fields) -> int:
+    """Print a command's outcome and return its exit code: its text lines, or one
+    JSON document of its own fields plus the keys every command shares."""
     if args.report_format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        envelope = {"command": args.command, "file": args.file,
+                    "findings": [f.to_record() for f in findings], "exit_code": code}
+        print(json.dumps(fields | envelope, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-    return payload["exit_code"]
+    return code
 
 
-def _failure_payload(args, findings, code: int) -> int:
-    payload = {
-        "command": args.command,
-        "file": args.file,
-        "findings": [f.to_record() for f in findings],
-        "exit_code": code,
-    }
+def _fail(args, findings, code: int = EXIT_FAIL) -> int:
     lines = [f.format() for f in findings if not args.quiet or f.severity == "error"]
-    return _emit(args, payload, lines)
+    return _emit(args, lines, code, findings)
 
 
 # Findings about a whole behavior or model: their subject names no state.
@@ -114,41 +113,32 @@ def _position_findings(report, doc):
 
 def cmd_validate(args, doc) -> int:
     reports = [check_mapping(doc.coupled), check_approach_alignment(doc.coupled)]
-    skipped = []
-    if args.no_sync:
-        skipped.append("synchronization")
-    else:
+    skipped = ["synchronization"] if args.no_sync else []
+    if not args.no_sync:
         reports.append(check_synchronization(doc.coupled))
     reports = [_position_findings(r, doc) for r in reports]
 
     lines = [r.format("error" if args.quiet else "warning") for r in reports]
     lines += [f"{name}: skipped" for name in skipped]
-    exit_code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
-    payload = {
-        "command": "validate",
-        "file": args.file,
-        "checks": [r.to_record() for r in reports],
-        "skipped": skipped,
-        "findings": [],
-        "exit_code": exit_code,
-    }
-    return _emit(args, payload, lines)
+    code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+    return _emit(args, lines, code, checks=[r.to_record() for r in reports], skipped=skipped)
+
+
+# The verdict under which each formula shape has a path to show.
+_WITNESS_VERDICT = {"reachability": "holds", "invariant": "fails"}
 
 
 def cmd_check(args, doc) -> int:
-    kripkes = {}
-
-    def kripke_for(target: str):
-        if target not in kripkes:
-            behavior = doc.coupled.behavior(target)
-            kripkes[target] = to_kripke(behavior, doc.coupled.approaches.states_by_side(target))
-        return kripkes[target]
-
+    coupled = doc.coupled
+    kripkes = {
+        target: to_kripke(coupled.behavior(target), coupled.approaches.states_by_side(target))
+        for target in dict.fromkeys(prop.target for prop in doc.properties)
+    }
     findings = []
     results = []
     lines = []
     for prop in doc.properties:
-        k = kripke_for(prop.target)
+        k = kripkes[prop.target]
         sat_explicit = sat_symbolic = None
         if args.engine in ("explicit", "both"):
             sat_explicit = check_explicit(k, prop.formula)
@@ -170,14 +160,7 @@ def cmd_check(args, doc) -> int:
             )
 
         shape = witness_shape(prop.formula)
-        path = None
-        note = None
-        if shape == "reachability" and verdict == "holds":
-            path = witness(k, prop.formula)
-        elif shape == "invariant" and verdict == "fails":
-            path = witness(k, prop.formula)
-        elif shape is None:
-            note = "witness unsupported for this formula shape"
+        path = witness(k, prop.formula) if verdict == _WITNESS_VERDICT.get(shape) else None
 
         suffix = ""
         if prop.expected is not None:
@@ -195,7 +178,7 @@ def cmd_check(args, doc) -> int:
             "expected": prop.expected,
             "matches_expectation": matches,
             "witness": list(path.states) if path is not None else None,
-            "witness_note": note,
+            "witness_note": None if shape else "witness unsupported for this formula shape",
             "engine": args.engine,
         })
 
@@ -203,16 +186,8 @@ def cmd_check(args, doc) -> int:
     lines.extend(f.format() for f in findings)
     lines.append(f"{len(results)} propert{'y' if len(results) == 1 else 'ies'} checked, "
                  f"{mismatches} expectation mismatch(es)")
-    exit_code = EXIT_OK if not findings else EXIT_FAIL
-    payload = {
-        "command": "check",
-        "file": args.file,
-        "engine": args.engine,
-        "properties": results,
-        "findings": [f.to_record() for f in findings],
-        "exit_code": exit_code,
-    }
-    return _emit(args, payload, lines)
+    code = EXIT_OK if not findings else EXIT_FAIL
+    return _emit(args, lines, code, findings, engine=args.engine, properties=results)
 
 
 def cmd_paths(args, doc) -> int:
@@ -220,22 +195,13 @@ def cmd_paths(args, doc) -> int:
     try:
         paths = enumerate_simple_paths(behavior, args.from_state, args.to_state)
     except UnknownStateError as exc:
-        finding = Finding("error", "unknown-state", exc.state,
-                          f"no state named {exc.state} in the {args.behavior} behavior")
-        return _failure_payload(args, [finding], EXIT_FAIL)
+        detail = f"no state named {exc.state} in the {args.behavior} behavior"
+        return _fail(args, [Finding("error", "unknown-state", exc.state, detail)])
     lines = [str(p) for p in paths]
     lines.append(f"{len(paths)} path(s) from {args.from_state} to {args.to_state}")
-    payload = {
-        "command": "paths",
-        "file": args.file,
-        "behavior": args.behavior,
-        "from": args.from_state,
-        "to": args.to_state,
-        "paths": [{"states": list(p.states), "labels": list(p.labels)} for p in paths],
-        "findings": [],
-        "exit_code": EXIT_OK,
-    }
-    return _emit(args, payload, lines)
+    return _emit(args, lines, behavior=args.behavior, **{"from": args.from_state},
+                 to=args.to_state,
+                 paths=[{"states": list(p.states), "labels": list(p.labels)} for p in paths])
 
 
 def cmd_export(args, doc) -> int:
@@ -247,48 +213,37 @@ def cmd_export(args, doc) -> int:
             text = to_dot(behavior, approaches=doc.coupled.approaches.states_by_side(args.target),
                           name=args.target)
     except NameCollisionError as exc:
-        finding = Finding("error", "name-collision", args.target, str(exc))
-        return _failure_payload(args, [finding], EXIT_FAIL)
+        return _fail(args, [Finding("error", "name-collision", args.target, str(exc))])
+    lines = [text.removesuffix("\n")]  # print adds back the newline the text ends in
     if args.output:
         try:
             FsPath(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            finding = Finding("error", "io-error", args.output, str(exc))
-            return _failure_payload(args, [finding], EXIT_IO)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+            return _fail(args, [Finding("error", "io-error", args.output, str(exc))], EXIT_IO)
+        lines = []
+    return _emit(args, lines, target=args.target, format=args.export_format,
+                 output=args.output, text=text)
 
 
 def cmd_info(args, doc) -> int:
     coupled = doc.coupled
-    preventive = coupled.preventive
-    control = coupled.control
-    lines = [
-        f"preventive: {len(preventive.states)} states / {len(preventive.transitions)} transitions",
-        f"control: {len(control.states)} states / {len(control.transitions)} transitions",
-        f"mapping: {len(coupled.mapping.entries)} entries / {len(coupled.mapping.exempt)} exempt",
-        "approaches: " + ", ".join(
-            f"{a.name} ({len(a.control_states)}+{len(a.preventive_states)})"
-            for a in coupled.approaches.approaches
-        ),
+    sizes = {side: {"states": len(b.states), "transitions": len(b.transitions)}
+             for side, b in (("preventive", coupled.preventive), ("control", coupled.control))}
+    mapping = {"entries": len(coupled.mapping.entries), "exempt": len(coupled.mapping.exempt)}
+    approaches = {
+        a.name: {"control": sorted(a.control_states), "preventive": sorted(a.preventive_states)}
+        for a in coupled.approaches.approaches
+    }
+    lines = [f"{side}: {n['states']} states / {n['transitions']} transitions"
+             for side, n in sizes.items()]
+    lines += [
+        f"mapping: {mapping['entries']} entries / {mapping['exempt']} exempt",
+        "approaches: " + ", ".join(f"{name} ({len(m['control'])}+{len(m['preventive'])})"
+                                   for name, m in approaches.items()),
         f"properties: {len(doc.properties)}",
     ]
-    payload = {
-        "command": "info",
-        "file": args.file,
-        "preventive": {"states": len(preventive.states), "transitions": len(preventive.transitions)},
-        "control": {"states": len(control.states), "transitions": len(control.transitions)},
-        "mapping": {"entries": len(coupled.mapping.entries), "exempt": len(coupled.mapping.exempt)},
-        "approaches": {
-            a.name: {"control": sorted(a.control_states), "preventive": sorted(a.preventive_states)}
-            for a in coupled.approaches.approaches
-        },
-        "properties": len(doc.properties),
-        "findings": [],
-        "exit_code": EXIT_OK,
-    }
-    return _emit(args, payload, lines)
+    return _emit(args, lines, **sizes, mapping=mapping, approaches=approaches,
+                 properties=len(doc.properties))
 
 
 _COMMANDS = {
@@ -304,12 +259,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     doc, findings, code = _load(args.file)
     if doc is None:
-        return _failure_payload(args, findings, code)
+        return _fail(args, findings, code)
     return _COMMANDS[args.command](args, doc)
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout: point it at the null device so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -487,3 +487,81 @@ class TestExitCodes:
     def test_console_script_entry(self):
         result = run_subprocess("validate", BUNDLED)
         assert result.returncode == 0
+
+
+SYNTAX_ERROR = "behavior control {\n  initial C $\n}\n"
+# States state and state_ both become the SMV identifier state_.
+NAME_COLLISION = """behavior preventive {
+  initial P
+}
+behavior control {
+  initial state
+  state - l -> state_
+}
+exempt state
+exempt state_
+"""
+PATH_TO = ("--behavior", "control", "--to", "Done", "--from")
+
+
+class TestStructuredEnvelope:
+    @pytest.mark.parametrize("command, file, options, exit_code", [
+        ("validate", BUNDLED, (), 0),
+        ("validate", "no_such_file.avm", (), 2),
+        ("check", BUNDLED, (), 0),
+        ("check", "syntax.avm", (), 1),
+        ("info", BUNDLED, (), 0),
+        ("info", "syntax.avm", (), 1),
+        ("paths", BUNDLED, (*PATH_TO, "NotActivated"), 0),
+        ("paths", BUNDLED, (*PATH_TO, "Nowhere"), 1),
+        ("export", BUNDLED, ("--format", "smv", "--target", "control"), 0),
+        ("export", BUNDLED, ("--format", "dot", "--target", "control", "--output", "c.dot"), 0),
+        ("export", "collision.avm", ("--format", "smv", "--target", "control"), 1),
+    ])
+    def test_one_json_document(self, capsys, tmp_path, monkeypatch, command, file, options,
+                               exit_code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "syntax.avm").write_text(SYNTAX_ERROR, encoding="utf-8")
+        (tmp_path / "collision.avm").write_text(NAME_COLLISION, encoding="utf-8")
+        code, out = run_cli(capsys, "--format", "structured", command, file, *options)
+        payload = json.loads(out)
+        assert isinstance(payload, dict)
+        assert code == payload["exit_code"] == exit_code
+        assert (payload["command"], payload["file"]) == (command, file)
+        assert isinstance(payload["findings"], list)
+
+    @pytest.mark.parametrize("export_format", ["smv", "dot"])
+    def test_export_carries_the_text(self, capsys, tmp_path, export_format):
+        options = ("--format", export_format, "--target", "preventive")
+        _, text = run_cli(capsys, "export", BUNDLED, *options)
+        _, out = run_cli(capsys, "--format", "structured", "export", BUNDLED, *options)
+        payload = json.loads(out)
+        assert payload["text"] == text
+        assert (payload["target"], payload["format"], payload["output"]) == (
+            "preventive", export_format, None)
+        out_file = tmp_path / f"preventive.{export_format}"
+        _, out = run_cli(capsys, "--format", "structured", "export", BUNDLED, *options,
+                         "--output", str(out_file))
+        payload = json.loads(out)
+        assert payload["output"] == str(out_file)
+        assert payload["text"] == out_file.read_text(encoding="utf-8") == text
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("validate", BUNDLED),
+        ("check", BUNDLED),
+        ("--format", "structured", "info", BUNDLED),
+        ("export", BUNDLED, "--format", "smv", "--target", "control"),
+    ])
+    def test_exits_two_without_traceback(self, argv):
+        # The read end is closed before the spawn, so the first write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "avmkit", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == ""
