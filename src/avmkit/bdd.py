@@ -22,9 +22,11 @@ hundreds of GB); the leading field, a or var, needs no bound.
 The operations are what the symbolic engine uses: `apply` with AND or OR,
 `negate`, and `and_exists`, the fused relational product of Burch, Clarke,
 McMillan and Dill, which quantifies variables while it conjoins, so the full
-conjunction is never built. The engine builds state sets and renames
-variables by interning nodes itself (`_mk`). `sat_count`, `node_count` and
-`check_invariants` are there to test the manager by.
+conjunction is never built. The symbolic engine skips the handles: it calls
+the kernels on node ids (`_and`, `_or`, `_negate` and, through `_product`,
+the same product recursion `and_exists` uses) and builds state sets and
+renames variables by interning nodes itself (`_mk`). `sat_count`,
+`node_count` and `check_invariants` are there to test the manager by.
 """
 
 AND = "and"
@@ -186,20 +188,20 @@ class BddManager:
     def and_exists(self, f: BddRef, g: BddRef, variables) -> BddRef:
         """Relational product: exists(apply(AND, f, g), variables), computed in
         one memoized pass without building the conjunction."""
-        quantified = frozenset(variables)
-        product = self._products.get(quantified)
-        if product is None:
-            for var in quantified:
-                self._check_var(var)
-            product = self._products[quantified] = self._relational_product(quantified)
+        product = self._product(frozenset(variables))
         a, b = self._index(f), self._index(g)
         if a == _FALSE or b == _FALSE:
             return self.false
         return self._ref(_TRUE if a == b == _TRUE else product(a, b))
 
-    def _relational_product(self, quantified: frozenset[int]):
-        """The `and_exists` recursion and table for one quantified set. Its
-        callers resolve a FALSE operand or two TRUE ones before the call."""
+    def _product(self, quantified: frozenset[int]):
+        """The `and_exists` recursion and table for one quantified set, built
+        once. Callers resolve a FALSE operand or two TRUE ones first."""
+        product = self._products.get(quantified)
+        if product is not None:
+            return product
+        for v in quantified:
+            self._check_var(v)
         var, low, high, unique = self._var, self._low, self._high, self._unique
         disjoin = self._or
         bound = [v in quantified for v in range(self.var_count)]
@@ -245,6 +247,7 @@ class BddManager:
             table[key] = res
             return res
 
+        self._products[quantified] = product
         return product
 
     # -- model counting -----------------------------------------------------

@@ -9,8 +9,10 @@ ways, and both return the exact satisfying state set:
   lists, EU a backward worklist from the goal states, and EG peels states
   with no successor left inside the operand's states;
 - the symbolic engine works on BDDs over binary-encoded states. One BDD
-  context is built per structure and shared by every formula checked on it;
-  EX is one fused relational product (`BddManager.and_exists`).
+  context is built per structure and shared by every formula checked on it.
+  Its sets are node ids, its fixpoints call the manager's AND, OR and
+  negation kernels on them directly, and EX is one fused relational product
+  (the recursion behind `BddManager.and_exists`).
 """
 
 from collections import deque
@@ -19,7 +21,7 @@ from functools import cached_property, partial
 from typing import Mapping
 
 from . import ctl
-from .bdd import AND, OR, BddManager, BddRef
+from .bdd import _FALSE, _TRUE, BddManager
 from .coupled import unresolved_atoms
 from .ctl import AtomicProposition, CtlFormula
 from .lts import Behavior, Path
@@ -45,7 +47,7 @@ class KripkeStructure:
     edge_labels: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(sorted(self.states)))
+        object.__setattr__(self, "states", tuple(sorted(set(self.states))))
         state_set = set(self.states)
         if self.initial not in state_set:
             raise ValueError(f"initial state {self.initial} is not a state")
@@ -109,13 +111,13 @@ def to_kripke(behavior: Behavior,
     for s in totalized:
         relation.add((s, s))
 
-    labeling: dict[str, frozenset[AtomicProposition]] = {}
-    for s in behavior.states:
-        props = {AtomicProposition("at", s)}
-        for name, members in (approaches or {}).items():
-            if s in members:
-                props.add(AtomicProposition("in", name))
-        labeling[s] = frozenset(props)
+    props = {s: {AtomicProposition("at", s)} for s in behavior.states}
+    for name, members in (approaches or {}).items():
+        prop = AtomicProposition("in", name)
+        for s in members:
+            if s in props:
+                props[s].add(prop)
+    labeling = {s: frozenset(ps) for s, ps in props.items()}
 
     return KripkeStructure(
         states=tuple(sorted(behavior.states)),
@@ -207,128 +209,121 @@ class _Symbolic:
     """BDD context of one Kripke structure, shared by every formula checked on
     it. States in sorted order are binary-encoded over interleaved current
     (even) and next (odd) variables: bit b of a state's index is variable 2b
-    now and variable 2b+1 one step later."""
+    now and variable 2b+1 one step later. Every state set is a node id of the
+    manager, and the fixpoints call its AND, OR, negation and relational
+    product kernels on ids directly, so a step costs only its BDD work."""
 
     def __init__(self, k: KripkeStructure):
         self.k = k
         self.states = k.states
-        self.bits = max(1, (len(self.states) - 1).bit_length())
-        self.mgr = BddManager(2 * self.bits)
-        self.next_vars = frozenset(2 * b + 1 for b in range(self.bits))
-        self._shift_memo: dict[int, int] = {}
+        self.bits = bits = max(1, (len(self.states) - 1).bit_length())
+        self.mgr = mgr = BddManager(2 * bits)
+        self._product = mgr._product(frozenset(2 * b + 1 for b in range(bits)))
+        self._shift_to_next = self._renaming()
 
         self.universe = self._set_to_bdd(range(len(self.states)))
         self.index = index = {s: i for i, s in enumerate(self.states)}
         # A pair's code holds the source index in its low bits and the target
         # index above them; variable v reads bit v // 2 of the source (v even)
         # or of the target (v odd).
-        pair_levels = [(v, v // 2 + (v % 2) * self.bits) for v in range(2 * self.bits)]
+        pair_levels = [(v, v // 2 + (v % 2) * bits) for v in range(2 * bits)]
         self.relation = self._codes_to_bdd(
-            [index[s] | index[t] << self.bits for s, t in k.relation], pair_levels
+            [index[s] | index[t] << bits for s, t in k.relation], pair_levels
         )
 
-    def _codes_to_bdd(self, codes, levels) -> BddRef:
+    def _codes_to_bdd(self, codes, levels) -> int:
         """The set of integer codes as a BDD. `levels` lists (variable, code
-        bit) in variable order. Splitting the codes on one bit per level and
-        interning each split yields the reduced, canonical BDD directly."""
-        mgr = self.mgr
-        false, true = mgr.false.index, mgr.true.index
+        bit) in variable order. Built bottom-up from the last variable: at
+        each level, the codes that agree on every bit but the level's share
+        one node, interned once. Sorted codes make node ids independent of
+        the order (and hash seed) of the caller's collection."""
+        mk = self.mgr._mk
+        nodes = dict.fromkeys(sorted(codes), _TRUE)  # code, built levels' bits cleared -> node
+        for var, bit in reversed(levels):
+            keep = ~(1 << bit)
+            children: dict[int, list[int]] = {}
+            for code, node in nodes.items():
+                children.setdefault(code & keep, [_FALSE, _FALSE])[code >> bit & 1] = node
+            nodes = {code: mk(var, low, high) for code, (low, high) in children.items()}
+        return nodes.get(0, _FALSE)
 
-        def build(codes: list[int], depth: int) -> int:
-            if not codes:
-                return false
-            if depth == len(levels):
-                return true
-            var, bit = levels[depth]
-            low = [c for c in codes if not c >> bit & 1]
-            high = [c for c in codes if c >> bit & 1]
-            return mgr._mk(var, build(low, depth + 1), build(high, depth + 1))
-
-        return mgr._ref(build(list(codes), 0))
-
-    def _set_to_bdd(self, state_indices) -> BddRef:
+    def _set_to_bdd(self, state_indices) -> int:
         return self._codes_to_bdd(state_indices, [(2 * b, b) for b in range(self.bits)])
 
-    def _to_states(self, ref: BddRef) -> frozenset[str]:
+    def _to_states(self, root: int) -> frozenset[str]:
         """Walk the BDD over the current-state variables. A level the walk
         skips is a don't-care bit and takes both values; codes past the last
         state encode nothing."""
-        mgr = self.mgr
-        false = mgr.false.index
+        var, low, high = self.mgr._var, self.mgr._low, self.mgr._high
         out = []
-        stack = [(ref.index, 0, 0)]  # node, next bit to decide, code so far
+        stack = [(root, 0, 0)]  # node, next bit to decide, code so far
         while stack:
             node, b, code = stack.pop()
-            if node == false:
+            if node == _FALSE:
                 continue
             if b == self.bits:
                 if code < len(self.states):
                     out.append(self.states[code])
                 continue
-            low, high = node, node
-            if mgr._var[node] == 2 * b:
-                low, high = mgr._low[node], mgr._high[node]
-            stack.append((low, b + 1, code))
-            stack.append((high, b + 1, code | 1 << b))
+            node0 = node1 = node
+            if var[node] == 2 * b:
+                node0, node1 = low[node], high[node]
+            stack.append((node0, b + 1, code))
+            stack.append((node1, b + 1, code | 1 << b))
         return frozenset(out)
 
-    def _shift_to_next(self, ref: BddRef) -> BddRef:
-        """Rename current-state variables to their next-state partners.
-
-        Interleaving keeps the order monotone (2b -> 2b+1), so interning the
-        renamed nodes one for one gives the reduced, canonical BDD directly.
-        """
-        mgr, memo = self.mgr, self._shift_memo
+    def _renaming(self):
+        """The rename of current-state variables to their next-state partners,
+        memoized for the life of the context. Interleaving keeps the order
+        monotone (2b -> 2b+1), so interning the renamed nodes one for one
+        gives the reduced, canonical BDD directly."""
+        var, low, high, mk = self.mgr._var, self.mgr._low, self.mgr._high, self.mgr._mk
+        memo: dict[int, int] = {}
 
         def shift(node: int) -> int:
             if node < 2:
                 return node
             res = memo.get(node)
             if res is None:
-                res = mgr._mk(mgr._var[node] + 1, shift(mgr._low[node]), shift(mgr._high[node]))
-                memo[node] = res
+                res = memo[node] = mk(var[node] + 1, shift(low[node]), shift(high[node]))
             return res
 
-        return mgr._ref(shift(ref.index))
+        return shift
 
-    def _not(self, ref: BddRef) -> BddRef:
-        # Complement within the valid state codes, never the raw BDD space.
-        return self.mgr.apply(AND, self.universe, self.mgr.negate(ref))
+    def _ex(self, node: int) -> int:
+        # and_exists(relation, shifted, next-state variables), terminals first.
+        relation, shifted = self.relation, self._shift_to_next(node)
+        if relation == _FALSE or shifted == _FALSE:
+            return _FALSE
+        return _TRUE if relation == shifted == _TRUE else self._product(relation, shifted)
 
-    def _ex(self, ref: BddRef) -> BddRef:
-        return self.mgr.and_exists(self.relation, self._shift_to_next(ref), self.next_vars)
-
-    def _sat(self, node: CtlFormula, sats: tuple[BddRef, ...]) -> BddRef:
+    def _sat(self, node: CtlFormula, sats: tuple[int, ...]) -> int:
         """The BDD of one core node's states, given its children's BDDs."""
+        conj, disj, ex = self.mgr._and, self.mgr._or, self._ex
         if isinstance(node, ctl.Const):
-            return self.universe if node.value else self.mgr.false
+            return self.universe if node.value else _FALSE
         if isinstance(node, ctl.Atom):
             members = self.k.atom_states.get(node.prop, frozenset())
             return self._set_to_bdd([self.index[s] for s in members])
         if isinstance(node, ctl.Not):
-            return self._not(sats[0])
+            # Complement within the valid state codes, never the raw BDD space.
+            return conj(self.universe, self.mgr._negate(sats[0]))
         if isinstance(node, ctl.And):
-            return self.mgr.apply(AND, *sats)
+            return conj(*sats)
         if isinstance(node, ctl.Or):
-            return self.mgr.apply(OR, *sats)
+            return disj(*sats)
         if isinstance(node, ctl.EX):
-            return self._ex(sats[0])
+            return ex(sats[0])
         if isinstance(node, ctl.EU):
             holds_f, current = sats
-            while True:
-                extended = self.mgr.apply(
-                    OR, current, self.mgr.apply(AND, holds_f, self._ex(current))
-                )
-                if extended == current:
-                    return current
+            while (extended := disj(current, conj(holds_f, ex(current)))) != current:
                 current = extended
+            return current
         if isinstance(node, ctl.EG):
             current = sats[0]
-            while True:
-                shrunk = self.mgr.apply(AND, current, self._ex(current))
-                if shrunk == current:
-                    return current
+            while (shrunk := conj(current, ex(current))) != current:
                 current = shrunk
+            return current
         raise TypeError(f"not a core formula node: {node!r}")
 
 

@@ -262,6 +262,37 @@ def ring_kripke(rng: Random, n: int) -> KripkeStructure:
     )
 
 
+def complete_kripke(n: int) -> KripkeStructure:
+    """n states q0..q(n-1), every state a successor of every state. With n a
+    power of two above 1 the symbolic engine's universe and relation are both
+    the constant TRUE."""
+    states = [f"q{i}" for i in range(n)]
+    return KripkeStructure(
+        states=tuple(states),
+        initial="q0",
+        relation=frozenset(itertools.product(states, states)),
+        labeling={s: frozenset({AtomicProposition("at", s)}) for s in states},
+    )
+
+
+def topdown_codes_to_bdd(mgr: BddManager, codes, levels) -> int:
+    """The node of a set of integer codes, built top-down: split the codes on
+    the code bit of each (variable, code bit) level in variable order and
+    intern each split on the way back up. The recursive reference for the
+    symbolic engine's bottom-up build."""
+    def build(codes: list[int], depth: int) -> int:
+        if not codes:
+            return mgr.false.index
+        if depth == len(levels):
+            return mgr.true.index
+        var, bit = levels[depth]
+        low = [c for c in codes if not c >> bit & 1]
+        high = [c for c in codes if c >> bit & 1]
+        return mgr._mk(var, build(low, depth + 1), build(high, depth + 1))
+
+    return build(list(codes), 0)
+
+
 def naive_preimage(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
     """States with a successor in targets, by scanning every state."""
     return frozenset(s for s in k.states if any(t in targets for t in k.successors[s]))

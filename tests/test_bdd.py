@@ -183,6 +183,14 @@ class TestAndExists:
             assert table_of(mgr, got) == table_of(ref_mgr, bool_to_bdd(ref_mgr, reference))
         assert mgr.check_invariants() == []
 
+    def test_one_product_per_quantified_set(self, mgr):
+        # and_exists and the symbolic engine share the recursion and its
+        # computed table, so earlier steps answer later ones.
+        product = mgr._product(frozenset({1, 3}))
+        mgr.and_exists(mgr.mk_var(0), mgr.mk_var(1), [3, 1])
+        assert mgr._product(frozenset({3, 1})) is product
+        assert mgr._product(frozenset({1})) is not product
+
     def test_var_out_of_range(self, mgr):
         with pytest.raises(VarOutOfRangeError):
             mgr.and_exists(mgr.mk_var(0), mgr.mk_var(1), {6})

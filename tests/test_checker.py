@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 import avmkit.checker
 from avmkit.checker import (
+    KripkeStructure,
     UnknownAtomError,
     _eg,
     _eu,
@@ -22,6 +27,7 @@ from avmkit.ctl import AU, EX, And, Atom, AtomicProposition, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
+    complete_kripke,
     is_valid_path,
     naive_eg_chain,
     naive_eu_chain,
@@ -31,6 +37,7 @@ from generators import (
     random_formula,
     random_kripke,
     ring_kripke,
+    topdown_codes_to_bdd,
 )
 
 
@@ -182,6 +189,103 @@ class TestSymbolic:
         shifted = context._shift_to_next(context._set_to_bdd(subset))
         assert shifted == context._codes_to_bdd(subset, next_levels)
         assert context.mgr.check_invariants() == []
+
+
+class TestRepeatedStates:
+    def test_repeated_state_is_one_state_for_both_engines(self):
+        # A repeated state used to leave a ghost code in the BDD universe that
+        # decoded to the repeated state, so !at(A) held at A symbolically.
+        at = {s: AtomicProposition("at", s) for s in "AB"}
+        k = KripkeStructure(
+            states=("A", "A", "B"),
+            initial="A",
+            relation=frozenset({("A", "A"), ("A", "B"), ("B", "B")}),
+            labeling={s: frozenset({prop}) for s, prop in at.items()},
+        )
+        assert k.states == ("A", "B")
+        for text in ("!at(A)", "EX at(B)", "AX at(B)"):
+            formula = parse_ctl(text)
+            assert check_symbolic(k, formula) == check_explicit(k, formula), text
+
+
+class TestTerminalOperands:
+    # The symbolic EX calls the relational product directly and resolves its
+    # terminal operands itself; on these structures the relation, the
+    # universe and the shifted sets reach the constant TRUE.
+    FORMULAS = (
+        "EX true", "EX false", "EX at(q0)", "AX true", "AX at(q0)", "AX false",
+        "EG true", "EG at(q0)", "EG !at(q0)", "EF at(q0)", "EF false", "AF at(q0)",
+        "E [ true U at(q0) ]", "E [ at(q0) U !at(q0) ]", "E [ false U true ]",
+        "AG EX true", "A [ true U at(q0) ]",
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_engines_agree_on_complete_structures(self, n):
+        k = complete_kripke(n)
+        if n > 1:
+            assert k._symbolic.universe == k._symbolic.relation == k._symbolic.mgr.true.index
+        for text in self.FORMULAS:
+            formula = parse_ctl(text)
+            expected = naive_sat(k, formula)
+            assert check_explicit(k, formula) == expected, text
+            assert check_symbolic(k, formula) == expected, text
+
+
+def _code_sets(width):
+    everything = list(range(1 << width))
+    return st.one_of(
+        st.just([]),
+        st.just(everything),
+        st.permutations(everything),
+        st.lists(st.sampled_from(everything), max_size=40),
+        st.lists(st.sampled_from(everything), max_size=20).map(lambda codes: codes + codes),
+    )
+
+
+class TestCodesToBdd:
+    @settings(max_examples=120, deadline=None)
+    @given(kripkes(max_states=16, max_out=3), st.booleans(), st.data())
+    def test_bottom_up_build_matches_top_down_reference(self, k, pairs, data):
+        context = k._symbolic
+        bits = context.bits
+        if pairs:
+            levels = [(v, v // 2 + (v % 2) * bits) for v in range(2 * bits)]
+        else:
+            levels = [(2 * b, b) for b in range(bits)]
+        codes = data.draw(_code_sets(len(levels)))
+        built = context._codes_to_bdd(codes, levels)
+        assert built == topdown_codes_to_bdd(context.mgr, codes, levels)
+        assert context.mgr.check_invariants() == []
+
+    def test_node_ids_do_not_depend_on_the_hash_seed(self):
+        # The suite of test_wide_structure_specs_on_one_manager; string
+        # hashing orders k.relation and the atom sets differently per seed.
+        script = """
+import hashlib
+from random import Random
+from avmkit.checker import check_symbolic
+from avmkit.ctl import parse_ctl
+from generators import ring_kripke
+
+k = ring_kripke(Random(1), 256)
+targets = Random(2).sample(k.states[1:], 4)
+for text in (f"EF at({targets[0]})", f"AG EF at({targets[1]})", f"AG !at({targets[2]})",
+             f"EX at({k.states[1]})", f"E [ !at({targets[3]}) U at({targets[3]}) ]"):
+    check_symbolic(k, parse_ctl(text))
+mgr = k._symbolic.mgr
+print(hashlib.sha256(repr((mgr._var, mgr._low, mgr._high)).encode()).hexdigest())
+"""
+        tests_dir = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])
+        digests = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                           ).stdout
+            for seed in ("0", "1")
+        ]
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1]
 
 
 class TestDuality:
