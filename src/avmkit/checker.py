@@ -1,22 +1,26 @@
 """Kripke structures and twin CTL engines.
 
 Behaviors convert to Kripke structures by erasing transition labels and
-totalizing dead-end states with self-loops. Formulas are then checked two
-ways, and both return the exact satisfying state set:
+totalizing dead-end states with self-loops. A structure numbers its states
+once, in sorted order, and holds successors, predecessors and atom labels as
+sorted tuples of those numbers; both engines, the witness search and the SMV
+export read that one index, and sorted numbers are sorted names. Formulas
+are checked two ways, and both return the exact satisfying state set:
 
 - the explicit engine (the oracle) labels states in time linear in the
-  structure, as in Clarke, Emerson and Sistla: EX is a union of predecessor
-  lists, EU a backward worklist from the goal states, and EG peels states
-  with no successor left inside the operand's states;
-- the symbolic engine works on BDDs over binary-encoded states. One BDD
-  context is built per structure and shared by every formula checked on it.
-  Its sets are node ids, its fixpoints call the manager's AND, OR and
+  structure, as in Clarke, Emerson and Sistla, on sets of state numbers: EX
+  is a union of predecessor tuples, EU a backward worklist from the goal
+  states, and EG peels states with no successor left inside the operand's
+  states;
+- the symbolic engine works on BDDs over the binary-encoded state numbers.
+  One BDD context is built per structure and shared by every formula checked
+  on it. Its sets are node ids, its fixpoints call the manager's AND, OR and
   negation kernels on them directly, and EX is one fused relational product
   (the recursion behind `BddManager.and_exists`).
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
 from typing import Mapping
 
@@ -35,56 +39,115 @@ class UnknownAtomError(ValueError):
         self.prop = prop
 
 
-@dataclass(frozen=True, eq=False)
 class KripkeStructure:
-    """Total transition relation over states with atomic-proposition labeling."""
+    """A total transition relation over states, with atomic-proposition
+    labeling, held as one int index: state i is `states[i]`, the states in
+    sorted order, so sorted indices are sorted names.
 
-    states: tuple[str, ...]
-    initial: str
-    relation: frozenset[tuple[str, str]]
-    labeling: dict[str, frozenset[AtomicProposition]]
-    totalized: frozenset[str] = frozenset()
-    edge_labels: dict[tuple[str, str], str] = field(default_factory=dict)
+    - `index` maps each name to its number;
+    - `succ[i]` and `pred[i]` are state i's successors and predecessors as
+      sorted int tuples, totalizing self-loops included (`pred` is built on
+      first use: only the explicit engine reads it);
+    - `atoms` maps each atom to the sorted int tuple of the states it
+      labels; an atom that labels no state is absent.
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(sorted(set(self.states))))
-        state_set = set(self.states)
-        if self.initial not in state_set:
-            raise ValueError(f"initial state {self.initial} is not a state")
-        for s, t in self.relation:
-            if s not in state_set or t not in state_set:
+    Both engines, the witness and the SMV export read this index. The
+    name-keyed views (`relation`, `labeling`, `successors`, `predecessors`,
+    `atom_states`) are derived from it on first use.
+
+    The constructor takes the structure by name, checks it and numbers it;
+    `to_kripke` numbers a behavior directly and builds the same index.
+    """
+
+    def __init__(self, states, initial: str, relation, labeling,
+                 totalized: frozenset[str] = frozenset(),
+                 edge_labels: dict[tuple[str, str], str] | None = None):
+        names = tuple(sorted(set(states)))
+        index = {s: i for i, s in enumerate(names)}
+        if initial not in index:
+            raise ValueError(f"initial state {initial} is not a state")
+        targets: list[set[int]] = [set() for _ in names]
+        for s, t in relation:
+            i, j = index.get(s), index.get(t)
+            if i is None or j is None:
                 raise ValueError(f"relation pair ({s}, {t}) leaves the state set")
-        sources = {s for s, _ in self.relation}
-        missing = state_set - sources
+            targets[i].add(j)
+        missing = [names[i] for i, ts in enumerate(targets) if not ts]
         if missing:
-            raise ValueError(f"relation is not total; no successor for: {sorted(missing)}")
-        for s in self.states:
-            if AtomicProposition("at", s) not in self.labeling.get(s, frozenset()):
+            raise ValueError(f"relation is not total; no successor for: {missing}")
+        atoms: dict[AtomicProposition, list[int]] = {}
+        for i, s in enumerate(names):
+            for prop in labeling.get(s, ()):
+                atoms.setdefault(prop, []).append(i)
+        for i, s in enumerate(names):
+            if i not in atoms.get(AtomicProposition("at", s), ()):
                 raise ValueError(f"labeling of {s} is missing at({s})")
+        self._build(names, index, initial, [tuple(sorted(ts)) for ts in targets],
+                    {prop: tuple(members) for prop, members in atoms.items()},
+                    totalized, {} if edge_labels is None else edge_labels)
+
+    @classmethod
+    def _numbered(cls, *fields) -> "KripkeStructure":
+        """A structure from an index its caller built and knows to be valid."""
+        k = cls.__new__(cls)
+        k._build(*fields)
+        return k
+
+    def _build(self, states: tuple[str, ...], index: dict[str, int], initial: str,
+               succ, atoms: dict[AtomicProposition, tuple[int, ...]],
+               totalized: frozenset[str], edge_labels: dict[tuple[str, str], str]) -> None:
+        self.__dict__.update(states=states, index=index, initial=initial, succ=tuple(succ),
+                             atoms=atoms, totalized=totalized, edge_labels=edge_labels)
+
+    # The fields and the views derived from them must stay one structure.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def pred(self) -> tuple[tuple[int, ...], ...]:
+        into: list[list[int]] = [[] for _ in self.states]
+        for i, targets in enumerate(self.succ):
+            for j in targets:
+                into[j].append(i)  # sources ascend, so each list is sorted
+        return tuple(map(tuple, into))
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        states = self.states
+        return frozenset((states[i], states[j])
+                         for i, targets in enumerate(self.succ) for j in targets)
+
+    @cached_property
+    def labeling(self) -> dict[str, frozenset[AtomicProposition]]:
+        props: list[list[AtomicProposition]] = [[] for _ in self.states]
+        for prop, members in self.atoms.items():
+            for i in members:
+                props[i].append(prop)
+        return {s: frozenset(ps) for s, ps in zip(self.states, props)}
 
     @cached_property
     def successors(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {s: [] for s in self.states}
-        for s, t in self.relation:
-            out[s].append(t)
-        return {s: tuple(sorted(ts)) for s, ts in out.items()}
+        return self._names_by_state(self.succ)
 
     @cached_property
     def predecessors(self) -> dict[str, tuple[str, ...]]:
-        into: dict[str, list[str]] = {s: [] for s in self.states}
-        for s, t in self.relation:
-            into[t].append(s)
-        return {t: tuple(sorted(ss)) for t, ss in into.items()}
+        return self._names_by_state(self.pred)
+
+    def _names_by_state(self, adjacency) -> dict[str, tuple[str, ...]]:
+        states = self.states
+        return {s: tuple(states[j] for j in adjacent) for s, adjacent in zip(states, adjacency)}
 
     @cached_property
     def atom_states(self) -> dict[AtomicProposition, frozenset[str]]:
-        """The states each atom labels, from one pass over the labeling. An
-        atom that labels no state is absent."""
-        out: dict[AtomicProposition, list[str]] = {}
-        for s in self.states:
-            for prop in self.labeling[s]:
-                out.setdefault(prop, []).append(s)
-        return {prop: frozenset(ss) for prop, ss in out.items()}
+        """The states each atom labels. An atom that labels no state is absent."""
+        return {prop: self._names(members) for prop, members in self.atoms.items()}
+
+    def _names(self, members) -> frozenset[str]:
+        states = self.states
+        return frozenset([states[i] for i in members])
 
     @cached_property
     def _symbolic(self) -> "_Symbolic":
@@ -100,37 +163,34 @@ def to_kripke(behavior: Behavior,
     `approaches` maps each approach name to its member states on this
     behavior's side, as `ApproachPartition.states_by_side` gives them.
     """
-    relation: set[tuple[str, str]] = set()
+    states = tuple(sorted(behavior.states))
+    index = {s: i for i, s in enumerate(states)}
+    successor_map = behavior.successor_map
+    succ = []
+    totalized = []
     edge_labels: dict[tuple[str, str], str] = {}
-    for t in sorted(behavior.transitions):
-        pair = (t.source, t.target)
-        relation.add(pair)
-        edge_labels.setdefault(pair, t.label)  # smallest label represents the pair
+    for i, s in enumerate(states):
+        pairs = successor_map[s]  # sorted by label, so the first label of a pair is its smallest
+        if not pairs:
+            totalized.append(s)
+            succ.append((i,))
+            continue
+        for label, t in pairs:
+            edge_labels.setdefault((s, t), label)
+        succ.append(tuple(sorted({index[t] for _, t in pairs})))
 
-    totalized = frozenset(s for s in behavior.states if not behavior.successor_map[s])
-    for s in totalized:
-        relation.add((s, s))
-
-    props = {s: {AtomicProposition("at", s)} for s in behavior.states}
+    atoms = {AtomicProposition("at", s): (i,) for i, s in enumerate(states)}
     for name, members in (approaches or {}).items():
-        prop = AtomicProposition("in", name)
-        for s in members:
-            if s in props:
-                props[s].add(prop)
-    labeling = {s: frozenset(ps) for s, ps in props.items()}
+        covered = sorted(index[s] for s in members if s in index)
+        if covered:
+            atoms[AtomicProposition("in", name)] = tuple(covered)
 
-    return KripkeStructure(
-        states=tuple(sorted(behavior.states)),
-        initial=behavior.initial,
-        relation=frozenset(relation),
-        labeling=labeling,
-        totalized=totalized,
-        edge_labels=edge_labels,
-    )
+    return KripkeStructure._numbered(states, index, behavior.initial, succ, atoms,
+                                     frozenset(totalized), edge_labels)
 
 
 def _validate_atoms(k: KripkeStructure, formula: CtlFormula) -> None:
-    unresolved = unresolved_atoms(formula, frozenset(k.states))
+    unresolved = unresolved_atoms(formula, k.index)
     if unresolved:
         raise UnknownAtomError(unresolved[0])
 
@@ -138,51 +198,54 @@ def _validate_atoms(k: KripkeStructure, formula: CtlFormula) -> None:
 # -- explicit-state engine ----------------------------------------------------
 
 
-def _pre(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
+def _pre(k: KripkeStructure, targets: frozenset[int]) -> frozenset[int]:
     """States with a successor in targets."""
-    return frozenset(p for t in targets for p in k.predecessors[t])
+    pred = k.pred
+    return frozenset([p for t in targets for p in pred[t]])
 
 
-def _eu(k: KripkeStructure, holds_f: frozenset[str],
-        holds_g: frozenset[str]) -> frozenset[str]:
+def _eu(k: KripkeStructure, holds_f: frozenset[int],
+        holds_g: frozenset[int]) -> frozenset[int]:
     """E[f U g]: g-states plus the f-states that reach them backwards
     through f-states; each edge is followed at most once."""
+    pred = k.pred
     reached = set(holds_g)
     stack = list(holds_g)
     while stack:
-        for p in k.predecessors[stack.pop()]:
+        for p in pred[stack.pop()]:
             if p in holds_f and p not in reached:
                 reached.add(p)
                 stack.append(p)
     return frozenset(reached)
 
 
-def _eg(k: KripkeStructure, holds_f: frozenset[str]) -> frozenset[str]:
+def _eg(k: KripkeStructure, holds_f: frozenset[int]) -> frozenset[int]:
     """EG f: the largest set of f-states in which every state keeps a
     successor. Counts each f-state's successors among the f-states, then
     removes states whose count reaches zero and decrements their
     predecessors' counts; each edge is followed at most once."""
-    inside = {s: sum(t in holds_f for t in k.successors[s]) for s in holds_f}
+    succ, pred = k.succ, k.pred
+    inside = {s: sum(t in holds_f for t in succ[s]) for s in holds_f}
     stack = [s for s, count in inside.items() if count == 0]
     while stack:
         dead = stack.pop()
-        for p in k.predecessors[dead]:
+        for p in pred[dead]:
             if p in inside:
                 inside[p] -= 1
                 if inside[p] == 0:
                     stack.append(p)
-    return frozenset(s for s, count in inside.items() if count > 0)
+    return frozenset([s for s, count in inside.items() if count > 0])
 
 
 def _sat_explicit(k: KripkeStructure, node: CtlFormula,
-                  sats: tuple[frozenset[str], ...]) -> frozenset[str]:
+                  sats: tuple[frozenset[int], ...]) -> frozenset[int]:
     """The states satisfying one core node, given its children's states."""
     if isinstance(node, ctl.Const):
-        return frozenset(k.states) if node.value else frozenset()
+        return frozenset(range(len(k.states))) if node.value else frozenset()
     if isinstance(node, ctl.Atom):
-        return k.atom_states.get(node.prop, frozenset())
+        return frozenset(k.atoms.get(node.prop, ()))
     if isinstance(node, ctl.Not):
-        return frozenset(k.states) - sats[0]
+        return frozenset(range(len(k.states))) - sats[0]
     if isinstance(node, ctl.And):
         return sats[0] & sats[1]
     if isinstance(node, ctl.Or):
@@ -196,10 +259,15 @@ def _sat_explicit(k: KripkeStructure, node: CtlFormula,
     raise TypeError(f"not a core formula node: {node!r}")
 
 
-def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
-    """States satisfying the formula, by linear-time labelling on explicit sets."""
+def _label(k: KripkeStructure, formula: CtlFormula) -> frozenset[int]:
+    """The numbers of the states satisfying the formula, on explicit sets."""
     _validate_atoms(k, formula)
     return ctl.fold(ctl.normalize(formula), partial(_sat_explicit, k))
+
+
+def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
+    """States satisfying the formula, by linear-time labelling on explicit sets."""
+    return k._names(_label(k, formula))
 
 
 # -- symbolic engine -----------------------------------------------------------
@@ -207,9 +275,9 @@ def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
 
 class _Symbolic:
     """BDD context of one Kripke structure, shared by every formula checked on
-    it. States in sorted order are binary-encoded over interleaved current
-    (even) and next (odd) variables: bit b of a state's index is variable 2b
-    now and variable 2b+1 one step later. Every state set is a node id of the
+    it. Each state's number in the structure's index is binary-encoded over
+    interleaved current (even) and next (odd) variables: bit b of the number
+    is variable 2b now and variable 2b+1 one step later. Every state set is a node id of the
     manager, and the fixpoints call its AND, OR, negation and relational
     product kernels on ids directly, so a step costs only its BDD work."""
 
@@ -222,13 +290,12 @@ class _Symbolic:
         self._shift_to_next = self._renaming()
 
         self.universe = self._set_to_bdd(range(len(self.states)))
-        self.index = index = {s: i for i, s in enumerate(self.states)}
         # A pair's code holds the source index in its low bits and the target
         # index above them; variable v reads bit v // 2 of the source (v even)
         # or of the target (v odd).
         pair_levels = [(v, v // 2 + (v % 2) * bits) for v in range(2 * bits)]
         self.relation = self._codes_to_bdd(
-            [index[s] | index[t] << bits for s, t in k.relation], pair_levels
+            [i | j << bits for i, targets in enumerate(k.succ) for j in targets], pair_levels
         )
 
     def _codes_to_bdd(self, codes, levels) -> int:
@@ -303,8 +370,7 @@ class _Symbolic:
         if isinstance(node, ctl.Const):
             return self.universe if node.value else _FALSE
         if isinstance(node, ctl.Atom):
-            members = self.k.atom_states.get(node.prop, frozenset())
-            return self._set_to_bdd([self.index[s] for s in members])
+            return self._set_to_bdd(self.k.atoms.get(node.prop, ()))
         if isinstance(node, ctl.Not):
             # Complement within the valid state codes, never the raw BDD space.
             return conj(self.universe, self.mgr._negate(sats[0]))
@@ -356,16 +422,19 @@ def witness_shape(formula: CtlFormula) -> str | None:
     return None
 
 
-def _shortest_path_to(k: KripkeStructure, targets: frozenset[str]) -> Path | None:
-    if k.initial in targets:
-        return Path((k.initial,))
-    parent: dict[str, str] = {k.initial: k.initial}
-    queue = deque([k.initial])
-    found = None
+def _shortest_path_to(k: KripkeStructure, targets) -> Path | None:
+    """A shortest path from the initial state to a state numbered in
+    `targets`. Successors are tried in sorted order, so among shortest paths
+    the first found is the same whichever way states are held."""
+    start = k.index[k.initial]
+    parent = [-1] * len(k.states)
+    parent[start] = start
+    queue = deque([start])
+    found = start if start in targets else None
     while queue and found is None:
         state = queue.popleft()
-        for nxt in k.successors[state]:
-            if nxt in parent:
+        for nxt in k.succ[state]:
+            if parent[nxt] != -1:
                 continue
             parent[nxt] = state
             if nxt in targets:
@@ -374,10 +443,10 @@ def _shortest_path_to(k: KripkeStructure, targets: frozenset[str]) -> Path | Non
             queue.append(nxt)
     if found is None:
         return None
-    states = [found]
-    while states[-1] != k.initial:
-        states.append(parent[states[-1]])
-    states.reverse()
+    path = [found]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    states = [k.states[i] for i in reversed(path)]
     labels = tuple(
         k.edge_labels.get((a, b), "step") for a, b in zip(states, states[1:])
     )
@@ -392,8 +461,8 @@ def witness(k: KripkeStructure, formula: CtlFormula) -> Path | None:
     shapes return None; see witness_shape.
     """
     if isinstance(formula, ctl.EF):
-        return _shortest_path_to(k, check_explicit(k, formula.operand))
+        return _shortest_path_to(k, _label(k, formula.operand))
     if isinstance(formula, ctl.AG):
-        good = check_explicit(k, formula.operand)
-        return _shortest_path_to(k, frozenset(k.states) - good)
+        good = _label(k, formula.operand)
+        return _shortest_path_to(k, frozenset(range(len(k.states))) - good)
     return None

@@ -21,7 +21,7 @@ the error reported, before any parse error.
 """
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cache
 from typing import Callable, Iterator, NoReturn, TypeVar
 
@@ -46,25 +46,60 @@ class CtlSyntaxError(ValueError):
         super().__init__(f"{message} at line {line}, col {column}{suffix}")
 
 
-@dataclass(frozen=True)
-class AtomicProposition:
+class _Frozen:
+    """Immutable values over `__slots__`: a constructor sets its slots past
+    `__setattr__`, assignment and deletion raise `FrozenInstanceError`, and
+    pickle and copy rebuild a value through its constructor with the slots'
+    values in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Rebuild through the constructor: restoring slots by assignment would raise.
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class AtomicProposition(_Frozen):
     """A labeling atom: ``at(state)`` or ``in(approach)``."""
 
-    kind: str
-    subject: str
+    __slots__ = ("kind", "subject")
 
-    def __post_init__(self):
-        if self.kind not in ("at", "in"):
-            raise ValueError(f"atom kind must be 'at' or 'in', not {self.kind!r}")
+    def __init__(self, kind: str, subject: str):
+        if kind not in ("at", "in"):
+            raise ValueError(f"atom kind must be 'at' or 'in', not {kind!r}")
         # Formula equality compares rendered text, which only names tell apart.
-        if not NAME_RE.fullmatch(self.subject):
-            raise ValueError(f"atom subject must be an identifier, not {self.subject!r}")
+        if not NAME_RE.fullmatch(subject):
+            raise ValueError(f"atom subject must be an identifier, not {subject!r}")
+        _set_kind(self, kind)
+        _set_subject(self, subject)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AtomicProposition:
+            return NotImplemented
+        return self.kind == other.kind and self.subject == other.subject
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.subject))
+
+    def __repr__(self) -> str:
+        return f"AtomicProposition(kind={self.kind!r}, subject={self.subject!r})"
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"
 
 
-class CtlFormula:
+# The slots' own setters, which skip the raising `__setattr__`; a structure
+# builds one atom per state, so the constructor's cost shows.
+_set_kind, _set_subject = AtomicProposition.kind.__set__, AtomicProposition.subject.__set__
+
+
+class CtlFormula(_Frozen):
     """Base class of formula nodes: immutable, with `__slots__` naming the
     node's fields, which the constructor takes in that order. A constant's
     field is its bool, an atom's its `AtomicProposition`, any other node's
@@ -79,16 +114,6 @@ class CtlFormula:
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    # Rebuild through the constructor: restoring slots by assignment would raise.
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __str__(self) -> str:
         return render(self)

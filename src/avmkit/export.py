@@ -34,7 +34,9 @@ def _sanitize(name: str) -> str:
 
 def to_smv(doc: ModelDocument, target: str) -> str:
     """One MODULE main over a single `state` enum variable, rendered from
-    `checker.to_kripke`'s structure of the target behavior.
+    the int index of `checker.to_kripke`'s structure of the target behavior:
+    states in their sorted numbering, successors from `succ`, approach
+    members from `atoms`.
 
     Successor sets use SMV set-choice syntax and are the structure's
     successors, so dead ends carry its self-loops. Every state gets an `at_`
@@ -44,42 +46,41 @@ def to_smv(doc: ModelDocument, target: str) -> str:
     """
     k = to_kripke(doc.coupled.behavior(target), doc.coupled.approaches.states_by_side(target))
 
-    ident = {s: _sanitize(s) for s in k.states}
-    defines = {f"at_{i}" for i in ident.values()} | {f"in_{a}" for a in APPROACH_NAMES}
+    ident = [_sanitize(s) for s in k.states]  # by state number
+    defines = {f"at_{i}" for i in ident} | {f"in_{a}" for a in APPROACH_NAMES}
     by_sanitized: dict[str, str] = {}
-    for s in k.states:
-        clash = by_sanitized.get(ident[s])
+    for s, name in zip(k.states, ident):
+        clash = by_sanitized.get(name)
         if clash is not None:
             raise NameCollisionError(
-                f"states {clash} and {s} both sanitize to SMV identifier {ident[s]}"
+                f"states {clash} and {s} both sanitize to SMV identifier {name}"
             )
-        if ident[s] in defines:
+        if name in defines:
             raise NameCollisionError(
-                f"state {s} exports as SMV identifier {ident[s]}, which is also a DEFINE name"
+                f"state {s} exports as SMV identifier {name}, which is also a DEFINE name"
             )
-        by_sanitized[ident[s]] = s
+        by_sanitized[name] = s
 
     lines = ["MODULE main"]
-    lines.append("VAR state : {" + ", ".join(ident[s] for s in k.states) + "};")
+    lines.append("VAR state : {" + ", ".join(ident) + "};")
     lines.append("ASSIGN")
-    lines.append(f"  init(state) := {ident[k.initial]};")
+    lines.append(f"  init(state) := {ident[k.index[k.initial]]};")
     lines.append("  next(state) := case")
-    for s in k.states:
-        lines.append(f"    state = {ident[s]} : {{"
-                     + ", ".join(ident[t] for t in k.successors[s]) + "};")
+    for i, targets in enumerate(k.succ):
+        lines.append(f"    state = {ident[i]} : {{" + ", ".join(ident[j] for j in targets) + "};")
     lines.append("  esac;")
 
     lines.append("DEFINE")
-    for s in k.states:
-        lines.append(f"  at_{ident[s]} := state = {ident[s]};")
+    for name in ident:
+        lines.append(f"  at_{name} := state = {name};")
     for approach_name in APPROACH_NAMES:
-        members = sorted(k.atom_states.get(ctl.AtomicProposition("in", approach_name), ()))
-        expr = " | ".join(f"state = {ident[m]}" for m in members) if members else "FALSE"
+        members = k.atoms.get(ctl.AtomicProposition("in", approach_name), ())
+        expr = " | ".join(f"state = {ident[i]}" for i in members) if members else "FALSE"
         lines.append(f"  in_{approach_name} := {expr};")
 
     def smv_atom(prop: ctl.AtomicProposition) -> str:
         if prop.kind == "at":
-            return f"at_{ident[prop.subject]}"
+            return f"at_{ident[k.index[prop.subject]]}"
         return f"in_{prop.subject}"
 
     for prop in doc.properties:

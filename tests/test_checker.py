@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from random import Random
 
@@ -12,6 +14,7 @@ import avmkit.checker
 from avmkit.checker import (
     KripkeStructure,
     UnknownAtomError,
+    _Symbolic,
     _eg,
     _eu,
     _pre,
@@ -34,6 +37,7 @@ from generators import (
     naive_preimage,
     naive_sat,
     random_behavior,
+    random_coupled_model,
     random_formula,
     random_kripke,
     ring_kripke,
@@ -84,6 +88,64 @@ class TestToKripke:
         k = to_kripke(random_behavior(Random(seed)))
         sources = {s for s, _ in k.relation}
         assert sources == set(k.states)
+
+
+class TestPublicConstructor:
+    # to_kripke numbers a behavior directly; the public constructor numbers
+    # the same structure from its name-keyed fields. Both must hold one index.
+    FIELDS = ("states", "initial", "relation", "labeling", "totalized", "edge_labels",
+              "successors", "predecessors", "atom_states", "index", "succ", "pred", "atoms")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_rebuilds_what_to_kripke_builds(self, seed):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        # Members drawn from both sides: the other side's states label nothing.
+        everything = sorted(model.control.states | model.preventive.states)
+        approaches = {name: frozenset(rng.sample(everything, rng.randint(0, 3)))
+                      for name in APPROACH_NAMES if rng.random() < 0.7}
+        for behavior in (model.control, model.preventive):
+            k = to_kripke(behavior, approaches)
+            rebuilt = KripkeStructure(states=k.states, initial=k.initial, relation=k.relation,
+                                      labeling=k.labeling, totalized=k.totalized,
+                                      edge_labels=k.edge_labels)
+            for field in self.FIELDS:
+                assert getattr(rebuilt, field) == getattr(k, field), field
+                with pytest.raises(FrozenInstanceError):
+                    setattr(rebuilt, field, None)
+            for members in k.atoms.values():
+                assert list(members) == sorted(set(members)) and members
+            for _ in range(3):
+                f = random_formula(rng, k.states)
+                results = [check(structure, f) for structure in (k, rebuilt)
+                           for check in (check_explicit, check_symbolic)]
+                assert all(type(r) is frozenset for r in results)
+                assert all(type(s) is str for r in results for s in r)
+                assert results[1:] == results[:-1]
+            assert ((k._symbolic.mgr._var, k._symbolic.mgr._low, k._symbolic.mgr._high)
+                    == (rebuilt._symbolic.mgr._var, rebuilt._symbolic.mgr._low,
+                        rebuilt._symbolic.mgr._high))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"initial": "Z"}, "initial state Z is not a state"),
+        ({"relation": frozenset({("A", "B"), ("B", "Z")})},
+         "relation pair (B, Z) leaves the state set"),
+        ({"relation": frozenset({("A", "B")})}, "relation is not total; no successor for: ['B']"),
+        ({"labeling": {"A": frozenset({AtomicProposition("at", "A")}),
+                       "B": frozenset({AtomicProposition("at", "A")})}},
+         "labeling of B is missing at(B)"),
+    ])
+    def test_rejects_a_malformed_structure(self, edit, message):
+        fields = {
+            "states": ("A", "B"),
+            "initial": "A",
+            "relation": frozenset({("A", "B"), ("B", "B")}),
+            "labeling": {s: frozenset({AtomicProposition("at", s)}) for s in "AB"},
+        }
+        KripkeStructure(**fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KripkeStructure(**(fields | edit))
 
 
 class TestAtomStates:
@@ -231,6 +293,29 @@ class TestTerminalOperands:
             assert check_symbolic(k, formula) == expected, text
 
 
+class TestDeepFixpoints:
+    # A 12-state chain c00 -> ... -> c11 with a self-loop on c11: every
+    # fixpoint below needs one step per chain state, so an engine that stops
+    # early is wrong on most of the chain.
+    FORMULAS = ("EG !at(c11)", "EG at(c11)", "EF at(c11)", "AF at(c11)",
+                "E [ !at(c11) U at(c11) ]", "A [ true U at(c11) ]", "AG !at(c00)",
+                "EG EF at(c11)")
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_engines_reach_the_fixpoint(self, text):
+        states = [f"c{i:02d}" for i in range(12)]
+        k = KripkeStructure(
+            states=tuple(states),
+            initial=states[0],
+            relation=frozenset(zip(states, states[1:] + states[-1:])),
+            labeling={s: frozenset({AtomicProposition("at", s)}) for s in states},
+        )
+        formula = parse_ctl(text)
+        expected = naive_sat(k, formula)
+        assert check_explicit(k, formula) == expected
+        assert check_symbolic(k, formula) == expected
+
+
 def _code_sets(width):
     everything = list(range(1 << width))
     return st.one_of(
@@ -257,9 +342,22 @@ class TestCodesToBdd:
         assert built == topdown_codes_to_bdd(context.mgr, codes, levels)
         assert context.mgr.check_invariants() == []
 
+    def test_node_ids_do_not_depend_on_code_order(self):
+        # Codes are taken sorted, so one set given in two orders interns its
+        # nodes in one order: two fresh contexts end with equal tables.
+        k = ring_kripke(Random(1), 64)
+        codes = Random(3).sample(range(64), 40)
+        tables = []
+        for order in (codes, codes[::-1]):
+            context = _Symbolic(k)
+            context._set_to_bdd(order)
+            tables.append((context.mgr._var, context.mgr._low, context.mgr._high))
+        assert tables[0] == tables[1]
+
     def test_node_ids_do_not_depend_on_the_hash_seed(self):
         # The suite of test_wide_structure_specs_on_one_manager; string
-        # hashing orders k.relation and the atom sets differently per seed.
+        # hashing orders the sets of names the structure is built from
+        # differently per seed.
         script = """
 import hashlib
 from random import Random
@@ -329,9 +427,11 @@ class TestFixpointChains:
         rng = Random(seed)
         sat_f = check_explicit(k, random_formula(rng, k.states, depth=2))
         sat_g = check_explicit(k, random_formula(rng, k.states, depth=2))
-        assert _pre(k, sat_g) == naive_preimage(k, sat_g)
-        assert _eu(k, sat_f, sat_g) == naive_eu_chain(k, sat_f, sat_g)[-1]
-        assert _eg(k, sat_f) == naive_eg_chain(k, sat_f)[-1]
+        # The labelling runs on state numbers; the naive fixpoints on names.
+        f_ids, g_ids = (frozenset(map(k.index.__getitem__, sat)) for sat in (sat_f, sat_g))
+        assert k._names(_pre(k, g_ids)) == naive_preimage(k, sat_g)
+        assert k._names(_eu(k, f_ids, g_ids)) == naive_eu_chain(k, sat_f, sat_g)[-1]
+        assert k._names(_eg(k, f_ids)) == naive_eg_chain(k, sat_f)[-1]
         f = random_formula(rng, k.states)
         assert check_symbolic(k, f) == check_explicit(k, f)
 

@@ -34,6 +34,7 @@ VALUES = [
     (lambda: ApproachPartition((Approach("Detection", frozenset(), frozenset({"P"})),)),
      "ApproachPartition(approaches=(Approach(name='Detection', control_states=frozenset(), "
      "preventive_states=frozenset({'P'})),))"),
+    (lambda: AtomicProposition("at", "A"), "AtomicProposition(kind='at', subject='A')"),
 ]
 
 
@@ -126,6 +127,24 @@ def test_formula_round_trips(round_trip):
     again = round_trip(formula)
     assert again == formula
     assert shape(again) == shape(formula)
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_atomic_proposition_round_trips(round_trip):
+    prop = AtomicProposition("in", "Removal")
+    again = round_trip(prop)
+    assert again == prop and hash(again) == hash(prop)
+    assert (again.kind, again.subject) == ("in", "Removal")
+    with pytest.raises(FrozenInstanceError):
+        again.kind = "at"
+
+
+def test_atomic_propositions_differ_by_kind_and_subject():
+    assert AtomicProposition("at", "A") != AtomicProposition("in", "A")
+    assert AtomicProposition("at", "A") != AtomicProposition("at", "B")
+    assert AtomicProposition("at", "A") != ("at", "A")
+    with pytest.raises(FrozenInstanceError):
+        del AtomicProposition("at", "A").subject
 
 
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
