@@ -7,16 +7,8 @@ checks CTL properties with twin explicit-state and BDD-symbolic engines, and
 exports SMV programs and DOT diagrams.
 """
 
-from .bdd import AND, OR, BddManager, BddRef
-from .checker import (
-    KripkeStructure,
-    UnknownAtomError,
-    check_explicit,
-    check_symbolic,
-    holds,
-    to_kripke,
-    witness,
-)
+import importlib
+
 from .coupled import (
     APPROACH_NAMES,
     Approach,
@@ -32,7 +24,6 @@ from .coupled import (
 )
 from .ctl import AtomicProposition, CtlFormula, CtlSyntaxError, parse_ctl
 from .dsl import ModelDocument, ModelSyntaxError, PropertySpec, parse_model, render_model
-from .export import NameCollisionError, to_dot, to_smv
 from .lts import (
     Behavior,
     Path,
@@ -45,6 +36,29 @@ from .lts import (
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 __version__ = "0.1.0"
+
+# The engines and the exporters load on first use (PEP 562), so a program
+# that only parses and validates does not compile them. The module names
+# resolve too, as they would after an eager import.
+_ON_FIRST_USE = {
+    "bdd": ("AND", "OR", "BddManager", "BddRef"),
+    "checker": ("KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
+                "holds", "to_kripke", "witness"),
+    "export": ("NameCollisionError", "to_dot", "to_smv"),
+}
+_HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = module if name in _ON_FIRST_USE else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())
 
 __all__ = [
     "AND", "OR", "BddManager", "BddRef",

@@ -20,7 +20,6 @@ are checked two ways, and both return the exact satisfying state set:
 """
 
 from collections import deque
-from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
 from typing import Mapping
 
@@ -28,7 +27,7 @@ from . import ctl
 from .bdd import _FALSE, _TRUE, BddManager
 from .coupled import unresolved_atoms
 from .ctl import AtomicProposition, CtlFormula
-from .lts import Behavior, Path
+from .lts import Behavior, Path, _Frozen
 
 
 class UnknownAtomError(ValueError):
@@ -100,11 +99,7 @@ class KripkeStructure:
                              atoms=atoms, totalized=totalized, edge_labels=edge_labels)
 
     # The fields and the views derived from them must stay one structure.
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _Frozen.__setattr__, _Frozen.__delattr__
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:

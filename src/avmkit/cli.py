@@ -5,21 +5,39 @@ Exit codes are stable for CI use: 0 success, 1 model/property/engine failure,
 """
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path as FsPath
 
-from .checker import check_explicit, check_symbolic, to_kripke, witness, witness_shape
 from .coupled import check_approach_alignment, check_mapping, check_synchronization
 from .dsl import ModelSyntaxError, parse_model
-from .export import NameCollisionError, to_dot, to_smv
 from .lts import UnknownStateError, enumerate_simple_paths
 from .report import Finding, ModelValidationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
+
+# The engines load on the first `check`, and the exporters in `export`, so the
+# other commands do not compile them.
+_ENGINE_NAMES = ("to_kripke", "check_explicit", "check_symbolic", "witness", "witness_shape")
+
+
+def _bind_engines() -> None:
+    """Binds the engine names into this module's globals, which `cmd_check`
+    calls through. A name already bound stays bound: a caller may have
+    replaced it with a wrapper before the first check."""
+    from . import checker
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(checker, name))
+
+
+def __getattr__(name: str):
+    # `cli.to_kripke` and the other engine names resolve before any check.
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_engines()
+    return globals()[name]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,11 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str):
     """Returns (document, findings, exit_code); document is None on failure."""
     try:
-        text = FsPath(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as source:  # a leading byte-order mark is dropped
+            text = source.read()
     except (OSError, UnicodeDecodeError) as exc:
         return None, [Finding("error", "io-error", path, str(exc))], EXIT_IO
     try:
-        return parse_model(text, name=FsPath(path).stem), [], EXIT_OK
+        return parse_model(text, name=os.path.splitext(os.path.basename(path))[0]), [], EXIT_OK
     except ModelSyntaxError as exc:
         finding = Finding("error", "syntax-error", path, exc.detail, exc.position)
         return None, [finding], EXIT_FAIL
@@ -80,6 +99,8 @@ def _emit(args, lines, code: int = EXIT_OK, findings=(), **fields) -> int:
     """Print a command's outcome and return its exit code: its text lines, or one
     JSON document of its own fields plus the keys every command shares."""
     if args.report_format == "structured":
+        import json
+
         envelope = {"command": args.command, "file": args.file,
                     "findings": [f.to_record() for f in findings], "exit_code": code}
         print(json.dumps(fields | envelope, indent=2, sort_keys=True))
@@ -129,6 +150,7 @@ _WITNESS_VERDICT = {"reachability": "holds", "invariant": "fails"}
 
 
 def cmd_check(args, doc) -> int:
+    _bind_engines()
     coupled = doc.coupled
     kripkes = {
         target: to_kripke(coupled.behavior(target), coupled.approaches.states_by_side(target))
@@ -205,6 +227,8 @@ def cmd_paths(args, doc) -> int:
 
 
 def cmd_export(args, doc) -> int:
+    from .export import NameCollisionError, to_dot, to_smv
+
     try:
         if args.export_format == "smv":
             text = to_smv(doc, args.target)
@@ -217,7 +241,8 @@ def cmd_export(args, doc) -> int:
     lines = [text.removesuffix("\n")]  # print adds back the newline the text ends in
     if args.output:
         try:
-            FsPath(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(text)
         except OSError as exc:
             return _fail(args, [Finding("error", "io-error", args.output, str(exc))], EXIT_IO)
         lines = []

@@ -2,12 +2,11 @@
 mapping between them, the four-approach partition, and the cross-behavior
 consistency checks."""
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from . import ctl
-from .lts import Behavior, Path, UnknownStateError, strongly_connected_components
+from .lts import Behavior, Path, UnknownStateError, _Frozen, strongly_connected_components
 from .report import CheckReport, Finding, ModelValidationError, SourcePos
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
@@ -22,13 +21,19 @@ def unresolved_atoms(formula: ctl.CtlFormula, states) -> tuple[ctl.AtomicProposi
     ))
 
 
-@dataclass(frozen=True)
-class MappingProcess:
+class MappingProcess(_Frozen):
     """Finite map from control states to sets of preventive paths, plus the
     control states explicitly exempted from mapping."""
 
-    entries: tuple[tuple[str, tuple[Path, ...]], ...]
-    exempt: frozenset[str] = frozenset()
+    __slots__ = ("entries", "exempt", "__dict__")
+
+    def __init__(self, entries: tuple[tuple[str, tuple[Path, ...]], ...],
+                 exempt: frozenset[str] = frozenset()):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "exempt", exempt)
+
+    def _key(self) -> tuple:
+        return (self.entries, self.exempt)
 
     @cached_property
     def _by_state(self) -> dict[str, tuple[Path, ...]]:

@@ -21,11 +21,10 @@ the error reported, before any parse error.
 """
 
 import re
-from dataclasses import FrozenInstanceError
 from functools import cache
 from typing import Callable, Iterator, NoReturn, TypeVar
 
-from .lts import NAME_RE
+from .lts import NAME_RE, _Frozen
 
 
 # Deep enough for any hand-written property, shallow enough that the
@@ -44,25 +43,6 @@ class CtlSyntaxError(ValueError):
         suffix = "; expected one of: " + ", ".join(expected) if expected else ""
         self.detail = message + suffix
         super().__init__(f"{message} at line {line}, col {column}{suffix}")
-
-
-class _Frozen:
-    """Immutable values over `__slots__`: a constructor sets its slots past
-    `__setattr__`, assignment and deletion raise `FrozenInstanceError`, and
-    pickle and copy rebuild a value through its constructor with the slots'
-    values in order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    # Rebuild through the constructor: restoring slots by assignment would raise.
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class AtomicProposition(_Frozen):
@@ -86,9 +66,6 @@ class AtomicProposition(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.kind, self.subject))
-
-    def __repr__(self) -> str:
-        return f"AtomicProposition(kind={self.kind!r}, subject={self.subject!r})"
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"

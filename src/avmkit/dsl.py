@@ -24,7 +24,6 @@ spec's formula is taken raw to end of line, minus any comment, and handed to
 finding and the statements after it are read as usual.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import ctl
@@ -36,7 +35,7 @@ from .coupled import (
     unresolved_atoms,
 )
 from .ctl import END, NAME, STRAY, CtlFormula, CtlSyntaxError, Lexer, parse_ctl
-from .lts import Behavior, Path, Transition, build_behavior
+from .lts import Behavior, Path, Transition, _Frozen, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
 _DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
@@ -57,27 +56,44 @@ def _syntax_error(message: str, line: int, column: int, expected) -> ModelSyntax
     return ModelSyntaxError(message, SourcePos(line, column))
 
 
-@dataclass(frozen=True)
-class PropertySpec:
-    """One named CTL property targeting the control or preventive behavior."""
+class PropertySpec(_Frozen):
+    """One named CTL property targeting the control or preventive behavior.
+    Where it stands in the text, `position`, is not part of its identity."""
 
-    name: str
-    target: str
-    formula: CtlFormula
-    expected: str | None = None
-    position: SourcePos | None = field(default=None, compare=False)
+    __slots__ = ("name", "target", "formula", "expected", "position")
+
+    def __init__(self, name: str, target: str, formula: CtlFormula,
+                 expected: str | None = None, position: SourcePos | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "position", position)
+
+    def _key(self) -> tuple:
+        return (self.name, self.target, self.formula, self.expected)
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    coupled: CoupledModel
-    properties: tuple[PropertySpec, ...]
-    # State name -> where it is mapped, exempted or first mentioned, so reports
-    # on the built model can point back into the text. Not part of document
-    # identity.
-    source_positions: dict[str, SourcePos] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+class ModelDocument(_Frozen):
+    """A parsed document: the coupled model and its properties.
+    `source_positions` maps a state name to where it is mapped, exempted or
+    first mentioned, so reports on the built model can point back into the
+    text; it is not part of the document's identity or repr."""
+
+    __slots__ = ("coupled", "properties", "source_positions")
+
+    def __init__(self, coupled: CoupledModel, properties: tuple[PropertySpec, ...],
+                 source_positions: dict[str, SourcePos] | None = None):
+        object.__setattr__(self, "coupled", coupled)
+        object.__setattr__(self, "properties", properties)
+        object.__setattr__(self, "source_positions",
+                           {} if source_positions is None else source_positions)
+
+    def _key(self) -> tuple:
+        return (self.coupled, self.properties)
+
+    def __repr__(self) -> str:
+        return f"ModelDocument(coupled={self.coupled!r}, properties={self.properties!r})"
 
 
 # -- raw statement collection ----------------------------------------------------

@@ -11,13 +11,58 @@ The walks: `enumerate_simple_paths` behind `avm paths`,
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .report import Finding, ModelValidationError
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class _Frozen:
+    """Immutable values over `__slots__`, the base of the hand-written model
+    classes, which behave as frozen dataclasses of their slots would:
+
+    - a constructor sets the slots past `__setattr__`, and assignment and
+      deletion raise `dataclasses.FrozenInstanceError`;
+    - values of one class are equal when their `_key()`s are, the fields
+      that make up their identity, and hash by it;
+    - repr shows every field, and pickle and copy rebuild a value through
+      its constructor with the fields in order.
+
+    A class that caches properties lists `__dict__` last among its slots;
+    it is not a field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> list[tuple[str, object]]:
+        """(name, value) of each field, in slot order."""
+        return [(name, getattr(self, name)) for name in self.__slots__ if name != "__dict__"]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
+        return f"{type(self).__qualname__}({fields})"
+
+    # `dataclasses` imports `inspect`; only a failing assignment pays for it.
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Rebuild through the constructor: restoring slots by assignment would raise.
+    def __reduce__(self):
+        return type(self), tuple(value for _, value in self._fields())
 
 
 class UnknownStateError(ValueError):
@@ -37,15 +82,21 @@ class Transition(NamedTuple):
         return f"{self.source} -{self.label}-> {self.target}"
 
 
-@dataclass(frozen=True)
-class Behavior:
+class Behavior(_Frozen):
     """An immutable labeled transition system."""
 
-    states: frozenset[str]
-    initial: str
-    labels: frozenset[str]
-    transitions: tuple[Transition, ...]
-    finals: frozenset[str] = frozenset()
+    __slots__ = ("states", "initial", "labels", "transitions", "finals", "__dict__")
+
+    def __init__(self, states: frozenset[str], initial: str, labels: frozenset[str],
+                 transitions: tuple[Transition, ...], finals: frozenset[str] = frozenset()):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "finals", finals)
+
+    def _key(self) -> tuple:
+        return (self.states, self.initial, self.labels, self.transitions, self.finals)
 
     @cached_property
     def transition_set(self) -> frozenset[Transition]:
@@ -60,20 +111,22 @@ class Behavior:
         return {s: tuple(sorted(pairs)) for s, pairs in out.items()}
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Frozen):
     """An alternating state/label sequence; length-1 paths carry zero labels."""
 
-    states: tuple[str, ...]
-    labels: tuple[str, ...] = ()
+    __slots__ = ("states", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.states) < 1:
+    def __init__(self, states, labels=()):
+        states, labels = tuple(states), tuple(labels)
+        if len(states) < 1:
             raise ValueError("a path needs at least one state")
-        if len(self.labels) != len(self.states) - 1:
+        if len(labels) != len(states) - 1:
             raise ValueError("a path over n states carries exactly n-1 labels")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "labels", labels)
+
+    def _key(self) -> tuple:
+        return (self.states, self.labels)
 
     @property
     def first(self) -> str:

@@ -1,5 +1,5 @@
-"""Mutation gate: every row below breaks the checker or the exporter in one
-known way, and the tests it names must catch that break.
+"""Mutation gate: every row below breaks avmkit in one known way, and the
+tests it names must catch that break.
 
 For each row the script copies `src/`, `tests/` and `pyproject.toml` into a
 temporary directory, replaces the row's snippet (which must occur exactly
@@ -98,6 +98,85 @@ MUTANTS = (
         'raise ValueError(f"labeling of {s} is missing at({s})")',
         "pass",
         ("tests/test_checker.py::TestPublicConstructor",),
+    ),
+    Mutant(
+        "path label count checked only from above",
+        "lts.py",
+        "if len(labels) != len(states) - 1:",
+        "if len(labels) > len(states) - 1:",
+        ("tests/test_values.py::TestRecords::test_path_checks_its_shape",),
+    ),
+    Mutant(
+        "a record's __dict__ slot taken for a field",
+        "lts.py",
+        'for name in self.__slots__ if name != "__dict__"]',
+        "for name in self.__slots__]",
+        ("tests/test_values.py::TestRecords::test_round_trips",),
+    ),
+    Mutant(
+        "Tarjan low-link taken from states off the stack",
+        "lts.py",
+        "if nxt in on_stack and index[nxt] < low[state]:",
+        "if index[nxt] < low[state]:",
+        ("tests/test_lts.py::TestStronglyConnectedComponents",),
+    ),
+    Mutant(
+        "mapping equality ignores the exempt states",
+        "coupled.py",
+        "return (self.entries, self.exempt)",
+        "return (self.entries,)",
+        ("tests/test_values.py::TestRecords::test_one_field_apart_is_unequal",),
+    ),
+    Mutant(
+        "sync walk keeps the last path per gap in (labels, states) order",
+        "coupled.py",
+        "_path_order(candidate) < _path_order(best)",
+        "_path_order(candidate) > _path_order(best)",
+        ("tests/test_coupled.py::TestSynchronizationWalk::"
+         "test_reported_in_labels_then_states_order",),
+    ),
+    Mutant(
+        "sync walk visit calls itself",
+        "coupled.py",
+        "result = yield node",
+        "result = yield from visit(*node)",
+        ("tests/test_coupled.py::TestSynchronizationWalk::test_walk_frees_its_memo_on_return",),
+    ),
+    Mutant(
+        "atom subject checked by prefix",
+        "ctl.py",
+        "if not NAME_RE.fullmatch(subject):",
+        "if not NAME_RE.match(subject):",
+        ("tests/test_ctl.py::TestAtoms",),
+    ),
+    Mutant(
+        "AND/OR return the identity where zero absorbs",
+        "bdd.py",
+        "if a == zero or b == zero:\n                return zero",
+        "if a == zero or b == zero:\n                return one",
+        ("tests/test_bdd.py::TestApply",),
+    ),
+    Mutant(
+        "property equality compares positions",
+        "dsl.py",
+        "return (self.name, self.target, self.formula, self.expected)",
+        "return (self.name, self.target, self.formula, self.expected, self.position)",
+        ("tests/test_values.py::TestRecords::test_property_spec_equality_ignores_position",),
+    ),
+    Mutant(
+        "document equality compares source positions",
+        "dsl.py",
+        "return (self.coupled, self.properties)",
+        "return (self.coupled, self.properties, self.source_positions)",
+        ("tests/test_values.py::TestRecords::"
+         "test_document_equality_and_repr_ignore_source_positions",),
+    ),
+    Mutant(
+        "engine binder overwrites a name already bound",
+        "cli.py",
+        "globals().setdefault(name, getattr(checker, name))",
+        "globals()[name] = getattr(checker, name)",
+        ("tests/test_startup.py::test_a_wrapper_bound_before_the_first_check_is_called",),
     ),
 )
 
