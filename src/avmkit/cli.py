@@ -5,6 +5,7 @@ Exit codes are stable for CI use: 0 success, 1 model/property/engine failure,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -40,6 +41,10 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+# Built on the first `main` call, not at import, and reused by every later call
+# in the process. It holds only constants (a fixed `prog`, no mutable default),
+# so the calls share nothing through it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avm",
@@ -289,6 +294,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A character the terminal's encoding lacks (in a file name or a finding's
+    # detail) is printed as an escape, not raised.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = main()
         sys.stdout.flush()

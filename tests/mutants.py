@@ -178,6 +178,27 @@ MUTANTS = (
         "globals()[name] = getattr(checker, name)",
         ("tests/test_startup.py::test_a_wrapper_bound_before_the_first_check_is_called",),
     ),
+    Mutant(
+        "parser rebuilt on every call",
+        "cli.py",
+        "@functools.cache\ndef _build_parser()",
+        "def _build_parser()",
+        ("tests/test_startup.py::test_the_parser_is_built_once_on_first_use",),
+    ),
+    Mutant(
+        "parser built at import",
+        "cli.py",
+        "_COMMANDS = {",
+        "_build_parser()\n_COMMANDS = {",
+        ("tests/test_startup.py::test_the_parser_is_built_once_on_first_use",),
+    ),
+    Mutant(
+        "unencodable output raised, not escaped",
+        "cli.py",
+        'sys.stdout.reconfigure(errors="backslashreplace")',
+        "pass",
+        ("tests/test_cli.py::TestUnencodableOutput",),
+    ),
 )
 
 

@@ -19,8 +19,8 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_subprocess(*argv, hash_seed="0"):
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+def run_subprocess(*argv, hash_seed="0", **env_vars):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "avmkit", *argv],
         capture_output=True, text=True, env=env,
@@ -565,3 +565,22 @@ class TestClosedStdout:
             os.close(write_end)
         assert result.returncode == 2
         assert result.stderr == ""
+
+
+class TestUnencodableOutput:
+    # A stdout encoding that lacks a character of the output prints it escaped;
+    # a UTF-8 stdout prints it as it is.
+    @pytest.mark.parametrize("command, name, text, exit_code, ascii_out, utf8_out", [
+        ("check", "cedilla.avm", "behavior control {\n  initial Ç\n}\n", 1,
+         "unexpected character '\\xc7'", "unexpected character 'Ç'"),
+        ("validate", "nö.avm", None, 2, "n\\xf6.avm", "nö.avm"),
+    ], ids=["finding", "file-name"])
+    def test_escaped_not_raised(self, tmp_path, command, name, text, exit_code, ascii_out,
+                                utf8_out):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        for encoding, expected in (("ascii", ascii_out), ("utf-8", utf8_out)):
+            result = run_subprocess(command, str(path), PYTHONIOENCODING=encoding)
+            assert (result.returncode, result.stderr) == (exit_code, "")
+            assert expected in result.stdout

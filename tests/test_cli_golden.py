@@ -10,8 +10,10 @@ After a deliberate change to the output, re-record from the root with
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,43 @@ def test_record_covers_every_call(golden):
 def test_output_matches_record(call, golden, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     assert record(call) == golden[call]
+
+
+# Calls that are not in the record, with the outcome each must give: an exit
+# code, or the SystemExit that argparse raises on a usage error or on --help.
+EXTRAS = {
+    "--quiet validate tests/corpus/mutant_missing_edge.avm": 1,
+    "--quiet check src/avmkit/models/antivirus.avm": 0,
+    "export src/avmkit/models/antivirus.avm --format yaml --target control": "SystemExit(2)",
+    "--help": "SystemExit(0)",
+    "check --help": "SystemExit(0)",
+}
+
+
+def run_extra(call: str) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(call.split())
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_share_nothing(golden, monkeypatch):
+    # Every call after the first reuses one parser: no order of calls, flags or
+    # usage errors may change what a later call prints.
+    monkeypatch.chdir(REPO_ROOT)
+    shuffled = random.Random(0).sample(CALLS, len(CALLS))
+    extras = itertools.cycle(EXTRAS)
+    first = {}
+    for call in [*reversed(CALLS), *shuffled]:
+        assert record(call) == golden[call], call
+        extra = next(extras)
+        outcome = run_extra(extra)
+        assert outcome[0] == EXTRAS[extra]
+        assert outcome == first.setdefault(extra, outcome), extra
+    assert "usage: avm" in first["--help"][1]
 
 
 if __name__ == "__main__":

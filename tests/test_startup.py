@@ -1,5 +1,6 @@
 """What a fresh `avm` process loads: the engines, the exporters, `json` and
-`dataclasses` stay out of start-up and load in the commands that use them.
+`dataclasses` stay out of start-up and load in the commands that use them, and
+the argument parser is built once, on the first call.
 
 Each test runs a new interpreter on the avmkit under test and diffs
 `sys.modules` around each step, since the interpreter's site may import some
@@ -58,6 +59,28 @@ def test_each_command_loads_only_what_it_uses():
     assert [m for m in DEFERRED if m in steps["validate"]] == []
     assert {"avmkit.checker", "avmkit.bdd"} <= set(steps["check"])
     assert "dataclasses" not in steps["check"]
+
+
+def test_the_parser_is_built_once_on_first_use():
+    # One build is six parsers: `avm` and its five subcommands.
+    steps = run_fresh(f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import avmkit.cli
+print("import:", len(built))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [avmkit.cli.main([command, {str(MODEL_FILE)!r}]) for command in ("validate", "info")]
+print("calls:", len(built))
+print("exit codes:", *codes)
+""")
+    assert steps["import"] == ["0"]
+    assert steps["calls"] == ["6"]
+    assert steps["exit codes"] == ["0", "0"]
 
 
 def test_a_wrapper_bound_before_the_first_check_is_called():
