@@ -313,26 +313,26 @@ class _Symbolic:
         return self._codes_to_bdd(state_indices, [(2 * b, b) for b in range(self.bits)])
 
     def _to_states(self, root: int) -> frozenset[str]:
-        """Walk the BDD over the current-state variables. A level the walk
-        skips is a don't-care bit and takes both values; codes past the last
-        state encode nothing."""
+        """Walk the BDD over the current-state variables, lowest bit first. A
+        level the walk skips is a don't-care bit and takes both values. Once
+        the walk reaches TRUE at bit b, every bit from b up is free, so its
+        codes are one run with step 1 << b; codes past the last state encode
+        nothing."""
         var, low, high = self.mgr._var, self.mgr._low, self.mgr._high
-        out = []
+        count = len(self.states)
+        codes: list[int] = []
         stack = [(root, 0, 0)]  # node, next bit to decide, code so far
         while stack:
             node, b, code = stack.pop()
-            if node == _FALSE:
-                continue
-            if b == self.bits:
-                if code < len(self.states):
-                    out.append(self.states[code])
-                continue
-            node0 = node1 = node
-            if var[node] == 2 * b:
-                node0, node1 = low[node], high[node]
-            stack.append((node0, b + 1, code))
-            stack.append((node1, b + 1, code | 1 << b))
-        return frozenset(out)
+            if node == _TRUE:
+                codes.extend(range(code, count, 1 << b))
+            elif node != _FALSE:
+                node0 = node1 = node
+                if var[node] == 2 * b:
+                    node0, node1 = low[node], high[node]
+                stack.append((node0, b + 1, code))
+                stack.append((node1, b + 1, code | 1 << b))
+        return frozenset(map(self.states.__getitem__, codes))
 
     def _renaming(self):
         """The rename of current-state variables to their next-state partners,

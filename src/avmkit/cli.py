@@ -100,24 +100,26 @@ def _load(path: str):
         return None, list(exc.findings), EXIT_FAIL
 
 
-def _emit(args, lines, code: int = EXIT_OK, findings=(), **fields) -> int:
-    """Print a command's outcome and return its exit code: its text lines, or one
-    JSON document of its own fields plus the keys every command shares."""
+def _emit(args, lines, fields, code: int = EXIT_OK, findings=()) -> int:
+    """Print a command's outcome and return its exit code. Only the output asked
+    for is built: `lines()` gives the text lines, `fields()` the command's own
+    structured fields, printed as one JSON document with the keys every
+    command shares."""
     if args.report_format == "structured":
         import json
 
         envelope = {"command": args.command, "file": args.file,
                     "findings": [f.to_record() for f in findings], "exit_code": code}
-        print(json.dumps(fields | envelope, indent=2, sort_keys=True))
+        print(json.dumps(fields() | envelope, indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
     return code
 
 
 def _fail(args, findings, code: int = EXIT_FAIL) -> int:
-    lines = [f.format() for f in findings if not args.quiet or f.severity == "error"]
-    return _emit(args, lines, code, findings)
+    return _emit(args, lambda: [f.format() for f in findings
+                                if not args.quiet or f.severity == "error"], dict, code, findings)
 
 
 # Findings about a whole behavior or model: their subject names no state.
@@ -125,16 +127,12 @@ _UNPLACED = frozenset({"no-final-states", "control-paths", "uncovered-states",
                        "fully-exempt-mapping"})
 
 
-def _position_findings(report, doc):
-    """Point check findings about a state back into the source text where the
-    state is mapped, exempted or first mentioned."""
-    decorated = tuple(
-        f._replace(position=doc.source_positions[f.subject])
-        if f.position is None and f.code not in _UNPLACED and f.subject in doc.source_positions
-        else f
-        for f in report.findings
-    )
-    return report._replace(findings=decorated)
+def _place(doc, f):
+    """A check finding about a state, pointed back into the source text where
+    the state is mapped, exempted or first mentioned."""
+    if f.position is None and f.code not in _UNPLACED and f.subject in doc.source_positions:
+        return f._replace(position=doc.source_positions[f.subject])
+    return f
 
 
 def cmd_validate(args, doc) -> int:
@@ -142,12 +140,14 @@ def cmd_validate(args, doc) -> int:
     skipped = ["synchronization"] if args.no_sync else []
     if not args.no_sync:
         reports.append(check_synchronization(doc.coupled))
-    reports = [_position_findings(r, doc) for r in reports]
-
-    lines = [r.format("error" if args.quiet else "warning") for r in reports]
-    lines += [f"{name}: skipped" for name in skipped]
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
-    return _emit(args, lines, code, checks=[r.to_record() for r in reports], skipped=skipped)
+    # Text places only the findings it prints; structured output places them all.
+    place = functools.partial(_place, doc)
+    min_severity = "error" if args.quiet else "warning"
+    return _emit(args, lambda: [r.format(min_severity, place) for r in reports]
+                 + [f"{name}: skipped" for name in skipped],
+                 lambda: {"checks": [r.to_record(place) for r in reports], "skipped": skipped},
+                 code)
 
 
 # The verdict under which each formula shape has a path to show.
@@ -162,8 +162,7 @@ def cmd_check(args, doc) -> int:
         for target in dict.fromkeys(prop.target for prop in doc.properties)
     }
     findings = []
-    results = []
-    lines = []
+    outcomes = []  # (property, verdict, matches its expectation, witness shape, path)
     for prop in doc.properties:
         k = kripkes[prop.target]
         sat_explicit = sat_symbolic = None
@@ -173,48 +172,43 @@ def cmd_check(args, doc) -> int:
             sat_symbolic = check_symbolic(k, prop.formula)
         if args.engine == "both" and sat_explicit != sat_symbolic:
             differing = sorted(sat_explicit ^ sat_symbolic)
-            findings.append(
-                Finding("error", "engine-disagreement", prop.name,
-                        f"engines disagree on: {', '.join(differing)}", prop.position)
-            )
+            findings.append(Finding("error", "engine-disagreement", prop.name,
+                                    f"engines disagree on: {', '.join(differing)}", prop.position))
         sat = sat_explicit if sat_explicit is not None else sat_symbolic
         verdict = "holds" if k.initial in sat else "fails"
         matches = None if prop.expected is None else (verdict == prop.expected)
         if matches is False:
-            findings.append(
-                Finding("error", "expectation-mismatch", prop.name,
-                        f"verdict {verdict}, expected {prop.expected}", prop.position)
-            )
+            findings.append(Finding("error", "expectation-mismatch", prop.name,
+                                    f"verdict {verdict}, expected {prop.expected}", prop.position))
 
         shape = witness_shape(prop.formula)
         path = witness(k, prop.formula) if verdict == _WITNESS_VERDICT.get(shape) else None
+        outcomes.append((prop, verdict, matches, shape, path))
 
-        suffix = ""
-        if prop.expected is not None:
-            suffix = (f" (expected {prop.expected})" if matches
-                      else f" (expected {prop.expected}, MISMATCH)")
-        lines.append(f"{prop.name} on {prop.target}: {verdict}{suffix}")
-        if path is not None and not args.quiet:
-            kind = "witness" if shape == "reachability" else "counterexample"
-            lines.append(f"  {kind}: {path}")
-        results.append({
-            "name": prop.name,
-            "target": prop.target,
-            "formula": str(prop.formula),
-            "verdict": verdict,
-            "expected": prop.expected,
-            "matches_expectation": matches,
+    def lines():
+        for prop, verdict, matches, shape, path in outcomes:
+            suffix = ""
+            if prop.expected is not None:
+                suffix = (f" (expected {prop.expected})" if matches
+                          else f" (expected {prop.expected}, MISMATCH)")
+            yield f"{prop.name} on {prop.target}: {verdict}{suffix}"
+            if path is not None and not args.quiet:
+                yield f"  {'witness' if shape == 'reachability' else 'counterexample'}: {path}"
+        yield from map(Finding.format, findings)
+        mismatches = sum(matches is False for _, _, matches, _, _ in outcomes)
+        yield (f"{len(outcomes)} propert{'y' if len(outcomes) == 1 else 'ies'} checked, "
+               f"{mismatches} expectation mismatch(es)")
+
+    def fields():
+        return {"engine": args.engine, "properties": [{
+            "name": prop.name, "target": prop.target, "formula": str(prop.formula),
+            "verdict": verdict, "expected": prop.expected, "matches_expectation": matches,
             "witness": list(path.states) if path is not None else None,
             "witness_note": None if shape else "witness unsupported for this formula shape",
             "engine": args.engine,
-        })
+        } for prop, verdict, matches, shape, path in outcomes]}
 
-    mismatches = sum(1 for r in results if r["matches_expectation"] is False)
-    lines.extend(f.format() for f in findings)
-    lines.append(f"{len(results)} propert{'y' if len(results) == 1 else 'ies'} checked, "
-                 f"{mismatches} expectation mismatch(es)")
-    code = EXIT_OK if not findings else EXIT_FAIL
-    return _emit(args, lines, code, findings, engine=args.engine, properties=results)
+    return _emit(args, lines, fields, EXIT_OK if not findings else EXIT_FAIL, findings)
 
 
 def cmd_paths(args, doc) -> int:
@@ -224,11 +218,12 @@ def cmd_paths(args, doc) -> int:
     except UnknownStateError as exc:
         detail = f"no state named {exc.state} in the {args.behavior} behavior"
         return _fail(args, [Finding("error", "unknown-state", exc.state, detail)])
-    lines = [str(p) for p in paths]
-    lines.append(f"{len(paths)} path(s) from {args.from_state} to {args.to_state}")
-    return _emit(args, lines, behavior=args.behavior, **{"from": args.from_state},
-                 to=args.to_state,
-                 paths=[{"states": list(p.states), "labels": list(p.labels)} for p in paths])
+    return _emit(args,
+                 lambda: [*map(str, paths),
+                          f"{len(paths)} path(s) from {args.from_state} to {args.to_state}"],
+                 lambda: {"behavior": args.behavior, "from": args.from_state, "to": args.to_state,
+                          "paths": [{"states": list(p.states), "labels": list(p.labels)}
+                                    for p in paths]})
 
 
 def cmd_export(args, doc) -> int:
@@ -243,16 +238,16 @@ def cmd_export(args, doc) -> int:
                           name=args.target)
     except NameCollisionError as exc:
         return _fail(args, [Finding("error", "name-collision", args.target, str(exc))])
-    lines = [text.removesuffix("\n")]  # print adds back the newline the text ends in
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as out:
                 out.write(text)
         except OSError as exc:
             return _fail(args, [Finding("error", "io-error", args.output, str(exc))], EXIT_IO)
-        lines = []
-    return _emit(args, lines, target=args.target, format=args.export_format,
-                 output=args.output, text=text)
+    # print adds back the newline the text ends in
+    return _emit(args, lambda: [] if args.output else [text.removesuffix("\n")],
+                 lambda: {"target": args.target, "format": args.export_format,
+                          "output": args.output, "text": text})
 
 
 def cmd_info(args, doc) -> int:
@@ -264,16 +259,15 @@ def cmd_info(args, doc) -> int:
         a.name: {"control": sorted(a.control_states), "preventive": sorted(a.preventive_states)}
         for a in coupled.approaches.approaches
     }
-    lines = [f"{side}: {n['states']} states / {n['transitions']} transitions"
-             for side, n in sizes.items()]
-    lines += [
+    return _emit(args, lambda: [
+        *(f"{side}: {n['states']} states / {n['transitions']} transitions"
+          for side, n in sizes.items()),
         f"mapping: {mapping['entries']} entries / {mapping['exempt']} exempt",
         "approaches: " + ", ".join(f"{name} ({len(m['control'])}+{len(m['preventive'])})"
                                    for name, m in approaches.items()),
         f"properties: {len(doc.properties)}",
-    ]
-    return _emit(args, lines, **sizes, mapping=mapping, approaches=approaches,
-                 properties=len(doc.properties))
+    ], lambda: sizes | {"mapping": mapping, "approaches": approaches,
+                        "properties": len(doc.properties)})
 
 
 _COMMANDS = {

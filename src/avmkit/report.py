@@ -58,19 +58,23 @@ class CheckReport(NamedTuple):
     def status(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def format(self, min_severity: str = "warning") -> str:
+    def format(self, min_severity: str = "warning", place=None) -> str:
+        """The status line, then one line per finding at `min_severity` or
+        above. `place`, when given, maps each finding to the one to show (the
+        CLI fills in its source position); it sees only the findings shown."""
         rank = _SEVERITY_RANK[min_severity]
         lines = [f"{self.name}: {self.status}"]
         for f in self.findings:
             if _SEVERITY_RANK.get(f.severity, 99) <= rank:
-                lines.append(f"  {f.format()}")
+                lines.append(f"  {(place(f) if place else f).format()}")
         return "\n".join(lines)
 
-    def to_record(self) -> dict:
+    def to_record(self, place=None) -> dict:
+        """The report as plain data; `place` maps each finding as in `format`."""
         return {
             "name": self.name,
             "status": self.status,
-            "findings": [f.to_record() for f in self.findings],
+            "findings": [(place(f) if place else f).to_record() for f in self.findings],
         }
 
 

@@ -199,6 +199,29 @@ MUTANTS = (
         "pass",
         ("tests/test_cli.py::TestUnencodableOutput",),
     ),
+    Mutant(
+        "text mode places no finding",
+        "cli.py",
+        "r.format(min_severity, place)",
+        "r.format(min_severity)",
+        ("tests/test_cli_golden.py::test_output_matches_record"
+         "[validate tests/corpus/mutant_missing_edge.avm]",),
+    ),
+    Mutant(
+        "structured mode places only the findings text shows",
+        "cli.py",
+        "r.to_record(place)",
+        'r.to_record(lambda f: place(f) if f.severity in ("error", "warning") else f)',
+        ("tests/test_cli_golden.py::test_output_matches_record"
+         "[--format structured validate src/avmkit/models/antivirus.avm]",),
+    ),
+    Mutant(
+        "symbolic decode steps a run by two free bits",
+        "checker.py",
+        "range(code, count, 1 << b)",
+        "range(code, count, 1 << (b + 1))",
+        ("tests/test_checker.py::TestDecode::test_decode_returns_the_encoded_states",),
+    ),
 )
 
 

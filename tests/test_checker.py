@@ -386,6 +386,26 @@ print(hashlib.sha256(repr((mgr._var, mgr._low, mgr._high)).encode()).hexdigest()
         assert digests[0] == digests[1]
 
 
+class TestDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(kripkes(max_states=40, max_out=2), st.data())
+    def test_decode_returns_the_encoded_states(self, k, data):
+        # 1 to 40 states, mostly not a power of two, so codes past the last
+        # state often fall under a free bit of a run.
+        subset = data.draw(st.sets(st.integers(min_value=0, max_value=len(k.states) - 1)))
+        context = k._symbolic
+        assert context._to_states(context._set_to_bdd(subset)) == \
+            frozenset(k.states[i] for i in subset)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 17, 31, 33])
+    def test_every_state_and_every_other_state(self, n):
+        k = ring_kripke(Random(n), n) if n >= 3 else complete_kripke(n)
+        context = k._symbolic
+        assert context._to_states(context.universe) == frozenset(k.states)
+        evens = frozenset(k.states[::2])
+        assert context._to_states(context._set_to_bdd(range(0, n, 2))) == evens
+
+
 class TestDuality:
     @settings(max_examples=60, deadline=None)
     @given(kripkes(6), st.integers(min_value=0, max_value=100_000))

@@ -1,14 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avmkit import ctl
 from avmkit.cli import main
 from avmkit.ctl import MAX_NESTING
+from avmkit.dsl import ModelDocument, render_model
+from avmkit.report import CheckReport, Finding, SourcePos
 
 from conftest import CORPUS_DIR, MODEL_FILE
+from generators import random_coupled_model
 
 BUNDLED = str(MODEL_FILE)
 
@@ -418,6 +430,123 @@ class TestLargeControlGraphs:
                                  "no preventive walk from {p80} to {island}"),
             ("control-paths", "control", "checked 1099511627776 control path(s)"),
         ]
+
+
+def chain_document(tmp_path, n=200):
+    """A control chain of n states, each mapped onto one preventive state, so
+    validate reports n info `mapping-entry` findings and nothing else to
+    show, plus two properties with a witness and a counterexample."""
+    names = [f"c{i:04d}" for i in range(n)]
+    path = write_document(tmp_path, [("P", "stay", "P")],
+                          [(a, "go", b) for a, b in zip(names, names[1:])],
+                          names[0], names[-1], [(c, "P") for c in names])
+    with open(path, "a", encoding="utf-8") as out:
+        out.write(f"spec reach on control expect holds: EF at({names[-1]})\n"
+                  f"spec never on control expect fails: AG !at({names[-1]})\n")
+    return path
+
+
+class TestOnlyPrintedOutputIsBuilt:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts records, formula texts and findings placed, by severity."""
+        counts = Counter()
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        replace = Finding._replace
+
+        def place(finding, **changes):
+            if "position" in changes:
+                counts[f"placed {finding.severity}"] += 1
+            return replace(finding, **changes)
+
+        monkeypatch.setattr(Finding, "to_record", counted("finding", Finding.to_record))
+        monkeypatch.setattr(CheckReport, "to_record", counted("report", CheckReport.to_record))
+        monkeypatch.setattr(ctl, "render", counted("render", ctl.render))
+        monkeypatch.setattr(Finding, "_replace", place)
+        return counts
+
+    def test_text_validate_builds_no_record_and_places_no_info_finding(self, capsys, tmp_path,
+                                                                       built):
+        code, out = run_cli(capsys, "validate", chain_document(tmp_path))
+        assert code == 0
+        assert out.splitlines() == ["mapping: pass", "approaches: pass", "synchronization: pass"]
+        assert (built["finding"], built["report"], built["placed info"]) == (0, 0, 0)
+
+    def test_structured_validate_records_and_places_every_finding(self, capsys, tmp_path,
+                                                                   built):
+        code, out = run_cli(capsys, "--format", "structured", "validate",
+                            chain_document(tmp_path))
+        assert code == 0
+        records = [f for c in json.loads(out)["checks"] for f in c["findings"]]
+        assert sum(f["code"] == "mapping-entry" and f["position"] is not None
+                   for f in records) == 200
+        assert built["report"] == 3
+        assert built["finding"] == len(records)
+        assert built["placed info"] == 200
+
+    def test_text_check_renders_no_formula(self, capsys, tmp_path, built):
+        code, out = run_cli(capsys, "check", chain_document(tmp_path))
+        assert code == 0
+        assert "  counterexample: c0000 -go-> " in out
+        assert built["render"] == 0
+
+    def test_structured_check_renders_each_formula(self, capsys, tmp_path, built):
+        code, out = run_cli(capsys, "--format", "structured", "check", chain_document(tmp_path))
+        assert code == 0
+        formulas = [p["formula"] for p in json.loads(out)["properties"]]
+        assert formulas == ["EF at(c0199)", "AG !at(c0199)"]
+        assert built["render"] == 2
+
+
+def printed_findings(out):
+    """The finding lines of a text report, without the indent under a check."""
+    lines = (line.removeprefix("  ") for line in out.splitlines())
+    return [line for line in lines if line.startswith("[")]
+
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestTextStructuredParity:
+    # Generated documents with one line deleted or repeated: most still parse
+    # and fail or pass their checks; some are syntax or validation errors.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.data())
+    def test_text_prints_the_shown_structured_findings(self, seed, repeat, data):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        lines = render_model(ModelDocument(model, ())).splitlines()
+        at = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if repeat:
+            lines.insert(at, lines[at])
+        else:
+            del lines[at]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = str(Path(scratch) / "model.avm")
+            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for quiet in ((), ("--quiet",)):
+                code, text = call([*quiet, "validate", path])
+                structured_code, out = call([*quiet, "--format", "structured", "validate", path])
+                payload = json.loads(out)
+                records = payload["findings"] + [
+                    f for c in payload.get("checks", ()) for f in c["findings"]]
+                shown = ("error",) if quiet else ("error", "warning")
+                expected = [
+                    Finding(**r | {"position": r["position"] and SourcePos(**r["position"])})
+                    .format()
+                    for r in records if r["severity"] in shown]
+                assert code == structured_code
+                assert printed_findings(text) == expected
 
 
 class TestPaths:
