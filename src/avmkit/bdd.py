@@ -12,12 +12,13 @@ long as the manager, so a client that keeps one manager for many queries (the
 checker keeps one per Kripke structure) reuses earlier results.
 
 Every table key is one int, like the fixed-width records of a C package,
-not a tuple: AND, OR and each relational product key an ordered operand pair
-a <= b by `a << 32 | b`, and the unique table keys a node by
-`(var << 32 | low) << 32 | high`. An int key takes less memory than a tuple
-and the garbage collector does not track it. The packing is exact because
-node ids are list indices below 2**32 (a manager that large would need
-hundreds of GB); the leading field, a or var, needs no bound.
+not a tuple: AND and OR key an ordered operand pair a <= b by `a << 32 | b`,
+each relational product keys its pair (a, b) the same way but as passed, and
+the unique table keys a node by `(var << 32 | low) << 32 | high`. An int key
+takes less memory than a tuple and the garbage collector does not track it.
+The packing is exact because node ids are list indices below 2**32 (a
+manager that large would need hundreds of GB); the leading field, a or var,
+needs no bound.
 
 The operations are what the symbolic engine uses: `apply` with AND or OR,
 `negate`, and `and_exists`, the fused relational product of Burch, Clarke,
@@ -196,7 +197,11 @@ class BddManager:
 
     def _product(self, quantified: frozenset[int]):
         """The `and_exists` recursion and table for one quantified set, built
-        once. Callers resolve a FALSE operand or two TRUE ones first."""
+        once. Callers resolve a FALSE operand or two TRUE ones first. The
+        table keys the ordered pair (a, b) as given, so a caller that always
+        passes the same side first (the symbolic engine passes the relation)
+        needs no swap; the reversed pair is only a second entry for the same
+        result."""
         product = self._products.get(quantified)
         if product is not None:
             return product
@@ -208,31 +213,36 @@ class BddManager:
         table: dict[int, int] = {}  # packed (a, b) -> node
 
         def product(a: int, b: int) -> int:
-            if a > b:
-                a, b = b, a
             key = a << 32 | b
             res = table.get(key)
             if res is not None:
                 return res
-            va, vb = var[a], var[b]
-            if va == vb:
-                v, a0, a1, b0, b1 = va, low[a], high[a], low[b], high[b]
-            elif va < vb:
-                v, a0, a1, b0, b1 = va, low[a], high[a], b, b
+            v = va = var[a]
+            vb = var[b]
+            if va <= vb:
+                a0 = low[a]
+                a1 = high[a]
             else:
-                v, a0, a1, b0, b1 = vb, a, a, low[b], high[b]
+                v = vb
+                a0 = a1 = a
+            if vb == v:
+                b0 = low[b]
+                b1 = high[b]
+            else:
+                b0 = b1 = b
             if a0 == _FALSE or b0 == _FALSE:
                 r0 = _FALSE
             else:
                 r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)
-            if r0 == _TRUE and bound[v]:
+            quantify = bound[v]
+            if quantify and r0 == _TRUE:
                 res = _TRUE  # the other cofactor cannot add to a tautology
             else:
                 if a1 == _FALSE or b1 == _FALSE:
                     r1 = _FALSE
                 else:
                     r1 = _TRUE if a1 == b1 == _TRUE else product(a1, b1)
-                if bound[v]:
+                if quantify:
                     res = r1 if r0 == _FALSE else r0 if r1 == _FALSE or r0 == r1 else disjoin(r0, r1)
                 elif r0 == r1:
                     res = r0

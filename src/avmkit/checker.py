@@ -15,8 +15,15 @@ are checked two ways, and both return the exact satisfying state set:
 - the symbolic engine works on BDDs over the binary-encoded state numbers.
   One BDD context is built per structure and shared by every formula checked
   on it. Its sets are node ids, its fixpoints call the manager's AND, OR and
-  negation kernels on them directly, and EX is one fused relational product
-  (the recursion behind `BddManager.and_exists`).
+  negation kernels on them directly, and EX is one pre-image step bound once
+  per context: the rename to next-state variables and one fused relational
+  product (the recursion behind `BddManager.and_exists`), with the terminal
+  operands resolved in that step alone. EX, EU and EG all call it. The
+  context memoizes each core node's BDD by the node's class, its atom or
+  constant and its children's node ids, so an atom's BDD is built once per
+  structure and a fixpoint that two properties share runs once. EU skips the
+  AND with its left operand when that operand is the universe, as in EF and
+  AG: a pre-image holds only state codes.
 """
 
 from collections import deque
@@ -272,16 +279,17 @@ class _Symbolic:
     """BDD context of one Kripke structure, shared by every formula checked on
     it. Each state's number in the structure's index is binary-encoded over
     interleaved current (even) and next (odd) variables: bit b of the number
-    is variable 2b now and variable 2b+1 one step later. Every state set is a node id of the
-    manager, and the fixpoints call its AND, OR, negation and relational
-    product kernels on ids directly, so a step costs only its BDD work."""
+    is variable 2b now and variable 2b+1 one step later. Every state set is a
+    node id of the manager, and the fixpoints call its AND, OR, negation and
+    relational product kernels on ids directly, so a step costs only its BDD
+    work. `_step` is the pre-image, bound once; `_memo` holds every core
+    node's BDD computed on this context."""
 
     def __init__(self, k: KripkeStructure):
         self.k = k
         self.states = k.states
         self.bits = bits = max(1, (len(self.states) - 1).bit_length())
-        self.mgr = mgr = BddManager(2 * bits)
-        self._product = mgr._product(frozenset(2 * b + 1 for b in range(bits)))
+        self.mgr = BddManager(2 * bits)
         self._shift_to_next = self._renaming()
 
         self.universe = self._set_to_bdd(range(len(self.states)))
@@ -292,6 +300,8 @@ class _Symbolic:
         self.relation = self._codes_to_bdd(
             [i | j << bits for i, targets in enumerate(k.succ) for j in targets], pair_levels
         )
+        self._step = self._pre_image()
+        self._memo: dict[tuple, int] = {}  # (class, atom or constant | child ids) -> node
 
     def _codes_to_bdd(self, codes, levels) -> int:
         """The set of integer codes as a BDD. `levels` lists (variable, code
@@ -352,16 +362,36 @@ class _Symbolic:
 
         return shift
 
-    def _ex(self, node: int) -> int:
-        # and_exists(relation, shifted, next-state variables), terminals first.
-        relation, shifted = self.relation, self._shift_to_next(node)
-        if relation == _FALSE or shifted == _FALSE:
-            return _FALSE
-        return _TRUE if relation == shifted == _TRUE else self._product(relation, shifted)
+    def _pre_image(self):
+        """EX as one closure over the relation: and_exists(relation, the set
+        renamed to next-state variables, next-state variables), with the
+        terminal operands resolved here, the one place that does so. The
+        relation is always the product's first operand."""
+        relation, shift = self.relation, self._shift_to_next
+        product = self.mgr._product(frozenset(2 * b + 1 for b in range(self.bits)))
+
+        def step(node: int) -> int:
+            shifted = shift(node)
+            if relation == _FALSE or shifted == _FALSE:
+                return _FALSE
+            return _TRUE if relation == shifted == _TRUE else product(relation, shifted)
+
+        return step
 
     def _sat(self, node: CtlFormula, sats: tuple[int, ...]) -> int:
-        """The BDD of one core node's states, given its children's BDDs."""
-        conj, disj, ex = self.mgr._and, self.mgr._or, self._ex
+        """The BDD of one core node's states, given its children's BDDs,
+        computed once per context: node ids are canonical in the manager, so
+        the node's class, its atom or constant, and its children's ids name
+        its function."""
+        cls = type(node)
+        key = (cls, *sats) if sats else (cls, node.prop if cls is ctl.Atom else node.value)
+        res = self._memo.get(key)
+        if res is None:
+            res = self._memo[key] = self._compute(node, sats)
+        return res
+
+    def _compute(self, node: CtlFormula, sats: tuple[int, ...]) -> int:
+        conj, disj, step = self.mgr._and, self.mgr._or, self._step
         if isinstance(node, ctl.Const):
             return self.universe if node.value else _FALSE
         if isinstance(node, ctl.Atom):
@@ -374,15 +404,21 @@ class _Symbolic:
         if isinstance(node, ctl.Or):
             return disj(*sats)
         if isinstance(node, ctl.EX):
-            return ex(sats[0])
+            return step(sats[0])
         if isinstance(node, ctl.EU):
             holds_f, current = sats
-            while (extended := disj(current, conj(holds_f, ex(current)))) != current:
-                current = extended
+            if holds_f == self.universe:
+                # A pre-image holds only state codes, so AND with the universe
+                # would return it unchanged (EF and AG normalize to this case).
+                while (extended := disj(current, step(current))) != current:
+                    current = extended
+            else:
+                while (extended := disj(current, conj(holds_f, step(current)))) != current:
+                    current = extended
             return current
         if isinstance(node, ctl.EG):
             current = sats[0]
-            while (shrunk := conj(current, ex(current))) != current:
+            while (shrunk := conj(current, step(current))) != current:
                 current = shrunk
             return current
         raise TypeError(f"not a core formula node: {node!r}")

@@ -163,6 +163,8 @@ def cmd_check(args, doc) -> int:
     }
     findings = []
     outcomes = []  # (property, verdict, matches its expectation, witness shape, path)
+    # Text `--quiet` prints no witness line, so it computes no witness.
+    shows_witness = args.report_format == "structured" or not args.quiet
     for prop in doc.properties:
         k = kripkes[prop.target]
         sat_explicit = sat_symbolic = None
@@ -182,7 +184,9 @@ def cmd_check(args, doc) -> int:
                                     f"verdict {verdict}, expected {prop.expected}", prop.position))
 
         shape = witness_shape(prop.formula)
-        path = witness(k, prop.formula) if verdict == _WITNESS_VERDICT.get(shape) else None
+        path = None
+        if shows_witness and verdict == _WITNESS_VERDICT.get(shape):
+            path = witness(k, prop.formula)
         outcomes.append((prop, verdict, matches, shape, path))
 
     def lines():

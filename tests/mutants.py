@@ -46,8 +46,8 @@ MUTANTS = (
     Mutant(
         "symbolic EG stopped after one step",
         "checker.py",
-        "while (shrunk := conj(current, ex(current))) != current:",
-        "if (shrunk := conj(current, ex(current))) != current:",
+        "while (shrunk := conj(current, step(current))) != current:",
+        "if (shrunk := conj(current, step(current))) != current:",
         ("tests/test_checker.py::TestDeepFixpoints",),
     ),
     Mutant(
@@ -65,11 +65,27 @@ MUTANTS = (
         ("tests/test_checker.py::TestCodesToBdd",),
     ),
     Mutant(
-        "relational product called on two TRUE operands",
+        "pre-image step calls the product on two TRUE operands",
         "checker.py",
-        "return _TRUE if relation == shifted == _TRUE else self._product(relation, shifted)",
-        "return self._product(relation, shifted)",
+        "return _TRUE if relation == shifted == _TRUE else product(relation, shifted)",
+        "return product(relation, shifted)",
         ("tests/test_checker.py::TestTerminalOperands",),
+    ),
+    Mutant(
+        "symbolic memo key without child ids",
+        "checker.py",
+        "key = (cls, *sats) if sats else",
+        "key = (cls,) if sats else",
+        ("tests/test_checker.py::TestMemo::"
+         "test_formulas_sharing_one_context_agree_with_explicit",),
+    ),
+    Mutant(
+        "EU skips the AND with its left operand for any operand",
+        "checker.py",
+        "if holds_f == self.universe:",
+        "if True:",
+        ("tests/test_checker.py::TestMemo::"
+         "test_formulas_sharing_one_context_agree_with_explicit",),
     ),
     Mutant(
         "repeated states stored",
@@ -198,6 +214,14 @@ MUTANTS = (
         'sys.stdout.reconfigure(errors="backslashreplace")',
         "pass",
         ("tests/test_cli.py::TestUnencodableOutput",),
+    ),
+    Mutant(
+        "text --quiet check computes witnesses it does not print",
+        "cli.py",
+        'shows_witness = args.report_format == "structured" or not args.quiet',
+        "shows_witness = True",
+        ("tests/test_cli.py::TestOnlyPrintedOutputIsBuilt::"
+         "test_text_quiet_check_computes_no_witness",),
     ),
     Mutant(
         "text mode places no finding",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avmkit.checker
+from avmkit.bdd import _TRUE
 from avmkit.checker import (
     KripkeStructure,
     UnknownAtomError,
@@ -26,7 +27,7 @@ from avmkit.checker import (
     witness_shape,
 )
 from avmkit.coupled import APPROACH_NAMES
-from avmkit.ctl import AU, EX, And, Atom, AtomicProposition, parse_ctl
+from avmkit.ctl import AU, EX, And, Atom, AtomicProposition, fold, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
@@ -500,6 +501,76 @@ class TestSharing:
     def test_deep_nesting_agrees(self, control_kripke):
         f = nested_until(30)
         assert check_explicit(control_kripke, f) == check_symbolic(control_kripke, f)
+
+
+def counted_steps(context):
+    """Wraps the context's pre-image step; returns the list it appends to."""
+    calls = []
+    step = context._step
+    context._step = lambda node: calls.append(node) or step(node)
+    return calls
+
+
+class TestMemo:
+    # The symbolic context keeps each core node's BDD, keyed by the node's
+    # class, its atom or constant and its children's node ids, for the life
+    # of the structure.
+    def test_second_pass_adds_no_node_and_takes_no_step(self, bundled_doc):
+        for target in dict.fromkeys(p.target for p in bundled_doc.properties):
+            k = to_kripke(bundled_doc.coupled.behavior(target),
+                          bundled_doc.coupled.approaches.states_by_side(target))
+            context = k._symbolic
+            steps = counted_steps(context)
+            props = [p for p in bundled_doc.properties if p.target == target]
+            first = [check_symbolic(k, p.formula) for p in props]
+            assert props and steps
+            nodes, taken = context.mgr.node_count(), len(steps)
+            assert [check_symbolic(k, p.formula) for p in props] == first
+            assert (context.mgr.node_count(), len(steps)) == (nodes, taken)
+
+    def test_shared_fixpoint_runs_once(self):
+        # AF g is !EG !g, so it reuses EG !g's fixpoint.
+        k = to_kripke(build_behavior({"A", "B", "C"}, "A", {"a", "b"},
+                                     [("A", "a", "B"), ("B", "b", "C")]))
+        steps = counted_steps(k._symbolic)
+        assert check_symbolic(k, parse_ctl("EG !at(C)")) == frozenset()
+        taken = len(steps)
+        assert check_symbolic(k, parse_ctl("AF at(C)")) == frozenset({"A", "B", "C"})
+        assert len(steps) == taken > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(kripkes(max_states=12), st.integers(min_value=0, max_value=100_000),
+           st.integers(min_value=1, max_value=6))
+    def test_formulas_sharing_one_context_agree_with_explicit(self, k, seed, count):
+        rng = Random(seed)
+        formulas = [random_formula(rng, k.states) for _ in range(count)]
+        for f in formulas:
+            assert check_symbolic(k, f) == check_explicit(k, f)
+        mgr = k._symbolic.mgr
+        assert mgr.check_invariants() == []
+        nodes = mgr.node_count()
+        for f in formulas:
+            assert check_symbolic(k, f) == check_explicit(k, f)
+        assert mgr.node_count() == nodes
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 12, 100])
+    def test_universe_left_operand_equals_the_unskipped_form(self, n):
+        # With n not a power of two the universe is a real BDD, not TRUE, so
+        # the EU that skips AND(universe, pre-image) takes a different path.
+        k = ring_kripke(Random(n), n)
+        context = k._symbolic
+        assert context.universe != _TRUE
+        conj, disj, step = context.mgr._and, context.mgr._or, context._step
+        goal = k.states[n // 2]
+        for text in (f"E [ true U at({goal}) ]",
+                     f"E [ (at({goal}) | !at({goal})) U EX at({goal}) ]"):
+            formula = parse_ctl(text)
+            f, current = (fold(child, context._sat) for child in (formula.left, formula.right))
+            assert f == context.universe
+            while (extended := disj(current, conj(f, step(current)))) != current:
+                current = extended
+            assert fold(formula, context._sat) == current, text
+            assert check_symbolic(k, formula) == check_explicit(k, formula), text
 
 
 class TestWitness:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avmkit.cli
 from avmkit import ctl
 from avmkit.cli import main
 from avmkit.ctl import MAX_NESTING
@@ -502,6 +503,30 @@ class TestOnlyPrintedOutputIsBuilt:
         formulas = [p["formula"] for p in json.loads(out)["properties"]]
         assert formulas == ["EF at(c0199)", "AG !at(c0199)"]
         assert built["render"] == 2
+
+    @pytest.fixture
+    def witnesses(self, monkeypatch):
+        """Counts `witness` calls made through the CLI."""
+        calls = []
+        found = avmkit.cli.witness
+        monkeypatch.setattr(avmkit.cli, "witness",
+                            lambda k, formula: calls.append(formula) or found(k, formula))
+        return calls
+
+    def test_text_quiet_check_computes_no_witness(self, capsys, witnesses):
+        code, out = run_cli(capsys, "--quiet", "check", BUNDLED)
+        assert code == 0
+        assert "witness:" not in out and "counterexample:" not in out
+        assert witnesses == []
+
+    @pytest.mark.parametrize("quiet", [(), ("--quiet",)], ids=["loud", "quiet"])
+    def test_shown_witnesses_are_computed(self, capsys, witnesses, quiet):
+        code, out = run_cli(capsys, *quiet, "--format", "structured", "check", BUNDLED)
+        assert code == 0
+        shown = [p["witness"] for p in json.loads(out)["properties"] if p["witness"]]
+        assert shown and len(witnesses) == 2
+        code, out = run_cli(capsys, "check", BUNDLED)
+        assert "  witness: " in out and len(witnesses) == 4
 
 
 def printed_findings(out):
