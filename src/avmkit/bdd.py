@@ -6,27 +6,25 @@ denote the same boolean function. Managers are arena-style: nodes are never
 collected within a run, the whole manager is dropped at once. Each operation
 has computed tables of its own (Brace, Rudell and Bryant): AND and OR, one
 recursion that differs only in which terminal absorbs, are each keyed by the
-ordered pair of operand nodes, negation by the node, and
-`and_exists` keeps one table per quantified-variable set. The tables live as
-long as the manager, so a client that keeps one manager for many queries (the
-checker keeps one per Kripke structure) reuses earlier results.
+ordered pair of operand nodes, negation by the node, and each pre-image step
+keeps one dict per relation node, keyed by the set node. The tables live as
+long as the manager or the step, so a client that keeps one manager for many
+queries (the checker keeps one per Kripke structure) reuses earlier results.
 
 Every table key is one int, like the fixed-width records of a C package,
 not a tuple: AND and OR key an ordered operand pair a <= b by `a << 32 | b`,
-each relational product keys its pair (a, b) the same way but as passed, and
-the unique table keys a node by `(var << 32 | low) << 32 | high`. An int key
-takes less memory than a tuple and the garbage collector does not track it.
-The packing is exact because node ids are list indices below 2**32 (a
+and the unique table keys a node by `(var << 32 | low) << 32 | high`. An int
+key takes less memory than a tuple and the garbage collector does not track
+it. The packing is exact because node ids are list indices below 2**32 (a
 manager that large would need hundreds of GB); the leading field, a or var,
 needs no bound.
 
-The operations are what the symbolic engine uses: `apply` with AND or OR,
-`negate`, and `and_exists`, the fused relational product of Burch, Clarke,
-McMillan and Dill, which quantifies variables while it conjoins, so the full
-conjunction is never built. The symbolic engine skips the handles: it calls
-the kernels on node ids (`_and`, `_or`, `_negate` and, through `_product`,
-the same product recursion `and_exists` uses) and builds state sets and
-renames variables by interning nodes itself (`_mk`). `sat_count`,
+The symbolic engine calls the kernels on node ids: `_and`, `_or`, `_negate`
+and `_pre_image`, the relational product of Burch, Clarke, McMillan and Dill
+over current/next variable pairs, which reads the set on the next-state
+variables and quantifies them while it conjoins, so neither the renamed set
+nor the conjunction is built. It builds state sets by interning nodes itself
+(`_mk`). The `BddRef` handles (`mk_var`, `apply`, `negate`), `sat_count`,
 `node_count` and `check_invariants` are there to test the manager by.
 """
 
@@ -88,7 +86,6 @@ class BddManager:
         self._high: list[int] = [_FALSE, _TRUE]
         self._unique: dict[int, int] = {}  # packed (var, low, high) -> node
         self._not_table: dict[int, int] = {}
-        self._products: dict[frozenset[int], object] = {}  # quantified set -> product
         self._and = self._binary(_FALSE)
         self._or = self._binary(_TRUE)
         self.false = BddRef(self, _FALSE)
@@ -184,41 +181,31 @@ class BddManager:
             self._not_table[a] = res
         return res
 
-    # -- quantification -----------------------------------------------------
+    # -- relational product ---------------------------------------------------
 
-    def and_exists(self, f: BddRef, g: BddRef, variables) -> BddRef:
-        """Relational product: exists(apply(AND, f, g), variables), computed in
-        one memoized pass without building the conjunction."""
-        product = self._product(frozenset(variables))
-        a, b = self._index(f), self._index(g)
-        if a == _FALSE or b == _FALSE:
-            return self.false
-        return self._ref(_TRUE if a == b == _TRUE else product(a, b))
-
-    def _product(self, quantified: frozenset[int]):
-        """The `and_exists` recursion and table for one quantified set, built
-        once. Callers resolve a FALSE operand or two TRUE ones first. The
-        table keys the ordered pair (a, b) as given, so a caller that always
-        passes the same side first (the symbolic engine passes the relation)
-        needs no swap; the reversed pair is only a second entry for the same
-        result."""
-        product = self._products.get(quantified)
-        if product is not None:
-            return product
-        for v in quantified:
-            self._check_var(v)
+    def _pre_image(self, relation: int):
+        """The pre-image step over one transition relation, on variables
+        paired as current 2i and next 2i+1: for a set S on the even variables,
+        exists(odd variables, relation & S'), where S' is S on the odd ones.
+        One pass, the relational product of Burch, Clarke, McMillan and Dill:
+        a node of S on variable 2i is read as if it sat on 2i+1, so no renamed
+        copy is interned, and the odd levels are quantified while the
+        conjunction is taken, so it is never built. The first operand is
+        always the relation or one of its sub-nodes, so the computed table is
+        one dict per node that exists at binding, keyed by the set node. The
+        step resolves terminal operands at the top and the recursion does so
+        for the cofactors, so it is never called on a FALSE or on two TRUEs."""
         var, low, high, unique = self._var, self._low, self._high, self._unique
         disjoin = self._or
-        bound = [v in quantified for v in range(self.var_count)]
-        table: dict[int, int] = {}  # packed (a, b) -> node
+        rows: list[dict[int, int]] = [{} for _ in var]  # relation node -> set node -> node
 
         def product(a: int, b: int) -> int:
-            key = a << 32 | b
-            res = table.get(key)
+            row = rows[a]
+            res = row.get(b)
             if res is not None:
                 return res
             v = va = var[a]
-            vb = var[b]
+            vb = var[b] + 1
             if va <= vb:
                 a0 = low[a]
                 a1 = high[a]
@@ -234,7 +221,7 @@ class BddManager:
                 r0 = _FALSE
             else:
                 r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)
-            quantify = bound[v]
+            quantify = v & 1
             if quantify and r0 == _TRUE:
                 res = _TRUE  # the other cofactor cannot add to a tautology
             else:
@@ -254,11 +241,15 @@ class BddManager:
                         var.append(v)
                         low.append(r0)
                         high.append(r1)
-            table[key] = res
+            row[b] = res
             return res
 
-        self._products[quantified] = product
-        return product
+        def step(b: int) -> int:
+            if relation == _FALSE or b == _FALSE:
+                return _FALSE
+            return _TRUE if relation == b == _TRUE else product(relation, b)
+
+        return step
 
     # -- model counting -----------------------------------------------------
 

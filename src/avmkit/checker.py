@@ -16,14 +16,14 @@ are checked two ways, and both return the exact satisfying state set:
   One BDD context is built per structure and shared by every formula checked
   on it. Its sets are node ids, its fixpoints call the manager's AND, OR and
   negation kernels on them directly, and EX is one pre-image step bound once
-  per context: the rename to next-state variables and one fused relational
-  product (the recursion behind `BddManager.and_exists`), with the terminal
-  operands resolved in that step alone. EX, EU and EG all call it. The
-  context memoizes each core node's BDD by the node's class, its atom or
-  constant and its children's node ids, so an atom's BDD is built once per
-  structure and a fixpoint that two properties share runs once. EU skips the
-  AND with its left operand when that operand is the universe, as in EF and
-  AG: a pre-image holds only state codes.
+  per context to the relation (`BddManager._pre_image`): a relational product
+  that reads the set on the next-state variables, so no renamed copy is
+  built. EX, EU and EG all call it. The context memoizes each core node's
+  BDD by the node's class, its atom or constant and its children's node ids,
+  so an atom's BDD is built once per structure and a fixpoint that two
+  properties share runs once. EU skips the AND with its left operand when
+  that operand is the universe, as in EF and AG: a pre-image holds only
+  state codes.
 """
 
 from collections import deque
@@ -281,16 +281,15 @@ class _Symbolic:
     interleaved current (even) and next (odd) variables: bit b of the number
     is variable 2b now and variable 2b+1 one step later. Every state set is a
     node id of the manager, and the fixpoints call its AND, OR, negation and
-    relational product kernels on ids directly, so a step costs only its BDD
-    work. `_step` is the pre-image, bound once; `_memo` holds every core
-    node's BDD computed on this context."""
+    pre-image kernels on ids directly, so a step costs only its BDD work.
+    `_step` is the pre-image, bound once to the relation; `_memo` holds every
+    core node's BDD computed on this context."""
 
     def __init__(self, k: KripkeStructure):
         self.k = k
         self.states = k.states
         self.bits = bits = max(1, (len(self.states) - 1).bit_length())
         self.mgr = BddManager(2 * bits)
-        self._shift_to_next = self._renaming()
 
         self.universe = self._set_to_bdd(range(len(self.states)))
         # A pair's code holds the source index in its low bits and the target
@@ -300,7 +299,7 @@ class _Symbolic:
         self.relation = self._codes_to_bdd(
             [i | j << bits for i, targets in enumerate(k.succ) for j in targets], pair_levels
         )
-        self._step = self._pre_image()
+        self._step = self.mgr._pre_image(self.relation)
         self._memo: dict[tuple, int] = {}  # (class, atom or constant | child ids) -> node
 
     def _codes_to_bdd(self, codes, levels) -> int:
@@ -313,10 +312,16 @@ class _Symbolic:
         nodes = dict.fromkeys(sorted(codes), _TRUE)  # code, built levels' bits cleared -> node
         for var, bit in reversed(levels):
             keep = ~(1 << bit)
-            children: dict[int, list[int]] = {}
+            lows: dict[int, int] = {}  # in order of each parent's first child
+            highs: dict[int, int] = {}
             for code, node in nodes.items():
-                children.setdefault(code & keep, [_FALSE, _FALSE])[code >> bit & 1] = node
-            nodes = {code: mk(var, low, high) for code, (low, high) in children.items()}
+                if code >> bit & 1:
+                    code &= keep
+                    highs[code] = node
+                    lows.setdefault(code, _FALSE)
+                else:
+                    lows[code] = node
+            nodes = {code: mk(var, low, highs.get(code, _FALSE)) for code, low in lows.items()}
         return nodes.get(0, _FALSE)
 
     def _set_to_bdd(self, state_indices) -> int:
@@ -343,40 +348,6 @@ class _Symbolic:
                 stack.append((node0, b + 1, code))
                 stack.append((node1, b + 1, code | 1 << b))
         return frozenset(map(self.states.__getitem__, codes))
-
-    def _renaming(self):
-        """The rename of current-state variables to their next-state partners,
-        memoized for the life of the context. Interleaving keeps the order
-        monotone (2b -> 2b+1), so interning the renamed nodes one for one
-        gives the reduced, canonical BDD directly."""
-        var, low, high, mk = self.mgr._var, self.mgr._low, self.mgr._high, self.mgr._mk
-        memo: dict[int, int] = {}
-
-        def shift(node: int) -> int:
-            if node < 2:
-                return node
-            res = memo.get(node)
-            if res is None:
-                res = memo[node] = mk(var[node] + 1, shift(low[node]), shift(high[node]))
-            return res
-
-        return shift
-
-    def _pre_image(self):
-        """EX as one closure over the relation: and_exists(relation, the set
-        renamed to next-state variables, next-state variables), with the
-        terminal operands resolved here, the one place that does so. The
-        relation is always the product's first operand."""
-        relation, shift = self.relation, self._shift_to_next
-        product = self.mgr._product(frozenset(2 * b + 1 for b in range(self.bits)))
-
-        def step(node: int) -> int:
-            shifted = shift(node)
-            if relation == _FALSE or shifted == _FALSE:
-                return _FALSE
-            return _TRUE if relation == shifted == _TRUE else product(relation, shifted)
-
-        return step
 
     def _sat(self, node: CtlFormula, sats: tuple[int, ...]) -> int:
         """The BDD of one core node's states, given its children's BDDs,

@@ -453,6 +453,16 @@ def restrict_formula(formula, var: int, value: bool):
     return (op, *(restrict_formula(arg, var, value) for arg in formula[1:]))
 
 
+def rename_formula(formula, rename):
+    """The formula with each variable v replaced by variable rename(v)."""
+    op = formula[0]
+    if op == "var":
+        return ("var", rename(formula[1]))
+    if op == "const":
+        return formula
+    return (op, *(rename_formula(arg, rename) for arg in formula[1:]))
+
+
 def exists_formula(formula, variables):
     """Existential quantification by Shannon expansion on the formula:
     f[v:=0] | f[v:=1] per variable."""

@@ -65,11 +65,32 @@ MUTANTS = (
         ("tests/test_checker.py::TestCodesToBdd",),
     ),
     Mutant(
-        "pre-image step calls the product on two TRUE operands",
-        "checker.py",
-        "return _TRUE if relation == shifted == _TRUE else product(relation, shifted)",
-        "return product(relation, shifted)",
+        "pre-image kernel recurses on two TRUE cofactors",
+        "bdd.py",
+        "r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)",
+        "r0 = product(a0, b0)",
         ("tests/test_checker.py::TestTerminalOperands",),
+    ),
+    Mutant(
+        "pre-image reads the set at its own variable, not the next-state one",
+        "bdd.py",
+        "vb = var[b] + 1",
+        "vb = var[b]",
+        ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
+    ),
+    Mutant(
+        "pre-image quantifies the even levels, not the odd ones",
+        "bdd.py",
+        "quantify = v & 1",
+        "quantify = not v & 1",
+        ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
+    ),
+    Mutant(
+        "pre-image table has one row shared by all relation nodes",
+        "bdd.py",
+        "[{} for _ in var]",
+        "[{}] * len(var)",
+        ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
     ),
     Mutant(
         "symbolic memo key without child ids",

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from random import Random
 
@@ -13,6 +14,7 @@ from generators import (
     evaluate,
     exists_formula,
     random_bool_formula,
+    rename_formula,
     restrict_formula,
     truth_table,
 )
@@ -97,8 +99,9 @@ class TestApply:
 
 
 class TestRestrictExists:
-    """The formula-level cofactor and quantifier that TestAndExists checks
-    against, and existential quantification as `and_exists` with TRUE."""
+    """The formula-level cofactor and quantifier that TestPreImage checks
+    against, and existential quantification of the odd variables as the
+    pre-image of TRUE."""
 
     def test_restrict_projection(self, mgr):
         assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, True)) == mgr.true
@@ -108,13 +111,14 @@ class TestRestrictExists:
     def test_exists_drops_one_var(self, mgr):
         both = ("and", ("var", 0), ("var", 1))
         assert bool_to_bdd(mgr, exists_formula(both, {0})) == mgr.mk_var(1)
-        assert mgr.and_exists(mgr.true, bool_to_bdd(mgr, both), {0}) == mgr.mk_var(1)
+        assert pre_image(mgr, bool_to_bdd(mgr, both))(mgr.true) == mgr.mk_var(0)
 
     def test_exists_identity(self, mgr):
         formula = random_bool_formula(Random(3), 4)
-        f = bool_to_bdd(mgr, formula)
         assert exists_formula(formula, set()) == formula
-        assert mgr.and_exists(mgr.true, f, set()) == f
+        # A relation with no odd variable has nothing to quantify.
+        f = bool_to_bdd(mgr, on_current(random_bool_formula(Random(3), 3)))
+        assert pre_image(mgr, f)(mgr.true) == f
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), st.integers(min_value=0, max_value=3))
@@ -133,69 +137,106 @@ class TestRestrictExists:
         expected = [any(row) for row in zip(truth_table(restrict_formula(formula, var, False), 4),
                                             truth_table(restrict_formula(formula, var, True), 4))]
         assert list(truth_table(exists_formula(formula, {var}), 4)) == expected
-        assert mgr.and_exists(mgr.true, f, {var}) == bool_to_bdd(mgr, exists_formula(formula, {var}))
+        assert pre_image(mgr, f)(mgr.true) == bool_to_bdd(mgr, exists_formula(formula, {1, 3}))
 
 
-class TestAndExists:
+ODD = {1, 3, 5}
+
+
+def on_current(formula):
+    """A formula over variables 0..2 placed on the current-state (even)
+    variables 0, 2 and 4 of a 6-variable manager."""
+    return rename_formula(formula, lambda v: 2 * v)
+
+
+def pre_image_formula(relation, current):
+    """exists(odd variables, relation & current read on the next-state
+    variables), by Shannon expansion on the formulas."""
+    following = rename_formula(current, lambda v: v + 1)
+    return exists_formula(("and", relation, following), ODD)
+
+
+def pre_image(mgr, relation):
+    """The manager's pre-image step bound to `relation`, on handles."""
+    step = mgr._pre_image(relation.index)
+    return lambda s: mgr._ref(step(s.index))
+
+
+def table_entries(step) -> int:
+    """The entries of a bound step's computed table, read from its closure."""
+    product = inspect.getclosurevars(step).nonlocals["product"]
+    return sum(map(len, inspect.getclosurevars(product).nonlocals["rows"]))
+
+
+class TestPreImage:
+    """The pre-image kernel on a 6-variable manager: current-state variables
+    0, 2, 4 and their next-state partners 1, 3, 5."""
+
     @settings(max_examples=80, deadline=None)
-    @given(formulas(6), formulas(6), st.sets(st.integers(min_value=0, max_value=5)))
-    def test_matches_exists_of_conjunction(self, fa, fb, variables):
+    @given(formulas(6), formulas(3))
+    def test_matches_exists_of_conjunction(self, ft, fs):
         mgr = BddManager(6)
-        f = bool_to_bdd(mgr, fa)
-        g = bool_to_bdd(mgr, fb)
-        expected = bool_to_bdd(mgr, exists_formula(("and", fa, fb), variables))
-        assert mgr.and_exists(f, g, variables) == expected
+        step = pre_image(mgr, bool_to_bdd(mgr, ft))
+        current = on_current(fs)
+        assert step(bool_to_bdd(mgr, current)) == bool_to_bdd(mgr, pre_image_formula(ft, current))
         assert mgr.check_invariants() == []
 
-    def test_empty_variable_set_is_conjunction(self, mgr):
-        f = bool_to_bdd(mgr, random_bool_formula(Random(17), 6))
-        g = bool_to_bdd(mgr, random_bool_formula(Random(19), 6))
-        assert mgr.and_exists(f, g, set()) == mgr.apply(AND, f, g)
+    def test_identity_relation_maps_a_set_to_itself(self, mgr):
+        same = [("not", ("xor", ("var", 2 * b), ("var", 2 * b + 1))) for b in range(3)]
+        identity = bool_to_bdd(mgr, ("and", same[0], ("and", same[1], same[2])))
+        s = bool_to_bdd(mgr, on_current(random_bool_formula(Random(33), 3)))
+        assert s not in (mgr.true, mgr.false)
+        assert pre_image(mgr, identity)(s) == s
 
     def test_terminal_operands(self, mgr):
         formula = random_bool_formula(Random(23), 6)
         f = bool_to_bdd(mgr, formula)
-        assert mgr.and_exists(mgr.false, f, {0, 1}) == mgr.false
-        assert mgr.and_exists(f, mgr.false, {0, 1}) == mgr.false
-        assert mgr.and_exists(mgr.true, mgr.true, {0}) == mgr.true
-        assert mgr.and_exists(mgr.true, f, {0, 1}) == bool_to_bdd(mgr, exists_formula(formula, {0, 1}))
-        assert mgr.and_exists(f, mgr.true, set()) == f
+        current = on_current(random_bool_formula(Random(27), 3))
+        s = bool_to_bdd(mgr, current)
+        assert s not in (mgr.true, mgr.false)
+        assert pre_image(mgr, mgr.false)(s) == mgr.false
+        assert pre_image(mgr, f)(mgr.false) == mgr.false
+        assert pre_image(mgr, mgr.true)(mgr.true) == mgr.true
+        assert pre_image(mgr, mgr.true)(s) == mgr.true
+        assert pre_image(mgr, f)(mgr.true) == bool_to_bdd(mgr, exists_formula(formula, ODD))
+        assert pre_image(mgr, f)(s) == bool_to_bdd(mgr, pre_image_formula(formula, current))
 
     @settings(max_examples=60, deadline=None)
-    @given(formulas(6), formulas(6), st.sets(st.integers(min_value=0, max_value=5), min_size=1))
-    def test_operations_in_one_manager(self, fa, fb, variables):
-        """One operand pair through every operation in one manager, so a
+    @given(formulas(6), formulas(6), formulas(3))
+    def test_operations_in_one_manager(self, fa, fb, fs):
+        """Every operation in one manager, with two relations bound, so a
         computed table that answered for another operation or another
-        quantified set returns a wrong node. The references are built in a
-        fresh manager each and compared by truth table."""
+        relation returns a wrong node. The references are built in a fresh
+        manager each and compared by truth table."""
         mgr = BddManager(6)
         f, g = bool_to_bdd(mgr, fa), bool_to_bdd(mgr, fb)
+        current = on_current(fs)
+        s = bool_to_bdd(mgr, current)
         results = [
             (mgr.apply(AND, f, g), ("and", fa, fb)),
             (mgr.apply(OR, f, g), ("or", fa, fb)),
             (mgr.negate(f), ("not", fa)),
-            (mgr.and_exists(f, g, set()), exists_formula(("and", fa, fb), set())),
-            (mgr.and_exists(f, g, variables), exists_formula(("and", fa, fb), variables)),
-            (mgr.and_exists(g, f, set()), ("and", fb, fa)),
+            (pre_image(mgr, f)(s), pre_image_formula(fa, current)),
+            (pre_image(mgr, g)(s), pre_image_formula(fb, current)),
         ]
         for got, reference in results:
             ref_mgr = BddManager(6)
             assert table_of(mgr, got) == table_of(ref_mgr, bool_to_bdd(ref_mgr, reference))
         assert mgr.check_invariants() == []
 
-    def test_one_product_per_quantified_set(self, mgr):
-        # and_exists and the symbolic engine share the recursion and its
-        # computed table, so earlier steps answer later ones.
-        product = mgr._product(frozenset({1, 3}))
-        mgr.and_exists(mgr.mk_var(0), mgr.mk_var(1), [3, 1])
-        assert mgr._product(frozenset({3, 1})) is product
-        assert mgr._product(frozenset({1})) is not product
-
-    def test_var_out_of_range(self, mgr):
-        with pytest.raises(VarOutOfRangeError):
-            mgr.and_exists(mgr.mk_var(0), mgr.mk_var(1), {6})
-        with pytest.raises(VarOutOfRangeError):
-            mgr.and_exists(mgr.true, mgr.true, {-1})
+    def test_one_table_across_steps(self, mgr):
+        # The steps of one binding share its table, so a repeated step is
+        # answered at once; a new binding starts a table of its own.
+        relation = bool_to_bdd(mgr, random_bool_formula(Random(31), 6)).index
+        step = mgr._pre_image(relation)
+        sets = [bool_to_bdd(mgr, on_current(random_bool_formula(Random(seed), 3))).index
+                for seed in range(37, 45)]
+        results = [step(s) for s in sets]
+        entries, nodes = table_entries(step), mgr.node_count()
+        assert entries > 0
+        assert [step(s) for s in sets] == results
+        assert (table_entries(step), mgr.node_count()) == (entries, nodes)
+        assert table_entries(mgr._pre_image(relation)) == 0
 
 
 class TestCounting:

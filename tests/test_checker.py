@@ -217,7 +217,7 @@ class TestSymbolic:
                       bundled_doc.coupled.approaches.states_by_side("control"))
         for prop in bundled_doc.properties:
             check_symbolic(k, prop.formula)
-        assert k._symbolic.mgr.node_count() == 82
+        assert k._symbolic.mgr.node_count() == 56
 
     def test_wide_structure_specs_on_one_manager(self):
         # A 256-state ring plus chords under the spec shapes of the
@@ -236,7 +236,7 @@ class TestSymbolic:
             formula = parse_ctl(text)
             assert check_symbolic(k, formula) == check_explicit(k, formula), text
         assert k._symbolic.mgr.check_invariants() == []
-        assert k._symbolic.mgr.node_count() == 4718
+        assert k._symbolic.mgr.node_count() == 3904
 
     def test_single_state_structure(self):
         b = build_behavior({"A"}, "A", set(), [])
@@ -244,13 +244,16 @@ class TestSymbolic:
         assert check_symbolic(k, parse_ctl("EG at(A)")) == frozenset({"A"})
 
     @settings(max_examples=80, deadline=None)
-    @given(kripkes(max_states=40, max_out=3), st.randoms(use_true_random=False))
-    def test_shift_to_next_encodes_on_next_state_variables(self, k, rng):
+    @given(kripkes(), st.randoms(use_true_random=False))
+    def test_step_is_the_explicit_pre_image(self, k, rng):
+        # The step reads the set on the next-state variables without a
+        # renamed copy: every node it interns is on a current-state variable.
         context = k._symbolic
-        subset = [i for i in range(len(k.states)) if rng.random() < 0.5]
-        next_levels = [(2 * b + 1, b) for b in range(context.bits)]
-        shifted = context._shift_to_next(context._set_to_bdd(subset))
-        assert shifted == context._codes_to_bdd(subset, next_levels)
+        subset = frozenset(i for i in range(len(k.states)) if rng.random() < 0.5)
+        node = context._set_to_bdd(subset)
+        interned = len(context.mgr._var)
+        assert context._to_states(context._step(node)) == k._names(_pre(k, subset))
+        assert all(v % 2 == 0 for v in context.mgr._var[interned:])
         assert context.mgr.check_invariants() == []
 
 
@@ -272,9 +275,9 @@ class TestRepeatedStates:
 
 
 class TestTerminalOperands:
-    # The symbolic EX calls the relational product directly and resolves its
-    # terminal operands itself; on these structures the relation, the
-    # universe and the shifted sets reach the constant TRUE.
+    # The symbolic EX resolves the relation's and the set's terminal nodes in
+    # the pre-image kernel; on these structures the relation, the universe
+    # and the sets reach the constant TRUE.
     FORMULAS = (
         "EX true", "EX false", "EX at(q0)", "AX true", "AX at(q0)", "AX false",
         "EG true", "EG at(q0)", "EG !at(q0)", "EF at(q0)", "EF false", "AF at(q0)",
