@@ -201,6 +201,28 @@ class TestPreImage:
         assert pre_image(mgr, f)(mgr.true) == bool_to_bdd(mgr, exists_formula(formula, ODD))
         assert pre_image(mgr, f)(s) == bool_to_bdd(mgr, pre_image_formula(formula, current))
 
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(3), formulas(3))
+    def test_relation_on_current_variables_only(self, fg, fs):
+        # A relation that never reads a next-state variable is a guard: its
+        # pre-image of any non-empty set is the guard itself.
+        mgr = BddManager(6)
+        guard = bool_to_bdd(mgr, on_current(fg))
+        s = bool_to_bdd(mgr, on_current(fs))
+        expected = mgr.false if s == mgr.false else guard
+        assert pre_image(mgr, guard)(s) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(3), formulas(3))
+    def test_relation_on_next_variables_only(self, ft, fs):
+        # A relation that reads only next-state variables leaves no current
+        # variable free: its pre-image is TRUE iff some target state meets it.
+        mgr = BddManager(6)
+        targets = bool_to_bdd(mgr, rename_formula(ft, lambda v: 2 * v + 1))
+        s = bool_to_bdd(mgr, on_current(fs))
+        meets = mgr.apply(AND, bool_to_bdd(mgr, on_current(ft)), s) != mgr.false
+        assert pre_image(mgr, targets)(s) == (mgr.true if meets else mgr.false)
+
     @settings(max_examples=60, deadline=None)
     @given(formulas(6), formulas(6), formulas(3))
     def test_operations_in_one_manager(self, fa, fb, fs):
