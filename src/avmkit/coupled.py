@@ -7,7 +7,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import ctl
 from .lts import Behavior, Path, UnknownStateError, _Frozen, strongly_connected_components
-from .report import CheckReport, Finding, ModelValidationError, SourcePos
+from .report import CheckReport, Finding, ModelValidationError
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
 
@@ -118,14 +118,15 @@ class CoupledModel(NamedTuple):
 
 
 def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, approaches,
-                        control_positions: Mapping[str, SourcePos] | None = None) -> list[Finding]:
+                        control_spots=None, place=lambda spot: spot) -> list[Finding]:
     """The coupling checks, over every place a model names a state or approach.
 
-    `maps` holds (key, position, [(path, state positions), ...]) per map
-    statement, `exempts` holds (state, position) and `approaches` holds
-    (name, position, {side: [(state, position), ...]}), all in source order.
-    Positions are None for a model built in code; `control_positions` places
-    partial-mapping findings. A name that fails one check sits out the later
+    `maps` holds (key, spot, [(path, state spots), ...]) per map statement,
+    `exempts` holds (state, spot) and `approaches` holds (name, spot, {side:
+    [(state, spot), ...]}), all in source order, and `control_spots` holds a
+    spot per control state. A spot is opaque here: `place(spot)` positions a
+    finding made there. Spots are None for a model built in code, where
+    `place` is the identity. A name that fails one check sits out the later
     ones: a map key that is not a control state skips its paths, a rejected
     exempt state is not also a conflict, and a rejected approach member claims
     no ownership. Whether mapped paths actually walk the preventive transition
@@ -134,8 +135,8 @@ def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, 
     """
     findings: list[Finding] = []
 
-    def error(code: str, subject: str, detail: str, position: SourcePos | None) -> None:
-        findings.append(Finding("error", code, subject, detail, position))
+    def error(code: str, subject: str, detail: str, spot) -> None:
+        findings.append(Finding("error", code, subject, detail, place(spot)))
 
     def wrong_side(name: str, expected: str) -> str:
         other = preventive.states if expected == "control" else control.states
@@ -145,10 +146,10 @@ def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, 
         return f"is not a {expected} state"
 
     mapped: set[str] = set()
-    for key, position, paths in maps:
+    for key, spot, paths in maps:
         if key not in control.states:
             error("cross-behavior-reference", key, f"mapping key {wrong_side(key, 'control')}",
-                  position)
+                  spot)
             continue
         mapped.add(key)
         for path, spots in paths:
@@ -159,29 +160,28 @@ def coupled_diagnostics(preventive: Behavior, control: Behavior, maps, exempts, 
                           spot)
 
     exempt: set[str] = set()
-    for state, position in exempts:
+    for state, spot in exempts:
         if state not in control.states:
             error("cross-behavior-reference", state,
-                  f"exempt state {wrong_side(state, 'control')}", position)
+                  f"exempt state {wrong_side(state, 'control')}", spot)
         elif state in mapped:
-            error("exempt-conflict", state, "state is both mapped and declared exempt", position)
+            error("exempt-conflict", state, "state is both mapped and declared exempt", spot)
         else:
             exempt.add(state)
 
-    control_positions = control_positions or {}
     for state in sorted(control.states - mapped - exempt):
         error("partial-mapping", state, "control state is neither mapped nor declared exempt",
-              control_positions.get(state))
+              (control_spots or {}).get(state))
 
     declared: set[str] = set()
     owners: dict[tuple[str, str], str] = {}
-    for name, position, sides in approaches:
+    for name, spot, sides in approaches:
         if name not in APPROACH_NAMES:
             error("unknown-approach", name,
-                  f"approach must be one of {', '.join(APPROACH_NAMES)}", position)
+                  f"approach must be one of {', '.join(APPROACH_NAMES)}", spot)
             continue
         if name in declared:
-            error("duplicate-approach", name, "approach block appears more than once", position)
+            error("duplicate-approach", name, "approach block appears more than once", spot)
             continue
         declared.add(name)
         for side, members in sides.items():

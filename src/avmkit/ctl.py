@@ -11,8 +11,9 @@ Parentheses, negations, temporal operators, until brackets and implications
 nest at most ``MAX_NESTING`` deep; deeper text is a syntax error.
 
 This grammar and the model document's (`dsl`) share one `Lexer`. It scans
-the whole text once, up front, into flat per-token lists (kind, value, line,
-column) that the parsers read through an int cursor. Both grammars have the
+the whole text once, up front, into flat per-token lists (kind, value,
+offset) that the parsers read through an int cursor; a line and column are
+worked out only where a position is kept or shown. Both grammars have the
 same identifiers, whitespace and positions, each with its own marks. A
 character that is not whitespace, a mark or part of a name becomes a stray
 token, and each grammar decides when a stray is an error. CTL's marks are
@@ -21,10 +22,12 @@ the error reported, before any parse error.
 """
 
 import re
+from bisect import bisect_left, bisect_right
 from functools import cache
 from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .lts import NAME_RE, _Frozen
+from .report import SourcePos
 
 
 # Deep enough for any hand-written property, shallow enough that the
@@ -308,68 +311,70 @@ MARK, NAME, STRAY, END = 1, 2, 3, 0
 
 @cache
 def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
-    """Finds, within one line, skipped text then a mark (group 1), a name (2),
-    any other character but whitespace or a comment's ``#`` (3), or the end
-    of the line, so that every character is covered."""
-    skip = r"(?:[ \t\r]|#.*)*" if comments else r"[ \t\r]*"
-    stray = r"[^ \t\r#]" if comments else r"[^ \t\r]"
+    """Finds skipped text then a mark (group 1), a name (2), any other
+    character but whitespace or a comment's ``#`` (3), or the end of the
+    text, so that every character is covered."""
+    skip = r"(?:[ \t\r\n]|#.*)*" if comments else r"[ \t\r\n]*"
+    stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
     pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({NAME_RE.pattern})|({stray})|\\Z)"
     return re.compile(pattern).finditer
 
 
 class Lexer:
-    """One text scanned once into flat per-token lists, read through an int
-    cursor `i`, for either grammar.
+    """One text scanned once, by one `finditer`, into flat per-token lists
+    read through an int cursor `i`, for either grammar.
 
-    `kinds[k]`, `values[k]`, `lines[k]` and `columns[k]` describe token k;
-    the last real token is `END`, with value "" at the end of the text, and
-    a few copies of it follow so that a lookahead never runs off the lists.
+    `kinds[k]`, `values[k]` and `starts[k]` describe token k, `starts[k]`
+    being its offset in the text; the last real token is `END`, with value
+    "" at the end of the text, and a few copies of it follow so that a
+    lookahead never runs off the lists. A token's line and column are worked
+    out only when asked for: `position(k)` looks its offset up by bisection
+    in the table of line starts.
     `marks` lists the punctuation, two-character marks first. `comments`
     skips ``#`` to end of line. A character neither a mark nor part of a
     name becomes a `STRAY` token rather than an error, so each grammar
     decides when it is reported; `fail` at a stray reports it.
     Errors are built by `error(message, line, column, expected)`; positions
     count from `start_line`/`start_column`, which locate the text inside a
-    larger one.
+    larger one (the column shift holds on the text's first line only).
     """
 
     def __init__(self, text: str, marks: tuple[str, ...], error: Callable[..., Exception], *,
                  comments: bool = False, start_line: int = 1, start_column: int = 1):
+        self.text = text
         self.error = error
         self.start_line = start_line
-        self.start_column = start_column
-        self.source_lines = text.split("\n")
+        # The first line starts start_column - 1 characters before the text.
+        self.line_starts = [1 - start_column, *[m.end() for m in re.finditer("\n", text)]]
         self.i = 0
-        self.kinds: list[int] = []
-        self.values: list[str] = []
-        self.lines: list[int] = []
-        self.columns: list[int] = []
-        kinds, values = self.kinds.append, self.values.append
-        lines, columns = self.lines.append, self.columns.append
-        scan = _token_scanner(marks, comments)
-        base = start_column  # columns of the first line start at start_column
-        for line, source in enumerate(self.source_lines, start_line):
-            for m in scan(source):
-                kind = m.lastindex
-                if kind is None:
-                    break
-                kinds(kind)
-                values(m[kind])
-                lines(line)
-                columns(m.start(kind) + base)
-            base = 1
-        end = len(self.source_lines[-1]) + (start_column if len(self.source_lines) == 1 else 1)
+        self.kinds, self.values, self.starts = [], [], []
+        kinds, values, starts = self.kinds.append, self.values.append, self.starts.append
+        for m in _token_scanner(marks, comments)(text):
+            kind = m.lastindex
+            if kind is None:
+                break
+            kinds(kind)
+            values(m[kind])
+            starts(m.start(kind))
         self.kinds += [END] * 5
         self.values += [""] * 5
-        self.lines += [start_line + len(self.source_lines) - 1] * 5
-        self.columns += [end] * 5
+        self.starts += [len(text)] * 5
+
+    def locate(self, offset: int) -> SourcePos:
+        """The line and column of a text offset."""
+        row = bisect_right(self.line_starts, offset) - 1
+        return SourcePos(self.start_line + row, offset - self.line_starts[row] + 1)
+
+    def position(self, k: int) -> SourcePos:
+        """Where token k starts."""
+        return self.locate(self.starts[k])
 
     def fail(self, message: str, k: int, expected: tuple[str, ...] = ()) -> NoReturn:
         """Raise the grammar's error at token k, or, at a stray character,
         that the character is unexpected."""
         if self.kinds[k] == STRAY:
             message, expected = f"unexpected character {self.values[k]!r}", ()
-        raise self.error(message, self.lines[k], self.columns[k], expected)
+        raise self.error(message, *self.position(k), expected)
 
     def accept(self, value: str) -> bool:
         """Take the next token if it is the mark or name `value`."""
@@ -389,17 +394,18 @@ class Lexer:
             self.fail(f"expected '{value}'", self.i, (value,))
         self.i += 1
 
-    def take_rest_of_line(self) -> tuple[str, int, int]:
-        """The raw text after the token just taken to end of line, ``#``
-        comment stripped, with its line and column; the cursor moves to the
-        first token of a later line."""
-        line = self.lines[self.i - 1]
-        column = self.columns[self.i - 1] + len(self.values[self.i - 1])
-        source = self.source_lines[line - self.start_line]
-        first = self.start_column if line == self.start_line else 1
-        while self.lines[self.i] == line and self.kinds[self.i] != END:
-            self.i += 1
-        return source[column - first:].partition("#")[0], line, column
+    def take_rest_of_line(self) -> tuple[str, SourcePos]:
+        """The raw text after the token just taken to the end of its line, a
+        ``\\r\\n`` ending and any ``#`` comment stripped, with where it starts;
+        the cursor moves to the first token of a later line."""
+        text, start = self.text, self.starts[self.i - 1] + len(self.values[self.i - 1])
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        self.i = bisect_left(self.starts, end, self.i)
+        if text.startswith("\r\n", end - 1):
+            end -= 1
+        return text[start:end].partition("#")[0], self.locate(start)
 
 
 _UNARY_KEYWORDS = {"EX": EX, "EF": EF, "EG": EG, "AX": AX, "AF": AF, "AG": AG}

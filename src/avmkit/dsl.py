@@ -15,12 +15,14 @@ themselves; ``state`` lines are only needed for otherwise unmentioned states.
 The document is scanned once, up front, by the lexer the CTL grammar uses
 (`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments. The
 statement parsers read whole edges, path steps and runs of names off its
-token lists. A document reports its first fault in reading order: a stray
-character is an error only when the parser reaches it, and a grammar error
-before it wins. (An approach block judges a section head such as
-``control:`` as a pair, so a stray in its second token is reached first.) A
-spec's formula is taken raw to end of line, minus any comment, and handed to
-`parse_ctl`, so an error in it, a stray included, is a ``ctl-syntax``
+token lists, and keep the index of the token where a name stands: a
+SourcePos is built from one only for a finding, a property's `position` or a
+`source_positions` entry. A document reports its first fault in reading
+order: a stray character is an error only when the parser reaches it, and a
+grammar error before it wins. (An approach block judges a section head such
+as ``control:`` as a pair, so a stray in its second token is reached first.)
+A spec's formula is taken raw to end of line, minus any comment, and handed
+to `parse_ctl`, so an error in it, a stray included, is a ``ctl-syntax``
 finding and the statements after it are read as usual.
 """
 
@@ -99,31 +101,32 @@ class ModelDocument(_Frozen):
 # -- raw statement collection ----------------------------------------------------
 
 
+# A `pos` is a spot: the index of the token where a name or statement stands.
 class _RawBehavior(NamedTuple):
     kind: str
-    pos: SourcePos
-    initial: tuple[str, SourcePos] | None
-    finals: list[tuple[str, SourcePos]]
-    decls: list[tuple[str, SourcePos]]
+    pos: int
+    initial: tuple[str, int] | None
+    finals: list[tuple[str, int]]
+    decls: list[tuple[str, int]]
     edges: list[Transition]
-    edge_positions: list[SourcePos]  # each edge's source
+    edge_positions: list[int]  # each edge's source
 
 
 class _RawMap(NamedTuple):
     key: str
-    pos: SourcePos
-    paths: list[tuple[Path, tuple[SourcePos, ...]]]  # each path with its states' positions
+    pos: int
+    paths: list[tuple[Path, range]]  # each path with its states' spots
 
 
 class _RawApproach(NamedTuple):
     name: str
-    pos: SourcePos
-    sides: dict[str, list[tuple[str, SourcePos]]]
+    pos: int
+    sides: dict[str, list[tuple[str, int]]]
 
 
 class _RawSpec(NamedTuple):
     name: str
-    pos: SourcePos
+    pos: int
     target: str
     expected: str | None
     formula_text: str
@@ -147,15 +150,12 @@ class _DocParser:
         self.behaviors: dict[str, _RawBehavior] = {}
         self.maps: list[_RawMap] = []
         self.approaches: list[_RawApproach] = []
-        self.exempts: list[tuple[str, SourcePos]] = []
+        self.exempts: list[tuple[str, int]] = []
         self.specs: list[_RawSpec] = []
         self.findings: list[Finding] = []
 
-    def pos(self, k: int) -> SourcePos:
-        return SourcePos(self.lx.lines[k], self.lx.columns[k])
-
-    def named(self, k: int) -> tuple[str, SourcePos]:
-        return self.values[k], self.pos(k)
+    def named(self, k: int) -> tuple[str, int]:
+        return self.values[k], k
 
     def parse(self) -> None:
         statements = {"behavior": self._behavior, "approach": self._approach,
@@ -180,32 +180,29 @@ class _DocParser:
             self.lx.expect_ident("a target state")
         return True
 
-    def _take_names(self, end: int) -> list[tuple[str, SourcePos]]:
-        """The names from the cursor up to token `end`, each with its
-        position; the cursor moves to `end`."""
-        lx = self.lx
-        names = list(zip(self.values[lx.i:end],
-                         map(SourcePos, lx.lines[lx.i:end], lx.columns[lx.i:end])))
-        lx.i = end
-        return names
+    def _take_names(self, end: int) -> list[tuple[str, int]]:
+        """The names from the cursor up to token `end`, each with its spot;
+        the cursor moves to `end`."""
+        start, self.lx.i = self.lx.i, end
+        return list(zip(self.values[start:end], range(start, end)))
 
     def _behavior(self) -> None:
         lx, kinds, values = self.lx, self.kinds, self.values
-        pos = self.pos(lx.i - 1)
+        spot = lx.i - 1
         kind = values[lx.expect_ident("'preventive' or 'control'")]
         if kind not in _SIDES:
             lx.fail("expected 'preventive' or 'control'", lx.i - 1)
         lx.expect_punct("{")
         initial = None
-        finals: list[tuple[str, SourcePos]] = []
-        decls: list[tuple[str, SourcePos]] = []
+        finals: list[tuple[str, int]] = []
+        decls: list[tuple[str, int]] = []
         edges: list[Transition] = []
-        edge_positions: list[SourcePos] = []
+        edge_positions: list[int] = []
         while True:
             k = lx.i
             if kinds[k] == NAME and self._step(k + 1):  # an edge, whatever its names
                 edges.append(Transition(values[k], values[k + 2], values[k + 4]))
-                edge_positions.append(self.pos(k))
+                edge_positions.append(k)
                 lx.i = k + 5
                 continue
             if values[k] == "}":
@@ -233,17 +230,18 @@ class _DocParser:
             elif initial is not None:
                 self.findings.append(
                     Finding("error", "duplicate-initial", name[0],
-                            "behavior block declares more than one initial state", name[1])
+                            "behavior block declares more than one initial state",
+                            lx.position(name[1]))
                 )
             else:
                 initial = name
         if kind in self.behaviors:
             self.findings.append(
                 Finding("error", "duplicate-behavior", kind,
-                        f"more than one {kind} behavior block", pos)
+                        f"more than one {kind} behavior block", lx.position(spot))
             )
         else:
-            self.behaviors[kind] = _RawBehavior(kind, pos, initial, finals, decls, edges,
+            self.behaviors[kind] = _RawBehavior(kind, spot, initial, finals, decls, edges,
                                                  edge_positions)
 
     def _approach(self) -> None:
@@ -264,7 +262,7 @@ class _DocParser:
             if side in raw.sides:
                 self.findings.append(
                     Finding("error", "duplicate-approach-section", side,
-                            f"approach {raw.name} repeats its '{side}:' section", self.pos(k))
+                            f"approach {raw.name} repeats its '{side}:' section", lx.position(k))
                 )
             end = lx.i = k + 2
             while kinds[end] == NAME and not (values[end] in _SIDES and values[end + 1] == ":"):
@@ -272,15 +270,14 @@ class _DocParser:
             raw.sides.setdefault(side, []).extend(self._take_names(end))
         self.approaches.append(raw)
 
-    def _path_expr(self) -> tuple[Path, tuple[SourcePos, ...]]:
+    def _path_expr(self) -> tuple[Path, range]:
         first = self.lx.expect_ident("a preventive state name")
         k = first
         while self._step(k + 1):
             k += 4
-        lx, values = self.lx, self.values
-        lx.i = k + 1
-        return (Path(tuple(values[first:k + 1:4]), tuple(values[first + 2:k:4])),
-                tuple(map(SourcePos, lx.lines[first:k + 1:4], lx.columns[first:k + 1:4])))
+        self.lx.i = k + 1
+        return (Path(tuple(self.values[first:k + 1:4]), tuple(self.values[first + 2:k:4])),
+                range(first, k + 1, 4))
 
     def _map(self) -> None:
         key = self.named(self.lx.expect_ident("a control state name"))
@@ -308,49 +305,49 @@ class _DocParser:
             if expected not in ("holds", "fails"):
                 lx.fail("expected 'holds' or 'fails'", lx.i - 1)
         lx.expect_punct(":")
-        text, line, column = lx.take_rest_of_line()
-        self.specs.append(_RawSpec(*name, target, expected, text, SourcePos(line, column)))
+        self.specs.append(_RawSpec(*name, target, expected, *lx.take_rest_of_line()))
 
 
 # -- semantic assembly -------------------------------------------------------------
 
 
-def _assemble_behavior(raw: _RawBehavior, findings: list[Finding]):
-    """Returns (Behavior | None, {state: first position})."""
-    first_pos: dict[str, SourcePos] = {}
-    note = first_pos.setdefault
-    for name, pos in ([raw.initial] if raw.initial else []) + raw.finals + raw.decls:
-        note(name, pos)
-    for (source, _, target), pos in zip(raw.edges, raw.edge_positions):
-        note(source, pos)
-        note(target, pos)
+def _assemble_behavior(raw: _RawBehavior, findings: list[Finding], place):
+    """Returns (Behavior | None, {state: spot of its first mention})."""
+    first_spot: dict[str, int] = {}
+    note = first_spot.setdefault
+    for name, spot in ([raw.initial] if raw.initial else []) + raw.finals + raw.decls:
+        note(name, spot)
+    for (source, _, target), spot in zip(raw.edges, raw.edge_positions):
+        note(source, spot)
+        note(target, spot)
 
-    if not first_pos:
+    if not first_spot:
         findings.append(
             Finding("error", "empty-state-set", raw.kind,
-                    f"{raw.kind} behavior block declares no states", raw.pos)
+                    f"{raw.kind} behavior block declares no states", place(raw.pos))
         )
-        return None, first_pos
+        return None, first_spot
     if raw.initial is None:
         findings.append(
             Finding("error", "bad-initial", raw.kind,
-                    f"{raw.kind} behavior block declares no initial state", raw.pos)
+                    f"{raw.kind} behavior block declares no initial state", place(raw.pos))
         )
-        return None, first_pos
+        return None, first_spot
 
     try:
         behavior = build_behavior(
-            states=set(first_pos),
+            states=set(first_spot),
             initial=raw.initial[0],
             labels={edge.label for edge in raw.edges},
             transitions=raw.edges,
             finals={name for name, _ in raw.finals},
             positions=raw.edge_positions,
+            place=place,
         )
     except ModelValidationError as exc:  # duplicate transitions; nothing else can fail here
         findings.extend(exc.findings)
-        return None, first_pos
-    return behavior, first_pos
+        return None, first_spot
+    return behavior, first_spot
 
 
 def parse_model(text: str, *, name: str = "model") -> ModelDocument:
@@ -362,9 +359,10 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     parser = _DocParser(text)
     parser.parse()
     findings = list(parser.findings)
+    place = parser.lx.position
 
     built: dict[str, Behavior] = {}
-    positions: dict[str, dict[str, SourcePos]] = {}
+    spots: dict[str, dict[str, int]] = {}
     for kind in ("preventive", "control"):
         raw = parser.behaviors.get(kind)
         if raw is None:
@@ -373,8 +371,7 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
                         f"document declares no {kind} behavior", SourcePos(1, 1))
             )
             continue
-        behavior, first_pos = _assemble_behavior(raw, findings)
-        positions[kind] = first_pos
+        behavior, spots[kind] = _assemble_behavior(raw, findings, place)
         if behavior is not None:
             built[kind] = behavior
 
@@ -382,18 +379,19 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     control = built.get("control")
     if preventive is not None and control is not None:
         findings += coupled_diagnostics(preventive, control, parser.maps, parser.exempts,
-                                        parser.approaches, positions["control"])
+                                        parser.approaches, spots["control"], place)
 
     properties: list[PropertySpec] = []
-    seen_names: dict[str, SourcePos] = {}
+    seen_names: set[str] = set()
     for raw_spec in parser.specs:
+        position = place(raw_spec.pos)
         if raw_spec.name in seen_names:
             findings.append(
                 Finding("error", "duplicate-property", raw_spec.name,
-                        "property name appears more than once", raw_spec.pos)
+                        "property name appears more than once", position)
             )
             continue
-        seen_names[raw_spec.name] = raw_spec.pos
+        seen_names.add(raw_spec.name)
         try:
             formula = parse_ctl(raw_spec.formula_text,
                                 start_line=raw_spec.formula_pos.line,
@@ -410,10 +408,10 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
                 detail = (f"no state {prop.subject} in the {raw_spec.target} behavior"
                           if prop.kind == "at" else f"no approach named {prop.subject}")
                 findings.append(Finding("error", "unknown-atom", str(prop),
-                                        f"property {raw_spec.name}: {detail}", raw_spec.pos))
+                                        f"property {raw_spec.name}: {detail}", position))
         properties.append(
             PropertySpec(name=raw_spec.name, target=raw_spec.target, formula=formula,
-                         expected=raw_spec.expected, position=raw_spec.pos)
+                         expected=raw_spec.expected, position=position)
         )
 
     if any(f.severity == "error" for f in findings):
@@ -433,16 +431,12 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
         }),
     )
 
-    source_positions: dict[str, SourcePos] = {}
-    for kind in ("preventive", "control"):
-        source_positions.update(positions.get(kind, {}))
+    kept = spots["preventive"] | spots["control"]
     for raw_map in parser.maps:  # map statements win over state declarations
-        source_positions[raw_map.key] = raw_map.pos
-    for state, pos in parser.exempts:
-        source_positions[state] = pos
-
+        kept[raw_map.key] = raw_map.pos
+    kept.update(parser.exempts)
     return ModelDocument(coupled=coupled, properties=tuple(properties),
-                         source_positions=source_positions)
+                         source_positions={state: place(spot) for state, spot in kept.items()})
 
 
 # -- rendering -----------------------------------------------------------------------

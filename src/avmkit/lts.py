@@ -154,10 +154,12 @@ def _as_transition(t) -> Transition:
     return Transition(source, label, target)
 
 
-def build_behavior(states, initial, labels, transitions, finals=(), positions=None) -> Behavior:
+def build_behavior(states, initial, labels, transitions, finals=(), positions=None,
+                   place=lambda spot: spot) -> Behavior:
     """Construct a validated Behavior; raises ModelValidationError listing every
-    defect. `positions`, when given, holds one SourcePos per transition and
-    places the findings about that transition."""
+    defect. `positions`, when given, holds one spot per transition, and
+    `place(spot)` is the SourcePos of a finding about that transition, asked
+    for only for the findings made."""
     states = frozenset(states)
     labels = frozenset(labels)
     finals = frozenset(finals)
@@ -165,8 +167,9 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
     positions = [None] * len(transitions) if positions is None else list(positions)
     findings: list[Finding] = []
 
-    def error(code: str, subject: str, detail: str, position=None) -> None:
-        findings.append(Finding("error", code, subject, detail, position))
+    def error(code: str, subject: str, detail: str, spot=None) -> None:
+        findings.append(Finding("error", code, subject, detail,
+                                None if spot is None else place(spot)))
 
     if not states:
         error("empty-state-set", "<behavior>", "behavior declares no states")
@@ -182,15 +185,15 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
         error("unknown-state", name, "final state is not a declared state")
 
     seen: set[Transition] = set()
-    for t, pos in zip(transitions, positions, strict=True):
+    for t, spot in zip(transitions, positions, strict=True):
         if t.source not in states:
-            error("unknown-state", t.source, f"transition {t} leaves an unknown state", pos)
+            error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
         if t.target not in states:
-            error("unknown-state", t.target, f"transition {t} enters an unknown state", pos)
+            error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
         if t.label not in labels:
-            error("unknown-label", t.label, f"transition {t} uses an undeclared label", pos)
+            error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
         if t in seen:
-            error("duplicate-transition", str(t), "transition appears more than once", pos)
+            error("duplicate-transition", str(t), "transition appears more than once", spot)
         seen.add(t)
     if findings:
         raise ModelValidationError(findings)

@@ -6,8 +6,9 @@ temporary directory, replaces the row's snippet (which must occur exactly
 once in its file) and runs `pytest -x -q -p no:cacheprovider <selector>` on
 the copy, with Hypothesis seeded so that every run draws the same examples.
 The unedited copy is run first on every selector, so a mutant counts as
-caught only where the same tests pass without it. Standard library only;
-run from anywhere:
+caught only where the same tests pass without it. The rows then run
+`WORKERS` at a time, each in its own copy and pytest process, and their
+verdicts print in row order. Standard library only; run from anywhere:
 
     python3 tests/mutants.py
 
@@ -21,10 +22,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# Rows tested at once; each runs its selector in a pytest process of its own.
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -261,6 +265,28 @@ MUTANTS = (
          "[--format structured validate src/avmkit/models/antivirus.avm]",),
     ),
     Mutant(
+        "line lookup is off by one at a newline offset",
+        "ctl.py",
+        "row = bisect_right(self.line_starts, offset) - 1",
+        "row = bisect_left(self.line_starts, offset) - 1",
+        ("tests/test_dsl.py::TestPositionOracle",),
+    ),
+    Mutant(
+        "first line of a spec formula not shifted by its start column",
+        "ctl.py",
+        "[1 - start_column, *[",
+        "[0, *[",
+        ("tests/test_dsl.py::TestComments::test_bad_character_in_formula_is_ctl_finding",),
+    ),
+    Mutant(
+        "take_rest_of_line leaves that line's tokens unconsumed",
+        "ctl.py",
+        "self.i = bisect_left(self.starts, end, self.i)",
+        "pass",
+        ("tests/test_dsl.py::TestErrorOrder::"
+         "test_spec_line_with_ctl_marks_leaves_later_statements",),
+    ),
+    Mutant(
         "symbolic decode steps a run by two free bits",
         "checker.py",
         "range(code, count, 1 << b)",
@@ -297,33 +323,40 @@ def apply(tree: Path, mutant: Mutant) -> str | None:
     return None
 
 
+def run_row(scratch: Path, number: int, mutant: Mutant) -> tuple[str | None, float]:
+    """Test one row in a copy of its own: (why it failed or None, seconds)."""
+    tree = scratch / f"mutant{number}"
+    copy_tree(tree)
+    started = time.perf_counter()
+    error = apply(tree, mutant)
+    if error is None:
+        code = run_pytest(tree, mutant.selector)
+        # pytest exits 1 when a test failed; 0 means the mutant survived,
+        # anything else is a usage or collection error.
+        error = None if code == 1 else ("survived" if code == 0 else f"pytest exit {code}")
+    shutil.rmtree(tree)
+    return error, time.perf_counter() - started
+
+
 def main() -> int:
     failures = 0
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="avm-mutants-") as scratch:
         clean = Path(scratch) / "clean"
         copy_tree(clean)
         selectors = sorted({s for m in MUTANTS for s in m.selector})
         code = run_pytest(clean, selectors)
-        print(f"unedited copy: pytest exit {code}")
+        print(f"unedited copy: pytest exit {code}", flush=True)
         if code != 0:
             return 1
-        for number, mutant in enumerate(MUTANTS, 1):
-            tree = Path(scratch) / f"mutant{number}"
-            copy_tree(tree)
-            started = time.perf_counter()
-            error = apply(tree, mutant)
-            if error is None:
-                code = run_pytest(tree, mutant.selector)
-                # pytest exits 1 when a test failed; 0 means the mutant survived,
-                # anything else is a usage or collection error.
-                error = None if code == 1 else (
-                    "survived" if code == 0 else f"pytest exit {code}")
-            verdict = "caught" if error is None else f"FAILED: {error}"
-            print(f"{number}. {mutant.name}: {verdict} "
-                  f"({time.perf_counter() - started:.1f} s)")
-            failures += error is not None
-            shutil.rmtree(tree)
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught")
+        with ThreadPoolExecutor(WORKERS) as pool:
+            outcomes = pool.map(lambda row: run_row(Path(scratch), *row), enumerate(MUTANTS, 1))
+            for number, (mutant, (error, seconds)) in enumerate(zip(MUTANTS, outcomes), 1):
+                verdict = "caught" if error is None else f"FAILED: {error}"
+                print(f"{number}. {mutant.name}: {verdict} ({seconds:.1f} s)", flush=True)
+                failures += error is not None
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - started:.0f} s")
     return 1 if failures else 0
 
 

@@ -13,7 +13,7 @@ from avmkit.coupled import (
 from avmkit.ctl import CtlSyntaxError, parse_ctl
 from avmkit.dsl import ModelDocument, ModelSyntaxError, PropertySpec, parse_model, render_model
 from avmkit.lts import Path, build_behavior
-from avmkit.report import ModelValidationError
+from avmkit.report import ModelValidationError, SourcePos
 
 from conftest import CORPUS_DIR, MODEL_FILE
 from generators import random_behavior, random_coupled_model, random_formula
@@ -298,6 +298,113 @@ class TestErrorPositionOracle:
         assert tuple(err.value.position) == line_and_column(broken, at)
         if fault == "$":
             assert err.value.detail == "unexpected character '$'"
+
+
+_STATEMENTS = ("behavior", "approach", "map", "exempt", "spec")
+_COMMENTS = ("#", "# map C0 => P0", "#exempt C1 $ {", "  # spec q on control: EF")
+# Formulas cut short: each is a `ctl-syntax` error at the end of its text.
+_CUT_FORMULAS = ("EF", "at(C0) &", "E [ true U", "(at(C0)", "!")
+
+
+def naive_positions(text):
+    """(state -> (line, column), property -> (line, column)) by a plain scan
+    of an LF text, after the documented rule: a state sits where it is
+    mapped, else exempted, else first mentioned in its behavior block (an
+    edge's target where the edge starts); a property sits at its name."""
+    first, named = {}, {"map": {}, "exempt": {}, "spec": {}}
+    in_behavior = False
+    for number, line in enumerate(text.split("\n"), 1):
+        tokens = [(m[0], (number, m.start() + 1))
+                  for m in _TOKEN.finditer(line.partition("#")[0])]
+        words = [word for word, _ in tokens]
+        if not words:
+            continue
+        if words[0] in _STATEMENTS:
+            in_behavior = words[0] == "behavior"
+            if words[0] in named:
+                named[words[0]][words[1]] = tokens[1][1]
+        elif in_behavior and words[0] in ("initial", "final", "state"):
+            for name, spot in tokens[1:]:
+                first.setdefault(name, spot)
+        elif in_behavior and words[0] != "}":  # source - label -> target
+            first.setdefault(words[0], tokens[0][1])
+            first.setdefault(words[4], tokens[0][1])
+    return first | named["map"] | named["exempt"], named["spec"]
+
+
+class TestPositionOracle:
+    """Positions worked out from token offsets agree with a plain scan of a
+    rendered document, whatever its line endings, indents and comment lines,
+    and a formula cut short is reported where its text ends."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(_CUT_FORMULAS),
+           st.sampled_from(["", "  ", "\t", "  # note"]))
+    def test_positions_follow_the_rule_with_lf_and_crlf(self, seed, cut, tail):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        specs = tuple(PropertySpec(f"p{i}", "control", random_formula(rng, model.control.states, 3))
+                      for i in range(2))
+        lines = []
+        for line in render_model(ModelDocument(model, specs)).splitlines():
+            if rng.random() < 0.2:
+                lines.append(rng.choice(_COMMENTS))
+            lines.append(" " * rng.randint(0, 3) + line.lstrip())  # an edge may start a line
+        text = "\n".join(lines) + "\n"
+        states, properties = naive_positions(text)
+        for source in (text, text.replace("\n", "\r\n")):
+            doc = parse_model(source)
+            assert {s: tuple(p) for s, p in doc.source_positions.items()} == states
+            assert {p.name: tuple(p.position) for p in doc.properties} == properties
+            for state, (line, column) in doc.source_positions.items():
+                assert re.match(rf"(\w+ - \w+ -> )?{state}\b", lines[line - 1][column - 1:])
+
+        at = rng.choice([i for i, line in enumerate(lines)
+                         if line.lstrip().startswith(_STATEMENTS)])
+        spec = f"spec cut on control: {cut}{tail}"
+        text = "\n".join(lines[:at] + [spec] + lines[at:]) + "\n"
+        for source in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(ModelValidationError) as err:
+                parse_model(source)
+            [found] = err.value.findings
+            assert (found.code, found.subject) == ("ctl-syntax", "cut")
+            assert tuple(found.position) == (at + 1, len(spec.partition("#")[0]) + 1)
+
+
+def chain_text(n):
+    """A control chain of n states, each mapped onto the one preventive state,
+    and two properties."""
+    names = [f"c{i:04d}" for i in range(n)]
+    return "\n".join([
+        "behavior preventive {", "  initial P", "  P - stay -> P", "}",
+        "behavior control {", f"  initial {names[0]}", f"  final {names[-1]}",
+        *[f"  {a} - go -> {b}" for a, b in zip(names, names[1:])], "}",
+        *[f"map {name} => P" for name in names],
+        f"spec reach on control expect holds: EF at({names[-1]})",
+        f"spec never on control expect fails: AG !at({names[-1]})",
+    ]) + "\n"
+
+
+def test_only_kept_positions_are_built(monkeypatch):
+    """A passing parse builds a SourcePos for each state position it keeps and
+    at most two per property (its own and its formula's start), none per
+    token, edge or name read."""
+    text = chain_text(300)
+    built = []
+    new = SourcePos.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SourcePos, "__new__", counted)
+    doc = parse_model(text)
+    monkeypatch.undo()
+    assert len(doc.source_positions) == 301
+    assert len(built) <= len(doc.source_positions) + 2 * len(doc.properties)
+    assert doc.source_positions["c0150"] == (text.split("\n").index("map c0150 => P") + 1, 5)
 
 
 class TestRender:
