@@ -139,7 +139,9 @@ def cmd_validate(args, doc) -> int:
     reports = [check_mapping(doc.coupled), check_approach_alignment(doc.coupled)]
     skipped = ["synchronization"] if args.no_sync else []
     if not args.no_sync:
-        reports.append(check_synchronization(doc.coupled))
+        # Text shows no info finding, so it needs no control path count.
+        count_paths = args.report_format == "structured"
+        reports.append(check_synchronization(doc.coupled, count_paths=count_paths))
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
     # Text places only the findings it prints; structured output places them all.
     place = functools.partial(_place, doc)

@@ -371,8 +371,12 @@ def _sync_step(model: CoupledModel):
             previous, live = sync
             feasible = [f for i, f in enumerate(fragment_sets[previous]) if live >> i & 1]
             fragments = fragment_sets[current]
-            linked = sum(1 << i for i, g in enumerate(fragments)
-                         if any(reaches(f.last, g.first) for f in feasible))
+            linked = 0
+            for i, g in enumerate(fragments):
+                for f in feasible:
+                    if reaches(f.last, g.first):
+                        linked |= 1 << i
+                        break
             if linked:
                 out = (current, linked), None
             else:
@@ -461,7 +465,103 @@ def _stitch_paths(control: Behavior, final: str, step, component_of, bit):
     return result
 
 
-def check_synchronization(model: CoupledModel) -> CheckReport:
+def _finishing(control: Behavior, dropped) -> set[str]:
+    """The control states from which a final state is reachable along the
+    control edges not in `dropped`: a search backwards from the finals."""
+    into: dict[str, list[str]] = {}
+    for t in control.transitions:
+        if (t.source, t.target) not in dropped:
+            into.setdefault(t.target, []).append(t.source)
+    todo = list(control.finals)
+    found = set(todo)
+    while todo:
+        for source in into.get(todo.pop(), ()):
+            if source not in found:
+                found.add(source)
+                todo.append(source)
+    return found
+
+
+def _may_gap(control: Behavior, step, dropped=frozenset()) -> bool:
+    """Whether some walk over (control state, sync state) pairs from the
+    initial state, along the control edges not in `dropped`, opens a gap at a
+    state from which a final state is reachable along those edges. The pairs
+    are polynomially many, and every simple control path is such a walk, so
+    False proves that no simple path to a final gaps (product reachability, as
+    in Vardi and Wolper's automata-theoretic model checking)."""
+    finishing = None
+    start = (control.initial, step(None, control.initial)[0])
+    seen = {start}
+    todo = [start]
+    while todo:
+        state, sync = todo.pop()
+        for _, nxt in control.successor_map[state]:
+            if (state, nxt) in dropped:
+                continue
+            nxt_sync, gap = step(sync, nxt)
+            if gap is not None:
+                if finishing is None:
+                    finishing = _finishing(control, dropped)
+                if nxt in finishing:
+                    return True
+            elif (nxt, nxt_sync) not in seen:
+                seen.add((nxt, nxt_sync))
+                todo.append((nxt, nxt_sync))
+    return False
+
+
+def _dominated_edges(control: Behavior) -> set[tuple[str, str]]:
+    """The control edges (source, target) whose target dominates their source:
+    every path from the initial state to the source passes through the
+    target, so no simple path from the initial state takes such an edge. Such
+    an edge closes a cycle, so only edges inside a strongly connected
+    component are tested. Dominator sets are bit sets, from the iterative
+    data-flow solution Dom(n) = {n} | the meet of Dom(p) over n's
+    predecessors p, swept in topological order of the components (the
+    iterative scheme of Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+    Algorithm", 2001). On a reducible control graph the edges left form a
+    DAG."""
+    components = strongly_connected_components(control, [control.initial])[::-1]
+    order = [state for members in components for state in members]  # the initial first
+    number = {state: i for i, state in enumerate(order)}
+    component_of = {state: k for k, members in enumerate(components) for state in members}
+    preds: list[list[int]] = [[] for _ in order]
+    inner = []
+    for i, state in enumerate(order):
+        for _, nxt in control.successor_map[state]:
+            preds[number[nxt]].append(i)
+            if component_of[nxt] == component_of[state]:
+                inner.append((i, number[nxt]))
+    if not inner:
+        return set()
+    everything = (1 << len(order)) - 1
+    dom = [1] + [everything] * (len(order) - 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(order)):
+            meet = everything
+            for p in preds[i]:
+                meet &= dom[p]
+            if dom[i] != meet | 1 << i:
+                dom[i] = meet | 1 << i
+                changed = True
+    return {(order[i], order[j]) for i, j in inner if dom[i] >> j & 1}
+
+
+def _sync_clears(control: Behavior, step) -> bool:
+    """Whether the pass proves that no simple control path to a final gaps:
+    first along every control edge, then, only if a gap remains, without the
+    edges into a dominator of their source. The second stage is exact on a
+    reducible control graph, whose remaining edges form a DAG on which every
+    walk is a simple path."""
+    if not _may_gap(control, step):
+        return True
+    dropped = _dominated_edges(control)
+    return bool(dropped) and not _may_gap(control, step, dropped)
+
+
+def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> CheckReport:
     """Stitching check for the coupled pair: along every simple control path
     from the control initial state to a control final state, the mapped
     preventive fragments (exempt states skipped, consecutive identical
@@ -478,6 +578,11 @@ def check_synchronization(model: CoupledModel) -> CheckReport:
     Each distinct gap is reported once, along the first control path that
     meets it in (labels, states) order, finals in name order. Reachability
     comes from one pass over the preventive condensation.
+
+    With `count_paths` false, a polynomial pass over (control state, sync
+    state) pairs runs first, and when it proves that no path gaps the report
+    passes without the walk and without the `control-paths` count. A "may
+    gap" answer, or the default, runs the walk on the same step memo.
     """
     findings: list[Finding] = []
     control = model.control
@@ -489,10 +594,12 @@ def check_synchronization(model: CoupledModel) -> CheckReport:
                     "control behavior declares no final states; nothing to stitch")
         )
 
+    step = _sync_step(model)
+    if not count_paths and _sync_clears(control, step):
+        return CheckReport("synchronization", tuple(findings))
     components = strongly_connected_components(control, [control.initial])
     component_of = {state: i for i, members in enumerate(components) for state in members}
     bit = {state: 1 << j for members in components for j, state in enumerate(members)}
-    step = _sync_step(model)
     seen_gaps: set[tuple] = set()
     checked = 0
     for final in finals:

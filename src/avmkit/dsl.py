@@ -319,7 +319,7 @@ def _assemble_behavior(raw: _RawBehavior, findings: list[Finding], place):
         note(name, spot)
     for (source, _, target), spot in zip(raw.edges, raw.edge_positions):
         note(source, spot)
-        note(target, spot)
+        note(target, spot + 4)
 
     if not first_spot:
         findings.append(

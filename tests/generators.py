@@ -36,6 +36,7 @@ from avmkit.coupled import (
     APPROACH_NAMES,
     CoupledModel,
     approach_partition,
+    build_coupled_model,
     mapping_process,
 )
 from avmkit.lts import Behavior, Path, build_behavior, enumerate_simple_paths
@@ -154,6 +155,25 @@ def random_coupled_model(rng: Random, acyclic: bool, max_control: int = 7) -> Co
             entries[state] = rng.choice(pool)
     return CoupledModel("random", preventive, control, mapping_process(entries, exempt),
                         approach_partition({}))
+
+
+def complete_coupled_model(n: int) -> CoupledModel:
+    """Control states C0..C(n-1) and preventive states P0..P(n-1), each side a
+    complete graph without self-loops (one label), Ci mapped to the one-state
+    path Pi, C(n-1) final. Every fragment reaches every other, so the
+    synchronization check passes, over about e * (n-2)! simple control paths
+    from C0 to C(n-1): the exact walk is exponential in n here."""
+
+    def complete(prefix: str, label: str) -> Behavior:
+        states = [f"{prefix}{i}" for i in range(n)]
+        return build_behavior(states, states[0], (label,),
+                              [(a, label, b) for a in states for b in states if a != b],
+                              states[-1:])
+
+    return build_coupled_model(
+        complete("P", "step"), complete("C", "go"),
+        mapping_process({f"C{i}": [Path((f"P{i}",))] for i in range(n)}),
+        approach_partition({}), name=f"complete_{n}")
 
 
 def naive_check_synchronization(model: CoupledModel) -> CheckReport:

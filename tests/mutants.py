@@ -184,6 +184,35 @@ MUTANTS = (
         ("tests/test_coupled.py::TestSynchronizationWalk::test_walk_frees_its_memo_on_return",),
     ),
     Mutant(
+        "sync pass ignores a gap on the edge into a final",
+        "coupled.py",
+        "found = set(todo)",
+        "found = set()",
+        ("tests/test_coupled.py::TestSynchronizationPass::test_gap_on_the_edge_into_a_final",),
+    ),
+    Mutant(
+        "sync pass stops exploring at a final",
+        "coupled.py",
+        "elif (nxt, nxt_sync) not in seen:",
+        "elif nxt not in control.finals and (nxt, nxt_sync) not in seen:",
+        ("tests/test_coupled.py::TestSynchronizationPass::test_walks_on_through_a_final",),
+    ),
+    Mutant(
+        "sync pass drops an edge inside a control SCC whose target does not dominate its source",
+        "coupled.py",
+        "for i, j in inner if dom[i] >> j & 1}",
+        "for i, j in inner}",
+        ("tests/test_coupled.py::TestSynchronizationPass::"
+         "test_keeps_an_edge_inside_an_scc_into_a_non_dominator",),
+    ),
+    Mutant(
+        "sync pass takes final-reachability forward, not backward",
+        "coupled.py",
+        "into.setdefault(t.target, []).append(t.source)",
+        "into.setdefault(t.source, []).append(t.target)",
+        ("tests/test_coupled.py::TestSynchronizationPass::test_gap_before_a_final_is_seen",),
+    ),
+    Mutant(
         "atom subject checked by prefix",
         "ctl.py",
         "if not NAME_RE.fullmatch(subject):",

@@ -1,10 +1,16 @@
+import contextlib
 import gc
+import io
+import json
+import re
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avmkit.coupled
+from avmkit.cli import main
 from avmkit.coupled import (
     APPROACH_NAMES,
     approach_partition,
@@ -16,10 +22,13 @@ from avmkit.coupled import (
     mapping_process,
     model_occurrences,
 )
+from avmkit.dsl import ModelDocument, render_model
 from avmkit.lts import Path, Transition, build_behavior
-from avmkit.report import ModelValidationError
+from avmkit.report import Finding, ModelValidationError, SourcePos
 
+from conftest import CORPUS_DIR, MODEL_FILE
 from generators import (
+    complete_coupled_model,
     is_valid_path,
     naive_check_synchronization,
     random_behavior,
@@ -339,6 +348,186 @@ class TestSynchronizationWalk:
     def test_matches_path_enumeration(self, seed, acyclic):
         model = random_coupled_model(Random(seed), acyclic)
         assert check_synchronization(model) == naive_check_synchronization(model)
+
+
+def fast_check(model):
+    """The synchronization report text `validate` makes: decided by the pass
+    over (control state, sync state) pairs where it clears."""
+    return check_synchronization(model, count_paths=False)
+
+
+def clears(model):
+    return avmkit.coupled._sync_clears(model.control, avmkit.coupled._sync_step(model))
+
+
+def small_model(preventive_edges, control_edges, finals, fragments):
+    """A coupled model with initial states P0 and I over one-state fragments:
+    `fragments` maps a control state to its preventive state, or to None for
+    an exempt one."""
+    pstates = {p for edge in preventive_edges for p in edge[::2]} | {
+        p for p in fragments.values() if p}
+    cstates = {c for edge in control_edges for c in edge[::2]}
+    preventive = build_behavior(pstates, "P0", {"p"}, preventive_edges)
+    control = build_behavior(cstates, "I", {"a"}, control_edges, finals)
+    return build_coupled_model(
+        preventive, control,
+        mapping_process({c: [Path((p,))] for c, p in fragments.items() if p},
+                        {c for c, p in fragments.items() if not p}),
+        approach_partition({}))
+
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestSynchronizationPass:
+    """The polynomial pass that decides text `validate`'s synchronization
+    check: it may answer "may gap" on a model that passes, never "no gap" on
+    one that fails, and on a reducible control graph it is exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
+    def test_no_gap_is_sound_and_exact_on_acyclic(self, seed, acyclic):
+        model = random_coupled_model(Random(seed), acyclic)
+        exact = naive_check_synchronization(model)
+        cleared = clears(model)
+        if cleared:
+            assert exact.passed
+        if acyclic:
+            assert cleared == exact.passed
+        fast = fast_check(model)
+        assert fast.passed == exact.passed
+        if not fast.passed:  # a "may gap" answer runs the walk: the full report
+            assert fast == exact
+
+    def test_bundled_model_is_cleared_through_its_rescan_loop(self, coupled):
+        # Recognition - rescan -> Process enters a dominator of its source: only
+        # walks that repeat Process gap, so the first stage alone may not clear.
+        assert ("Recognition", "Process") in avmkit.coupled._dominated_edges(coupled.control)
+        assert clears(coupled)
+        gc.collect()
+        gc.disable()
+        try:
+            assert fast_check(coupled).findings == ()
+            assert gc.collect() == 0  # nothing left for the cycle collector
+        finally:
+            gc.enable()
+
+    def test_gap_on_the_edge_into_a_final(self):
+        # I -a-> F, and P0 does not reach F's fragment Q.
+        model = small_model([("P0", "p", "P0")], [("I", "a", "F")], ["F"],
+                            {"I": "P0", "F": "Q"})
+        assert not clears(model)
+        assert fast_check(model) == naive_check_synchronization(model)
+        assert not fast_check(model).passed
+
+    def test_walks_on_through_a_final(self):
+        # I -a-> F1 -a-> G -a-> F2 gaps at G, past the final F1.
+        model = small_model([("P0", "p", "P0")],
+                            [("I", "a", "F1"), ("F1", "a", "G"), ("G", "a", "F2")],
+                            ["F1", "F2"], {"I": "P0", "F1": "P0", "G": "Q", "F2": None})
+        assert not clears(model)
+        assert not fast_check(model).passed
+
+    def test_gap_before_a_final_is_seen(self):
+        # I -a-> A -a-> F gaps at A, which reaches the final but is reached from none.
+        model = small_model([("P0", "p", "P0")], [("I", "a", "A"), ("A", "a", "F")], ["F"],
+                            {"I": "P0", "A": "Q", "F": None})
+        assert not clears(model)
+        assert not fast_check(model).passed
+
+    def test_gap_that_reaches_no_final_is_ignored(self):
+        # I -a-> A gaps at A, a dead end; I -a-> F is the only path to the final.
+        model = small_model([("P0", "p", "P0")], [("I", "a", "A"), ("I", "a", "F")], ["F"],
+                            {"I": "P0", "A": "Q", "F": None})
+        assert clears(model)
+        assert fast_check(model).passed and naive_check_synchronization(model).passed
+
+    def test_keeps_an_edge_inside_an_scc_into_a_non_dominator(self):
+        # I enters the loop A <-> B at both states, so neither loop edge enters
+        # a dominator of its source (the graph is irreducible), and simple paths
+        # take both: I -a-> B -a-> A -a-> F gaps at A (PB does not reach PA),
+        # every other path stitches.
+        model = small_model([("P0", "p", "PA"), ("P0", "p", "PB"), ("PA", "p", "PB")],
+                            [("I", "a", "A"), ("I", "a", "B"), ("A", "a", "B"),
+                             ("B", "a", "A"), ("A", "a", "F"), ("B", "a", "F")],
+                            ["F"], {"I": "P0", "A": "PA", "B": "PB", "F": None})
+        assert avmkit.coupled._dominated_edges(model.control) == set()
+        assert not clears(model)
+        assert not naive_check_synchronization(model).passed
+        assert not fast_check(model).passed
+
+    def test_drops_each_edge_into_a_dominator(self):
+        # A loop A -> B -> A under I, plus B -> I: both back edges enter a
+        # dominator of their source; the self-loop on F does too.
+        model = small_model([("P0", "p", "P0")],
+                            [("I", "a", "A"), ("A", "a", "B"), ("B", "a", "A"),
+                             ("B", "a", "I"), ("B", "a", "F"), ("F", "a", "F")],
+                            ["F"], {"I": "P0", "A": None, "B": None, "F": None})
+        assert avmkit.coupled._dominated_edges(model.control) == {
+            ("B", "A"), ("B", "I"), ("F", "F")}
+
+    def test_text_validate_on_a_complete_graph_does_not_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "complete_16.avm"
+        path.write_text(render_model(ModelDocument(complete_coupled_model(16), ())),
+                        encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("the exact walk ran")
+
+        monkeypatch.setattr(avmkit.coupled, "_stitch_paths", refuse)
+        for quiet in ((), ("--quiet",)):
+            code, out = call([*quiet, "validate", str(path)])
+            assert code == 0
+            assert out.splitlines() == ["mapping: pass", "approaches: pass",
+                                        "synchronization: pass"]
+
+    def test_structured_validate_still_counts_paths(self, tmp_path):
+        model = complete_coupled_model(5)
+        path = tmp_path / "complete_5.avm"
+        path.write_text(render_model(ModelDocument(model, ())), encoding="utf-8")
+        code, out = call(["--format", "structured", "validate", str(path)])
+        assert code == 0
+        (sync,) = [c for c in json.loads(out)["checks"] if c["name"] == "synchronization"]
+        assert [f["detail"] for f in sync["findings"]] == ["checked 16 control path(s)"]
+        assert naive_check_synchronization(model).findings[-1].detail == \
+            "checked 16 control path(s)"
+
+    @pytest.mark.parametrize("document", [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm"))],
+                             ids=lambda p: p.stem)
+    def test_text_and_structured_validate_agree_on_the_corpus(self, document):
+        self.assert_text_matches_structured(str(document))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
+    def test_text_and_structured_validate_agree(self, tmp_path_factory, seed, acyclic):
+        model = random_coupled_model(Random(seed), acyclic)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        path = tmp_path_factory.mktemp("parity") / "model.avm"
+        path.write_text(render_model(ModelDocument(model, ())), encoding="utf-8")
+        self.assert_text_matches_structured(str(path))
+
+    @staticmethod
+    def assert_text_matches_structured(path):
+        for quiet in ((), ("--quiet",)):
+            code, text = call([*quiet, "validate", path])
+            structured_code, out = call([*quiet, "--format", "structured", "validate", path])
+            assert code == structured_code
+            payload = json.loads(out)
+            checks = payload.get("checks", [])
+            statuses = [f"{c['name']}: {c['status']}" for c in checks]
+            assert [line for line in text.splitlines()
+                    if re.fullmatch(r"\w+: (pass|fail)", line)] == statuses
+            errors = [Finding(**r | {"position": r["position"] and SourcePos(**r["position"])})
+                      .format()
+                      for r in payload["findings"] + [f for c in checks for f in c["findings"]]
+                      if r["severity"] == "error"]
+            assert [line.strip() for line in text.splitlines()
+                    if line.strip().startswith("[error]")] == errors
 
 
 class TestApproachPartition:

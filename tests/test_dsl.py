@@ -310,7 +310,7 @@ def naive_positions(text):
     """(state -> (line, column), property -> (line, column)) by a plain scan
     of an LF text, after the documented rule: a state sits where it is
     mapped, else exempted, else first mentioned in its behavior block (an
-    edge's target where the edge starts); a property sits at its name."""
+    edge's target at its own name); a property sits at its name."""
     first, named = {}, {"map": {}, "exempt": {}, "spec": {}}
     in_behavior = False
     for number, line in enumerate(text.split("\n"), 1):
@@ -328,7 +328,7 @@ def naive_positions(text):
                 first.setdefault(name, spot)
         elif in_behavior and words[0] != "}":  # source - label -> target
             first.setdefault(words[0], tokens[0][1])
-            first.setdefault(words[4], tokens[0][1])
+            first.setdefault(words[4], tokens[4][1])
     return first | named["map"] | named["exempt"], named["spec"]
 
 
@@ -359,7 +359,7 @@ class TestPositionOracle:
             assert {s: tuple(p) for s, p in doc.source_positions.items()} == states
             assert {p.name: tuple(p.position) for p in doc.properties} == properties
             for state, (line, column) in doc.source_positions.items():
-                assert re.match(rf"(\w+ - \w+ -> )?{state}\b", lines[line - 1][column - 1:])
+                assert re.match(rf"{state}\b", lines[line - 1][column - 1:])
 
         at = rng.choice([i for i, line in enumerate(lines)
                          if line.lstrip().startswith(_STATEMENTS)])
@@ -571,7 +571,7 @@ GOLDEN_LINES = {
     ],
     'partial_mapping_after_rejections': [
         '[error] partial-mapping C: control state is neither mapped nor declared exempt (line 6, col 11)',
-        '[error] partial-mapping D: control state is neither mapped nor declared exempt (line 7, col 3)',
+        '[error] partial-mapping D: control state is neither mapped nor declared exempt (line 7, col 15)',
         '[error] cross-behavior-reference Z: mapping key is not a control state (line 9, col 5)',
         '[error] cross-behavior-reference Q: exempt state names a preventive state where a control state is required (line 10, col 8)',
     ],
@@ -587,7 +587,7 @@ GOLDEN_LINES = {
         '[error] overlapping-approach CheckCleaningOperations: claimed by both Identification and Removal (preventive side) (line 60, col 33)',
     ],
     'mutant_unmapped_state': [
-        '[error] partial-mapping Process: control state is neither mapped nor declared exempt (line 34, col 3)',
+        '[error] partial-mapping Process: control state is neither mapped nor declared exempt (line 34, col 24)',
     ],
 }
 
