@@ -58,8 +58,8 @@ class KripkeStructure:
       labels; an atom that labels no state is absent.
 
     Both engines, the witness and the SMV export read this index. The
-    name-keyed views (`relation`, `labeling`, `successors`, `predecessors`,
-    `atom_states`) are derived from it on first use.
+    name-keyed views (`relation`, `labeling`, `successors`, `atom_states`)
+    are derived from it on first use.
 
     The constructor takes the structure by name, checks it and numbers it;
     `to_kripke` numbers a behavior directly and builds the same index.
@@ -132,15 +132,8 @@ class KripkeStructure:
 
     @cached_property
     def successors(self) -> dict[str, tuple[str, ...]]:
-        return self._names_by_state(self.succ)
-
-    @cached_property
-    def predecessors(self) -> dict[str, tuple[str, ...]]:
-        return self._names_by_state(self.pred)
-
-    def _names_by_state(self, adjacency) -> dict[str, tuple[str, ...]]:
         states = self.states
-        return {s: tuple(states[j] for j in adjacent) for s, adjacent in zip(states, adjacency)}
+        return {s: tuple(states[j] for j in targets) for s, targets in zip(states, self.succ)}
 
     @cached_property
     def atom_states(self) -> dict[AtomicProposition, frozenset[str]]:

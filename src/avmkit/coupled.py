@@ -314,7 +314,8 @@ def _reach_test(preventive: Behavior, sources: Iterable[str], targets: Iterable[
     among `sources`, to dst, a state among `targets`, in zero or more
     transitions? One pass over the condensation of what the sources reach,
     sinks first, gives each strongly connected component the bit set of
-    target components it reaches."""
+    target components it reaches. `_link_test` builds it only when a link
+    is neither one state nor one preventive edge."""
     components = strongly_connected_components(
         preventive, sorted(s for s in sources if s in preventive.states))
     component_of = {state: i for i, members in enumerate(components) for state in members}
@@ -339,6 +340,30 @@ def _reach_test(preventive: Behavior, sources: Iterable[str], targets: Iterable[
     return reaches
 
 
+def _link_test(preventive: Behavior, fragment_sets):
+    """`_reach_test`'s `reaches` over the last and first states of the
+    fragments in `fragment_sets`, built on demand. A link whose ends are one
+    state, or one preventive edge apart, is answered on the spot, from a set
+    of the edges built on the first query; only the first link that is
+    neither builds `_reach_test`, which then answers it and every later one."""
+    edges = walks = None
+
+    def reaches(src: str, dst: str) -> bool:
+        nonlocal edges, walks
+        if src == dst and src in preventive.states:
+            return True
+        if edges is None:
+            edges = {(t.source, t.target) for t in preventive.transitions}
+        if (src, dst) in edges:
+            return True
+        if walks is None:
+            walks = _reach_test(preventive, {f.last for fs in fragment_sets for f in fs},
+                                {g.first for fs in fragment_sets for g in fs})
+        return walks(src, dst)
+
+    return reaches
+
+
 def _sync_step(model: CoupledModel):
     """The stitching rule as a transition function.
 
@@ -347,6 +372,9 @@ def _sync_step(model: CoupledModel):
     fragment set and the bit mask of its fragments still linked to the start.
     `step(sync, state)` returns the sync state after `state` and, when `state`
     is where the path gaps, the gap's (state, ends, starts) key.
+
+    Links come from `_link_test`, so a model whose links are all one state or
+    one preventive edge never builds the preventive condensation.
     """
     interned: dict[tuple[Path, ...], int] = {}
     slot: dict[str, int | None] = {}
@@ -354,8 +382,7 @@ def _sync_step(model: CoupledModel):
         fragments = () if state in model.mapping.exempt else model.mapping.paths_for(state)
         slot[state] = interned.setdefault(fragments, len(interned)) if fragments else None
     fragment_sets = list(interned)
-    reaches = _reach_test(model.preventive, {f.last for fs in fragment_sets for f in fs},
-                          {g.first for fs in fragment_sets for g in fs})
+    reaches = _link_test(model.preventive, fragment_sets)
     memo: dict[tuple, tuple] = {}
 
     def step(sync, state: str):
@@ -576,8 +603,10 @@ def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> C
     connected component. The walk is written as a recursion whose suspended
     calls wait on a list, so no depth of control path overflows the stack.
     Each distinct gap is reported once, along the first control path that
-    meets it in (labels, states) order, finals in name order. Reachability
-    comes from one pass over the preventive condensation.
+    meets it in (labels, states) order, finals in name order. A link between
+    fragments one preventive edge apart, or none, needs no search; any other
+    link is answered from one pass over the preventive condensation, made on
+    the first such link.
 
     With `count_paths` false, a polynomial pass over (control state, sync
     state) pairs runs first, and when it proves that no path gaps the report

@@ -309,6 +309,13 @@ def render(
 MARK, NAME, STRAY, END = 1, 2, 3, 0
 
 
+def locate(line_starts: list[int], offset: int, start_line: int = 1) -> SourcePos:
+    """The line and column of a text offset, by bisection in the offsets where
+    the text's lines start, the first line counted as `start_line`."""
+    row = bisect_right(line_starts, offset) - 1
+    return SourcePos(start_line + row, offset - line_starts[row] + 1)
+
+
 @cache
 def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
     """Finds skipped text then a mark (group 1), a name (2), any other
@@ -362,8 +369,7 @@ class Lexer:
 
     def locate(self, offset: int) -> SourcePos:
         """The line and column of a text offset."""
-        row = bisect_right(self.line_starts, offset) - 1
-        return SourcePos(self.start_line + row, offset - self.line_starts[row] + 1)
+        return locate(self.line_starts, offset, self.start_line)
 
     def position(self, k: int) -> SourcePos:
         """Where token k starts."""

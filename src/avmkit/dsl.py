@@ -16,8 +16,10 @@ The document is scanned once, up front, by the lexer the CTL grammar uses
 (`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments. The
 statement parsers read whole edges, path steps and runs of names off its
 token lists, and keep the index of the token where a name stands: a
-SourcePos is built from one only for a finding, a property's `position` or a
-`source_positions` entry. A document reports its first fault in reading
+SourcePos is built from one only for a finding or a property's `position`.
+`source_positions` keeps the text offset of each state it places and the
+lexer's table of line starts, and builds a state's SourcePos only when it is
+looked up. A document reports its first fault in reading
 order: a stray character is an error only when the parser reaches it, and a
 grammar error before it wins. (An approach block judges a section head such
 as ``control:`` as a pair, so a stray in its second token is reached first.)
@@ -26,6 +28,7 @@ to `parse_ctl`, so an error in it, a stray included, is a ``ctl-syntax``
 finding and the statements after it are read as usual.
 """
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from . import ctl
@@ -36,7 +39,7 @@ from .coupled import (
     mapping_process,
     unresolved_atoms,
 )
-from .ctl import END, NAME, STRAY, CtlFormula, CtlSyntaxError, Lexer, parse_ctl
+from .ctl import END, NAME, STRAY, CtlFormula, CtlSyntaxError, Lexer, locate, parse_ctl
 from .lts import Behavior, Path, Transition, _Frozen, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
@@ -76,16 +79,49 @@ class PropertySpec(_Frozen):
         return (self.name, self.target, self.formula, self.expected)
 
 
+class _StatePositions(Mapping):
+    """A read-only map from a state name to its SourcePos that places a state
+    only when it is looked up: it holds each state's offset in the text and
+    the offsets where the text's lines start. It compares equal to the dict
+    of every state's SourcePos, and copies and pickles as one."""
+
+    __slots__ = ("_offsets", "_line_starts")
+
+    def __init__(self, offsets: dict[str, int], line_starts: list[int]):
+        self._offsets = offsets
+        self._line_starts = line_starts
+
+    def __getitem__(self, state: str) -> SourcePos:
+        return locate(self._line_starts, self._offsets[state])
+
+    def __contains__(self, state) -> bool:
+        return state in self._offsets
+
+    def __iter__(self):
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return type(self), (self._offsets, self._line_starts)
+
+
 class ModelDocument(_Frozen):
     """A parsed document: the coupled model and its properties.
     `source_positions` maps a state name to where it is mapped, exempted or
     first mentioned, so reports on the built model can point back into the
-    text; it is not part of the document's identity or repr."""
+    text; it is not part of the document's identity or repr. `parse_model`
+    gives a read-only mapping that works a state's line and column out only
+    when it is looked up."""
 
     __slots__ = ("coupled", "properties", "source_positions")
 
     def __init__(self, coupled: CoupledModel, properties: tuple[PropertySpec, ...],
-                 source_positions: dict[str, SourcePos] | None = None):
+                 source_positions: Mapping[str, SourcePos] | None = None):
         object.__setattr__(self, "coupled", coupled)
         object.__setattr__(self, "properties", properties)
         object.__setattr__(self, "source_positions",
@@ -435,8 +471,11 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     for raw_map in parser.maps:  # map statements win over state declarations
         kept[raw_map.key] = raw_map.pos
     kept.update(parser.exempts)
+    starts = parser.lx.starts
     return ModelDocument(coupled=coupled, properties=tuple(properties),
-                         source_positions={state: place(spot) for state, spot in kept.items()})
+                         source_positions=_StatePositions(
+                             {state: starts[spot] for state, spot in kept.items()},
+                             parser.lx.line_starts))
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from avmkit.dsl import parse_model
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODEL_FILE = REPO_ROOT / "src" / "avmkit" / "models" / "antivirus.avm"
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
+BENCH_CORPUS_DIR = REPO_ROOT / "bench" / "corpus"
 
 
 @pytest.fixture(scope="session")

@@ -213,6 +213,13 @@ MUTANTS = (
         ("tests/test_coupled.py::TestSynchronizationPass::test_gap_before_a_final_is_seen",),
     ),
     Mutant(
+        "sync link test reads a preventive edge backwards",
+        "coupled.py",
+        "if (src, dst) in edges:",
+        "if (dst, src) in edges:",
+        ("tests/test_coupled.py::TestLinksOnDemand::test_a_link_follows_an_edge_forward_only",),
+    ),
+    Mutant(
         "atom subject checked by prefix",
         "ctl.py",
         "if not NAME_RE.fullmatch(subject):",
@@ -240,6 +247,20 @@ MUTANTS = (
         "return (self.coupled, self.properties, self.source_positions)",
         ("tests/test_values.py::TestRecords::"
          "test_document_equality_and_repr_ignore_source_positions",),
+    ),
+    Mutant(
+        "a state position looked up places the token after the state",
+        "dsl.py",
+        "{state: starts[spot] for state, spot in kept.items()}",
+        "{state: starts[spot + 1] for state, spot in kept.items()}",
+        ("tests/test_dsl.py::TestLazyPositions::test_equals_the_placed_dict_on_the_corpus",),
+    ),
+    Mutant(
+        "state positions claim to hold every name",
+        "dsl.py",
+        "return state in self._offsets",
+        "return True",
+        ("tests/test_dsl.py::TestLazyPositions::test_reads_as_a_mapping",),
     ),
     Mutant(
         "engine binder overwrites a name already bound",
@@ -296,8 +317,8 @@ MUTANTS = (
     Mutant(
         "line lookup is off by one at a newline offset",
         "ctl.py",
-        "row = bisect_right(self.line_starts, offset) - 1",
-        "row = bisect_left(self.line_starts, offset) - 1",
+        "row = bisect_right(line_starts, offset) - 1",
+        "row = bisect_left(line_starts, offset) - 1",
         ("tests/test_dsl.py::TestPositionOracle",),
     ),
     Mutant(

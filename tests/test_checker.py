@@ -95,7 +95,7 @@ class TestPublicConstructor:
     # to_kripke numbers a behavior directly; the public constructor numbers
     # the same structure from its name-keyed fields. Both must hold one index.
     FIELDS = ("states", "initial", "relation", "labeling", "totalized", "edge_labels",
-              "successors", "predecessors", "atom_states", "index", "succ", "pred", "atoms")
+              "successors", "atom_states", "index", "succ", "pred", "atoms")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))

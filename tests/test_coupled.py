@@ -22,7 +22,7 @@ from avmkit.coupled import (
     mapping_process,
     model_occurrences,
 )
-from avmkit.dsl import ModelDocument, render_model
+from avmkit.dsl import ModelDocument, parse_model, render_model
 from avmkit.lts import Path, Transition, build_behavior
 from avmkit.report import Finding, ModelValidationError, SourcePos
 
@@ -528,6 +528,94 @@ class TestSynchronizationPass:
                       if r["severity"] == "error"]
             assert [line.strip() for line in text.splitlines()
                     if line.strip().startswith("[error]")] == errors
+
+
+def chain_model(n):
+    """A control chain C0 -> ... -> Cn, final Cn, mapped onto the preventive
+    chain P0 -> ... -> Pn: C0 onto the two-state path P0 - p -> P1 and each
+    later Ci onto Pi, so one link joins P1 to itself and every other one
+    follows a single preventive edge."""
+    preventive = [f"P{i}" for i in range(n + 1)]
+    control = [f"C{i}" for i in range(n + 1)]
+    fragments = {"C0": [Path(("P0", "P1"), ("p",))]}
+    fragments.update({c: [Path((p,))] for c, p in zip(control[1:], preventive[1:])})
+    return build_coupled_model(
+        build_behavior(preventive, "P0", {"p"},
+                       [(a, "p", b) for a, b in zip(preventive, preventive[1:])]),
+        build_behavior(control, "C0", {"a"},
+                       [(a, "a", b) for a, b in zip(control, control[1:])], {control[-1]}),
+        mapping_process(fragments), approach_partition({}))
+
+
+REMAPPED_DONE_GAP = Finding(
+    "error", "sync-gap", "Done",
+    "along control path NotActivated -activate-> Activated -start-> Process -found-> "
+    "Recognition -remove-> Done -finish-> End: no preventive walk from "
+    "{CheckCleaningOperations} to {RealTimeProtection}")
+TWO_PATHS = Finding("info", "control-paths", "control", "checked 2 control path(s)")
+
+
+class TestLinksOnDemand:
+    """The synchronization check answers a link one preventive edge makes, or
+    one state, without a search, and builds the preventive condensation once,
+    on the first link it cannot answer so."""
+
+    def test_one_edge_links_need_no_condensation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the condensation was built")
+
+        monkeypatch.setattr(avmkit.coupled, "_reach_test", refuse)
+        model = chain_model(40)
+        assert fast_check(model).findings == ()
+        assert check_synchronization(model).findings == (
+            Finding("info", "control-paths", "control", "checked 1 control path(s)"),)
+
+    def test_a_link_follows_an_edge_forward_only(self):
+        # P0 -p-> P1, but I's fragment P1 must reach F's fragment P0.
+        model = small_model([("P0", "p", "P1")], [("I", "a", "F")], ["F"],
+                            {"I": "P1", "F": "P0"})
+        assert not fast_check(model).passed
+        assert fast_check(model) == naive_check_synchronization(model)
+
+    # Per document, count_paths -> (the report's findings, condensations built).
+    @pytest.mark.parametrize("document, expected", [
+        (MODEL_FILE, {False: ((), 1), True: ((TWO_PATHS,), 0)}),
+        (CORPUS_DIR / "mutant_remapped_done.avm",
+         {False: ((REMAPPED_DONE_GAP, TWO_PATHS), 1), True: ((REMAPPED_DONE_GAP, TWO_PATHS), 1)}),
+    ], ids=["bundled", "mutant_remapped_done"])
+    def test_the_rescan_link_builds_the_condensation_once(self, document, expected,
+                                                          monkeypatch):
+        # In the bundled model every link is one preventive edge but
+        # CheckCleaningOperations -> DetectingFiles, which only the text pass
+        # asks: no simple control path takes the rescan edge back to Process.
+        # The mutant adds the gap CheckCleaningOperations -> RealTimeProtection,
+        # which the walk asks too.
+        coupled = parse_model(document.read_text(encoding="utf-8")).coupled
+        built = []
+        reach_test = avmkit.coupled._reach_test
+
+        def counted(*args):
+            built.append(args)
+            return reach_test(*args)
+
+        monkeypatch.setattr(avmkit.coupled, "_reach_test", counted)
+        for count_paths, (findings, builds) in expected.items():
+            built.clear()
+            assert check_synchronization(coupled, count_paths=count_paths).findings == findings
+            assert len(built) == builds
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
+    def test_agrees_with_the_condensation(self, seed, acyclic):
+        model = random_coupled_model(Random(seed), acyclic)
+        fragment_sets = [paths for _, paths in model.mapping.entries]
+        fragments = [f for paths in fragment_sets for f in paths]
+        full = avmkit.coupled._reach_test(model.preventive, {f.last for f in fragments},
+                                          {g.first for g in fragments})
+        on_demand = avmkit.coupled._link_test(model.preventive, fragment_sets)
+        for f in fragments:
+            for g in fragments:
+                assert on_demand(f.last, g.first) == full(f.last, g.first)
 
 
 class TestApproachPartition:

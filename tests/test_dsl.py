@@ -15,7 +15,7 @@ from avmkit.dsl import ModelDocument, ModelSyntaxError, PropertySpec, parse_mode
 from avmkit.lts import Path, build_behavior
 from avmkit.report import ModelValidationError, SourcePos
 
-from conftest import CORPUS_DIR, MODEL_FILE
+from conftest import BENCH_CORPUS_DIR, CORPUS_DIR, MODEL_FILE
 from generators import random_behavior, random_coupled_model, random_formula
 
 MINIMAL = """
@@ -388,9 +388,9 @@ def chain_text(n):
 
 
 def test_only_kept_positions_are_built(monkeypatch):
-    """A passing parse builds a SourcePos for each state position it keeps and
-    at most two per property (its own and its formula's start), none per
-    token, edge or name read."""
+    """A passing parse builds at most two SourcePos per property (its own and
+    its formula's start), none per state, token, edge or name read; looking a
+    state's position up builds that one."""
     text = chain_text(300)
     built = []
     new = SourcePos.__new__
@@ -401,10 +401,64 @@ def test_only_kept_positions_are_built(monkeypatch):
 
     monkeypatch.setattr(SourcePos, "__new__", counted)
     doc = parse_model(text)
+    assert len(doc.source_positions) == 301 and "c0150" in doc.source_positions
+    assert len(built) <= 2 * len(doc.properties)
+    built.clear()
+    position = doc.source_positions["c0150"]
+    assert len(built) == 1
     monkeypatch.undo()
-    assert len(doc.source_positions) == 301
-    assert len(built) <= len(doc.source_positions) + 2 * len(doc.properties)
-    assert doc.source_positions["c0150"] == (text.split("\n").index("map c0150 => P") + 1, 5)
+    assert position == (text.split("\n").index("map c0150 => P") + 1, 5)
+
+
+# The corpus mutants that parse_model rejects: they have no source positions.
+REJECTED = ("mutant_cross_reference", "mutant_overlapping_approach", "mutant_unmapped_state")
+PARSED_DOCUMENTS = [
+    pytest.param(path, id=f"{path.parent.name}/{path.stem}")
+    for path in [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm")),
+                 *sorted(BENCH_CORPUS_DIR.glob("*.avm"))]
+    if path.stem not in REJECTED
+]
+
+
+class TestLazyPositions:
+    """`source_positions` places a state only when it is looked up, and reads
+    as the dict of every kept state's position."""
+
+    @pytest.mark.parametrize("document", PARSED_DOCUMENTS)
+    def test_equals_the_placed_dict_on_the_corpus(self, document):
+        self.assert_placed(document.read_text(encoding="utf-8"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_equals_the_placed_dict_on_random_documents(self, seed):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        self.assert_placed(render_model(ModelDocument(model, ())))
+
+    @staticmethod
+    def assert_placed(text):
+        states, _ = naive_positions(text)
+        placed = {state: SourcePos(*spot) for state, spot in states.items()}
+        for source in (text, text.replace("\n", "\r\n")):
+            positions = parse_model(source).source_positions
+            assert positions == placed and placed == positions
+            assert not positions != placed
+            assert dict(positions) == placed and dict(positions.items()) == placed
+            assert len(positions) == len(placed) and set(positions) == set(placed)
+            assert all(state in positions for state in placed)
+
+    def test_reads_as_a_mapping(self, bundled_doc):
+        positions = bundled_doc.source_positions
+        assert "NoSuchState" not in positions and "done" not in positions
+        assert positions.get("NoSuchState") is None
+        with pytest.raises(KeyError):
+            positions["NoSuchState"]
+        assert positions["Done"] == positions.get("Done") == SourcePos(67, 5)
+        assert repr(positions) == repr(dict(positions))
+        with pytest.raises(TypeError):
+            positions["Done"] = SourcePos(1, 1)
 
 
 class TestRender:

@@ -155,6 +155,16 @@ def test_document_round_trips(round_trip, bundled_doc):
     assert [p.position for p in again.properties] == [p.position for p in bundled_doc.properties]
 
 
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_source_positions_round_trip(round_trip, bundled_doc):
+    positions = bundled_doc.source_positions
+    placed = {state: positions[state] for state in positions}
+    again = round_trip(positions)
+    assert type(again) is type(positions)
+    assert again == positions and again == placed and dict(again) == placed
+    assert "NoSuchState" not in again and len(again) == len(placed)
+
+
 # -- the hand-written records: Behavior, Path, MappingProcess, PropertySpec,
 # ModelDocument. Their ==, hash and repr read the same fields a frozen
 # dataclass of the same fields would.
