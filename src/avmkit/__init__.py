@@ -41,9 +41,9 @@ __version__ = "0.1.0"
 # that only parses and validates does not compile them. The module names
 # resolve too, as they would after an eager import.
 _ON_FIRST_USE = {
-    "bdd": ("AND", "OR", "BddManager", "BddRef"),
+    "bdd": ("BddManager",),
     "checker": ("KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
-                "holds", "to_kripke", "witness"),
+                "to_kripke", "witness"),
     "export": ("NameCollisionError", "to_dot", "to_smv"),
 }
 _HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in (module, *names)}
@@ -61,9 +61,9 @@ def __dir__() -> list[str]:
     return sorted(globals().keys() | _HOME.keys())
 
 __all__ = [
-    "AND", "OR", "BddManager", "BddRef",
+    "BddManager",
     "KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
-    "holds", "to_kripke", "witness",
+    "to_kripke", "witness",
     "APPROACH_NAMES", "Approach", "ApproachPartition", "CoupledModel",
     "MappingProcess", "approach_partition", "build_coupled_model",
     "check_approach_alignment", "check_mapping", "check_synchronization",

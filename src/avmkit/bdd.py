@@ -1,8 +1,8 @@
 """Reduced ordered binary decision diagrams with hash-consed nodes.
 
 One BddManager owns one static variable order and interns every node in a
-unique table, so two handles in the same manager are equal exactly when they
-denote the same boolean function. Managers are arena-style: nodes are never
+unique table, so two node ids of one manager are equal exactly when they
+denote the same boolean function; ids 0 and 1 are FALSE and TRUE. Managers are arena-style: nodes are never
 collected within a run, the whole manager is dropped at once. Each operation
 has computed tables of its own (Brace, Rudell and Bryant): AND and OR, one
 recursion that differs only in which terminal absorbs, are each keyed by the
@@ -19,57 +19,18 @@ it. The packing is exact because node ids are list indices below 2**32 (a
 manager that large would need hundreds of GB); the leading field, a or var,
 needs no bound.
 
-The symbolic engine calls the kernels on node ids: `_and`, `_or`, `_negate`
-and `_pre_image`, the relational product of Burch, Clarke, McMillan and Dill
-over current/next variable pairs, which reads the set on the next-state
-variables and quantifies them while it conjoins, so neither the renamed set
-nor the conjunction is built. It builds state sets by interning nodes itself
-(`_mk`). The `BddRef` handles (`mk_var`, `apply`, `negate`), `sat_count`,
-`node_count` and `check_invariants` are there to test the manager by.
+Node ids are the manager's only interface. The symbolic engine builds state
+sets by interning nodes itself (`_mk`) and calls the kernels on ids: `_and`,
+`_or`, `_negate` and `_pre_image`, the relational product of Burch, Clarke,
+McMillan and Dill over current/next variable pairs, which reads the set on
+the next-state variables and quantifies them while it conjoins, so neither
+the renamed set nor the conjunction is built. `node_count` and
+`check_invariants` report on the unique table.
 """
-
-AND = "and"
-OR = "or"
-_OPS = (AND, OR)
 
 _FALSE = 0
 _TRUE = 1
 _LOW32 = (1 << 32) - 1
-
-
-class BddError(Exception):
-    pass
-
-
-class VarOutOfRangeError(BddError):
-    pass
-
-
-class ManagerMismatchError(BddError):
-    pass
-
-
-class BddRef:
-    """Opaque handle to a node inside one manager; equal iff same function."""
-
-    __slots__ = ("manager", "index")
-
-    def __init__(self, manager: "BddManager", index: int):
-        self.manager = manager
-        self.index = index
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BddRef)
-            and other.manager is self.manager
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.manager), self.index))
-
-    def __repr__(self) -> str:
-        return f"BddRef({self.index})"
 
 
 class BddManager:
@@ -88,28 +49,8 @@ class BddManager:
         self._not_table: dict[int, int] = {}
         self._and = self._binary(_FALSE)
         self._or = self._binary(_TRUE)
-        self.false = BddRef(self, _FALSE)
-        self.true = BddRef(self, _TRUE)
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _index(self, ref: BddRef) -> int:
-        if not isinstance(ref, BddRef) or ref.manager is not self:
-            raise ManagerMismatchError("operand belongs to a different manager")
-        return ref.index
-
-    def _ref(self, index: int) -> BddRef:
-        if index == _FALSE:
-            return self.false
-        if index == _TRUE:
-            return self.true
-        return BddRef(self, index)
-
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < self.var_count:
-            raise VarOutOfRangeError(
-                f"variable {var} outside 0..{self.var_count - 1}"
-            )
+    # -- nodes --------------------------------------------------------------
 
     def _mk(self, var: int, low: int, high: int) -> int:
         if low == high:
@@ -124,19 +65,7 @@ class BddManager:
             self._unique[key] = idx
         return idx
 
-    # -- constructors -----------------------------------------------------
-
-    def mk_var(self, var: int) -> BddRef:
-        self._check_var(var)
-        return self._ref(self._mk(var, _FALSE, _TRUE))
-
     # -- boolean operations -----------------------------------------------
-
-    def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
-        if op not in _OPS:
-            raise ValueError(f"unknown operation {op!r}")
-        binary = self._and if op == AND else self._or
-        return self._ref(binary(self._index(f), self._index(g)))
 
     def _binary(self, zero: int):
         """The AND (zero = FALSE) or OR (zero = TRUE) recursion and its table:
@@ -168,9 +97,6 @@ class BddManager:
             return res
 
         return binary
-
-    def negate(self, f: BddRef) -> BddRef:
-        return self._ref(self._negate(self._index(f)))
 
     def _negate(self, a: int) -> int:
         if a < 2:
@@ -250,40 +176,6 @@ class BddManager:
             return _TRUE if relation == b == _TRUE else product(relation, b)
 
         return step
-
-    # -- model counting -----------------------------------------------------
-
-    def sat_count(self, f: BddRef, nvars: int) -> int:
-        """Satisfying assignments over variables 0..nvars-1."""
-        root = self._index(f)
-        if nvars < 0:
-            raise VarOutOfRangeError("nvars must be non-negative")
-
-        def level(a: int) -> int:
-            return self._var[a] if a >= 2 else nvars
-
-        memo: dict[int, int] = {}
-
-        def count(a: int) -> int:
-            if a == _FALSE:
-                return 0
-            if a == _TRUE:
-                return 1
-            if self._var[a] >= nvars:
-                raise VarOutOfRangeError(
-                    f"node variable {self._var[a]} needs nvars >= {self._var[a] + 1}"
-                )
-            res = memo.get(a)
-            if res is None:
-                v = self._var[a]
-                lo, hi = self._low[a], self._high[a]
-                res = count(lo) * 2 ** (level(lo) - v - 1)
-                res += count(hi) * 2 ** (level(hi) - v - 1)
-                memo[a] = res
-            return res
-
-        total = count(root)
-        return total * 2 ** level(root)  # free variables above the root double the count
 
     # -- introspection -------------------------------------------------------
 

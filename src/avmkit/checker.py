@@ -58,8 +58,8 @@ class KripkeStructure:
       labels; an atom that labels no state is absent.
 
     Both engines, the witness and the SMV export read this index. The
-    name-keyed views (`relation`, `labeling`, `successors`, `atom_states`)
-    are derived from it on first use.
+    name-keyed views `relation` and `labeling` are derived from it on first
+    use.
 
     The constructor takes the structure by name, checks it and numbers it;
     `to_kripke` numbers a behavior directly and builds the same index.
@@ -88,6 +88,13 @@ class KripkeStructure:
         for i, s in enumerate(names):
             if i not in atoms.get(AtomicProposition("at", s), ()):
                 raise ValueError(f"labeling of {s} is missing at({s})")
+        strays = sorted(labeling.keys() - index.keys())
+        if strays:
+            raise ValueError(f"labeling names states outside the state set: {strays}")
+        for prop, members in atoms.items():
+            for i in members:
+                if prop.kind == "at" and names[i] != prop.subject:
+                    raise ValueError(f"labeling of {names[i]} holds {prop}")
         self._build(names, index, initial, [tuple(sorted(ts)) for ts in targets],
                     {prop: tuple(members) for prop, members in atoms.items()},
                     totalized, {} if edge_labels is None else edge_labels)
@@ -129,16 +136,6 @@ class KripkeStructure:
             for i in members:
                 props[i].append(prop)
         return {s: frozenset(ps) for s, ps in zip(self.states, props)}
-
-    @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        states = self.states
-        return {s: tuple(states[j] for j in targets) for s, targets in zip(states, self.succ)}
-
-    @cached_property
-    def atom_states(self) -> dict[AtomicProposition, frozenset[str]]:
-        """The states each atom labels. An atom that labels no state is absent."""
-        return {prop: self._names(members) for prop, members in self.atoms.items()}
 
     def _names(self, members) -> frozenset[str]:
         states = self.states
@@ -396,15 +393,6 @@ def check_symbolic(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
 
 
 # -- verdicts and witnesses ------------------------------------------------------
-
-
-def holds(k: KripkeStructure, formula: CtlFormula, engine: str = "explicit") -> bool:
-    """True iff the initial state satisfies the formula."""
-    if engine == "explicit":
-        return k.initial in check_explicit(k, formula)
-    if engine == "symbolic":
-        return k.initial in check_symbolic(k, formula)
-    raise ValueError(f"engine must be 'explicit' or 'symbolic', not {engine!r}")
 
 
 def witness_shape(formula: CtlFormula) -> str | None:

@@ -10,7 +10,7 @@ import itertools
 from collections import deque
 from random import Random
 
-from avmkit.bdd import AND, OR, BddManager, BddRef
+from avmkit.bdd import _FALSE, _TRUE, BddManager
 from avmkit.checker import KripkeStructure
 from avmkit.ctl import (
     AF,
@@ -302,9 +302,9 @@ def topdown_codes_to_bdd(mgr: BddManager, codes, levels) -> int:
     symbolic engine's bottom-up build."""
     def build(codes: list[int], depth: int) -> int:
         if not codes:
-            return mgr.false.index
+            return _FALSE
         if depth == len(levels):
-            return mgr.true.index
+            return _TRUE
         var, bit = levels[depth]
         low = [c for c in codes if not c >> bit & 1]
         high = [c for c in codes if c >> bit & 1]
@@ -313,9 +313,14 @@ def topdown_codes_to_bdd(mgr: BddManager, codes, levels) -> int:
     return build(list(codes), 0)
 
 
+def successor_names(k: KripkeStructure, state: str) -> list[str]:
+    """The names of a state's successors, read off the structure's index."""
+    return [k.states[j] for j in k.succ[k.index[state]]]
+
+
 def naive_preimage(k: KripkeStructure, targets: frozenset[str]) -> frozenset[str]:
     """States with a successor in targets, by scanning every state."""
-    return frozenset(s for s in k.states if any(t in targets for t in k.successors[s]))
+    return frozenset(s for s in k.states if any(t in targets for t in successor_names(k, s)))
 
 
 def naive_eu_chain(k: KripkeStructure, holds_f: frozenset[str],
@@ -353,7 +358,7 @@ def naive_sat(k: KripkeStructure, f: CtlFormula) -> frozenset[str]:
         return naive_preimage(k, z)
 
     def pre_all(z: frozenset[str]) -> frozenset[str]:
-        return frozenset(s for s in k.states if all(t in z for t in k.successors[s]))
+        return frozenset(s for s in k.states if all(t in z for t in successor_names(k, s)))
 
     def fixpoint(z: frozenset[str], step) -> frozenset[str]:
         while (stepped := step(z)) != z:
@@ -492,26 +497,51 @@ def exists_formula(formula, variables):
     return formula
 
 
-def bool_to_bdd(mgr: BddManager, formula) -> BddRef:
-    """The formula's BDD, built from mk_var, negate and AND/OR alone."""
+def bool_to_bdd(mgr: BddManager, formula) -> int:
+    """The formula's node, built from `_mk(v, 0, 1)`, `_negate`, `_and` and
+    `_or` alone."""
     op = formula[0]
     if op == "var":
-        return mgr.mk_var(formula[1])
+        return mgr._mk(formula[1], _FALSE, _TRUE)
     if op == "const":
-        return mgr.true if formula[1] else mgr.false
+        return _TRUE if formula[1] else _FALSE
     if op == "not":
-        return mgr.negate(bool_to_bdd(mgr, formula[1]))
+        return mgr._negate(bool_to_bdd(mgr, formula[1]))
     a, b = bool_to_bdd(mgr, formula[1]), bool_to_bdd(mgr, formula[2])
     if op == "xor":
-        return mgr.apply(OR, mgr.apply(AND, a, mgr.negate(b)), mgr.apply(AND, mgr.negate(a), b))
+        return mgr._or(mgr._and(a, mgr._negate(b)), mgr._and(mgr._negate(a), b))
     if op == "implies":
-        return mgr.apply(OR, mgr.negate(a), b)
-    return mgr.apply({"and": AND, "or": OR}[op], a, b)
+        return mgr._or(mgr._negate(a), b)
+    return {"and": mgr._and, "or": mgr._or}[op](a, b)
 
 
-def evaluate(mgr: BddManager, ref: BddRef, assignment) -> bool:
-    """The BDD's value under a var -> bool mapping, by one root-to-leaf walk."""
-    node = ref.index
+def evaluate(mgr: BddManager, node: int, assignment) -> bool:
+    """The node's value under a var -> bool mapping, by one root-to-leaf walk."""
     while node >= 2:
         node = mgr._high[node] if assignment[mgr._var[node]] else mgr._low[node]
-    return node == mgr.true.index
+    return node == _TRUE
+
+
+def sat_count(mgr: BddManager, root: int, nvars: int) -> int:
+    """The node's satisfying assignments over variables 0..nvars-1: each
+    node's count over the variables below it, scaled by 2 for every level
+    an edge skips. Raises ValueError when a node reads variable nvars or
+    above."""
+    def level(a: int) -> int:
+        return mgr._var[a] if a >= 2 else nvars
+
+    memo: dict[int, int] = {}
+
+    def count(a: int) -> int:
+        if a < 2:
+            return a
+        v = mgr._var[a]
+        if v >= nvars:
+            raise ValueError(f"node variable {v} needs nvars >= {v + 1}")
+        if a not in memo:
+            lo, hi = mgr._low[a], mgr._high[a]
+            memo[a] = (count(lo) * 2 ** (level(lo) - v - 1)
+                       + count(hi) * 2 ** (level(hi) - v - 1))
+        return memo[a]
+
+    return count(root) * 2 ** level(root)  # free variables above the root double the count

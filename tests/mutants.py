@@ -234,6 +234,20 @@ MUTANTS = (
         ("tests/test_bdd.py::TestApply",),
     ),
     Mutant(
+        "negation returns its terminal unchanged",
+        "bdd.py",
+        "return 1 - a",
+        "return a",
+        ("tests/test_bdd.py::TestApply::test_idempotence_and_annihilation",),
+    ),
+    Mutant(
+        "_mk interns a node whose two children are equal",
+        "bdd.py",
+        "if low == high:\n            return low",
+        "if False:\n            return low",
+        ("tests/test_bdd.py::TestConstruction::test_constants_are_interned",),
+    ),
+    Mutant(
         "property equality compares positions",
         "dsl.py",
         "return (self.name, self.target, self.formula, self.expected)",

@@ -29,6 +29,7 @@ from generators import (
     random_bool_formula,
     random_formula,
     random_kripke,
+    sat_count,
     truth_table,
 )
 
@@ -138,19 +139,19 @@ def test_c4_path_enumeration_oracle():
 def test_c5_bdd_soundness():
     rng = Random(31337)
     mgr = BddManager(6)
-    table_to_ref = {}
-    ref_to_table = {}
+    table_to_node = {}
+    node_to_table = {}
     violations = 0
     for _ in range(1000):
         formula = random_bool_formula(rng, 6)
-        ref = bool_to_bdd(mgr, formula)
+        node = bool_to_bdd(mgr, formula)
         table = truth_table(formula, 6)
-        if mgr.sat_count(ref, 6) != sum(table):
+        if sat_count(mgr, node, 6) != sum(table):
             violations += 1
-        if table_to_ref.setdefault(table, ref) != ref:
-            violations += 1  # equivalent functions must share one handle
-        if ref_to_table.setdefault(ref, table) != table:
-            violations += 1  # one handle must mean one function
+        if table_to_node.setdefault(table, node) != node:
+            violations += 1  # equivalent functions must share one node
+        if node_to_table.setdefault(node, table) != table:
+            violations += 1  # one node must mean one function
     scan = mgr.check_invariants()
     ok = violations == 0 and scan == []
     report(5, f"BDD canonicity/sat_count on 1000 formulas, "

@@ -3,9 +3,9 @@ import avmkit
 # The package's public names, in `__all__` order. A name removed from the
 # library must leave this list and `__all__` together.
 PUBLIC_API = [
-    "AND", "OR", "BddManager", "BddRef",
+    "BddManager",
     "KripkeStructure", "UnknownAtomError", "check_explicit", "check_symbolic",
-    "holds", "to_kripke", "witness",
+    "to_kripke", "witness",
     "APPROACH_NAMES", "Approach", "ApproachPartition", "CoupledModel",
     "MappingProcess", "approach_partition", "build_coupled_model",
     "check_approach_alignment", "check_mapping", "check_synchronization",

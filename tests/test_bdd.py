@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avmkit.bdd import AND, OR, BddManager, ManagerMismatchError, VarOutOfRangeError
+from avmkit.bdd import _FALSE, _TRUE, BddManager
 
 from generators import (
     bool_to_bdd,
@@ -16,6 +16,7 @@ from generators import (
     random_bool_formula,
     rename_formula,
     restrict_formula,
+    sat_count,
     truth_table,
 )
 
@@ -28,8 +29,8 @@ def formulas(nvars=4):
     )
 
 
-def table_of(mgr, ref, nvars=6):
-    return tuple(evaluate(mgr, ref, dict(enumerate(bits)))
+def table_of(mgr, node, nvars=6):
+    return tuple(evaluate(mgr, node, dict(enumerate(bits)))
                  for bits in itertools.product((False, True), repeat=nvars))
 
 
@@ -38,51 +39,45 @@ def mgr():
     return BddManager(6)
 
 
+def var_node(mgr, v):
+    """The node of the single variable v."""
+    return mgr._mk(v, _FALSE, _TRUE)
+
+
 class TestConstruction:
     def test_constants_are_interned(self, mgr):
-        x = mgr.mk_var(0)
-        assert mgr.apply(OR, x, mgr.negate(x)) == mgr.true
-        assert mgr.apply(AND, x, mgr.negate(x)) == mgr.false
-        assert mgr.true != mgr.false
+        x = var_node(mgr, 0)
+        assert mgr._or(x, mgr._negate(x)) == _TRUE
+        assert mgr._and(x, mgr._negate(x)) == _FALSE
 
     def test_variables_are_interned(self, mgr):
-        assert mgr.mk_var(0) == mgr.mk_var(0)
-        assert mgr.mk_var(0) != mgr.mk_var(1)
+        assert var_node(mgr, 0) == var_node(mgr, 0)
+        assert var_node(mgr, 0) != var_node(mgr, 1)
 
-    def test_var_out_of_range(self, mgr):
-        with pytest.raises(VarOutOfRangeError):
-            mgr.mk_var(6)
-        with pytest.raises(VarOutOfRangeError):
-            mgr.mk_var(-1)
-
-    def test_manager_mismatch(self, mgr):
-        other = BddManager(6)
-        with pytest.raises(ManagerMismatchError):
-            mgr.apply(AND, mgr.mk_var(0), other.mk_var(0))
+    def test_negative_var_count(self):
+        with pytest.raises(ValueError):
+            BddManager(-1)
 
 
 class TestApply:
     def test_idempotence_and_annihilation(self, mgr):
         f = bool_to_bdd(mgr, random_bool_formula(Random(7), 4))
-        assert mgr.apply(AND, f, f) == f
-        assert mgr.apply(OR, f, f) == f
-        assert mgr.apply(AND, f, mgr.negate(f)) == mgr.false
-        assert mgr.apply(OR, f, mgr.negate(f)) == mgr.true
+        assert f not in (_TRUE, _FALSE)
+        assert mgr._and(f, f) == f
+        assert mgr._or(f, f) == f
+        assert mgr._and(f, mgr._negate(f)) == _FALSE
+        assert mgr._or(f, mgr._negate(f)) == _TRUE
 
     def test_xor_of_two_vars_has_three_nodes(self, mgr):
-        f = bool_to_bdd(mgr, XOR_01).index
-        x1 = mgr.mk_var(1)
+        f = bool_to_bdd(mgr, XOR_01)
+        x1 = var_node(mgr, 1)
         # one x0 node whose two branches are x1 and its complement
         assert mgr._var[f] == 0
-        assert {mgr._low[f], mgr._high[f]} == {x1.index, mgr.negate(x1).index}
-
-    def test_unknown_operation(self, mgr):
-        with pytest.raises(ValueError):
-            mgr.apply("xor", mgr.mk_var(0), mgr.mk_var(1))
+        assert {mgr._low[f], mgr._high[f]} == {x1, mgr._negate(x1)}
 
     def test_double_negation(self, mgr):
         f = bool_to_bdd(mgr, random_bool_formula(Random(13), 5))
-        assert mgr.negate(mgr.negate(f)) == f
+        assert mgr._negate(mgr._negate(f)) == f
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), formulas())
@@ -90,12 +85,11 @@ class TestApply:
         mgr = BddManager(4)
         f = bool_to_bdd(mgr, fa)
         g = bool_to_bdd(mgr, fb)
-        assert mgr.negate(mgr.apply(AND, f, g)) == mgr.apply(OR, mgr.negate(f), mgr.negate(g))
-        assert mgr.negate(mgr.apply(OR, f, g)) == mgr.apply(AND, mgr.negate(f), mgr.negate(g))
-        h = mgr.mk_var(3)
-        left = mgr.apply(AND, f, mgr.apply(OR, g, h))
-        right = mgr.apply(OR, mgr.apply(AND, f, g), mgr.apply(AND, f, h))
-        assert left == right
+        conj, disj, neg = mgr._and, mgr._or, mgr._negate
+        assert neg(conj(f, g)) == disj(neg(f), neg(g))
+        assert neg(disj(f, g)) == conj(neg(f), neg(g))
+        h = var_node(mgr, 3)
+        assert conj(f, disj(g, h)) == disj(conj(f, g), conj(f, h))
 
 
 class TestRestrictExists:
@@ -104,21 +98,21 @@ class TestRestrictExists:
     pre-image of TRUE."""
 
     def test_restrict_projection(self, mgr):
-        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, True)) == mgr.true
-        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, False)) == mgr.false
+        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, True)) == _TRUE
+        assert bool_to_bdd(mgr, restrict_formula(("var", 0), 0, False)) == _FALSE
         assert restrict_formula(("var", 1), 0, True) == ("var", 1)
 
     def test_exists_drops_one_var(self, mgr):
         both = ("and", ("var", 0), ("var", 1))
-        assert bool_to_bdd(mgr, exists_formula(both, {0})) == mgr.mk_var(1)
-        assert pre_image(mgr, bool_to_bdd(mgr, both))(mgr.true) == mgr.mk_var(0)
+        assert bool_to_bdd(mgr, exists_formula(both, {0})) == var_node(mgr, 1)
+        assert mgr._pre_image(bool_to_bdd(mgr, both))(_TRUE) == var_node(mgr, 0)
 
     def test_exists_identity(self, mgr):
         formula = random_bool_formula(Random(3), 4)
         assert exists_formula(formula, set()) == formula
         # A relation with no odd variable has nothing to quantify.
         f = bool_to_bdd(mgr, on_current(random_bool_formula(Random(3), 3)))
-        assert pre_image(mgr, f)(mgr.true) == f
+        assert mgr._pre_image(f)(_TRUE) == f
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), st.integers(min_value=0, max_value=3))
@@ -137,7 +131,7 @@ class TestRestrictExists:
         expected = [any(row) for row in zip(truth_table(restrict_formula(formula, var, False), 4),
                                             truth_table(restrict_formula(formula, var, True), 4))]
         assert list(truth_table(exists_formula(formula, {var}), 4)) == expected
-        assert pre_image(mgr, f)(mgr.true) == bool_to_bdd(mgr, exists_formula(formula, {1, 3}))
+        assert mgr._pre_image(f)(_TRUE) == bool_to_bdd(mgr, exists_formula(formula, {1, 3}))
 
 
 ODD = {1, 3, 5}
@@ -156,12 +150,6 @@ def pre_image_formula(relation, current):
     return exists_formula(("and", relation, following), ODD)
 
 
-def pre_image(mgr, relation):
-    """The manager's pre-image step bound to `relation`, on handles."""
-    step = mgr._pre_image(relation.index)
-    return lambda s: mgr._ref(step(s.index))
-
-
 def table_entries(step) -> int:
     """The entries of a bound step's computed table, read from its closure."""
     product = inspect.getclosurevars(step).nonlocals["product"]
@@ -176,7 +164,7 @@ class TestPreImage:
     @given(formulas(6), formulas(3))
     def test_matches_exists_of_conjunction(self, ft, fs):
         mgr = BddManager(6)
-        step = pre_image(mgr, bool_to_bdd(mgr, ft))
+        step = mgr._pre_image(bool_to_bdd(mgr, ft))
         current = on_current(fs)
         assert step(bool_to_bdd(mgr, current)) == bool_to_bdd(mgr, pre_image_formula(ft, current))
         assert mgr.check_invariants() == []
@@ -185,21 +173,21 @@ class TestPreImage:
         same = [("not", ("xor", ("var", 2 * b), ("var", 2 * b + 1))) for b in range(3)]
         identity = bool_to_bdd(mgr, ("and", same[0], ("and", same[1], same[2])))
         s = bool_to_bdd(mgr, on_current(random_bool_formula(Random(33), 3)))
-        assert s not in (mgr.true, mgr.false)
-        assert pre_image(mgr, identity)(s) == s
+        assert s not in (_TRUE, _FALSE)
+        assert mgr._pre_image(identity)(s) == s
 
     def test_terminal_operands(self, mgr):
         formula = random_bool_formula(Random(23), 6)
         f = bool_to_bdd(mgr, formula)
         current = on_current(random_bool_formula(Random(27), 3))
         s = bool_to_bdd(mgr, current)
-        assert s not in (mgr.true, mgr.false)
-        assert pre_image(mgr, mgr.false)(s) == mgr.false
-        assert pre_image(mgr, f)(mgr.false) == mgr.false
-        assert pre_image(mgr, mgr.true)(mgr.true) == mgr.true
-        assert pre_image(mgr, mgr.true)(s) == mgr.true
-        assert pre_image(mgr, f)(mgr.true) == bool_to_bdd(mgr, exists_formula(formula, ODD))
-        assert pre_image(mgr, f)(s) == bool_to_bdd(mgr, pre_image_formula(formula, current))
+        assert s not in (_TRUE, _FALSE)
+        assert mgr._pre_image(_FALSE)(s) == _FALSE
+        assert mgr._pre_image(f)(_FALSE) == _FALSE
+        assert mgr._pre_image(_TRUE)(_TRUE) == _TRUE
+        assert mgr._pre_image(_TRUE)(s) == _TRUE
+        assert mgr._pre_image(f)(_TRUE) == bool_to_bdd(mgr, exists_formula(formula, ODD))
+        assert mgr._pre_image(f)(s) == bool_to_bdd(mgr, pre_image_formula(formula, current))
 
     @settings(max_examples=40, deadline=None)
     @given(formulas(3), formulas(3))
@@ -209,8 +197,8 @@ class TestPreImage:
         mgr = BddManager(6)
         guard = bool_to_bdd(mgr, on_current(fg))
         s = bool_to_bdd(mgr, on_current(fs))
-        expected = mgr.false if s == mgr.false else guard
-        assert pre_image(mgr, guard)(s) == expected
+        expected = _FALSE if s == _FALSE else guard
+        assert mgr._pre_image(guard)(s) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(formulas(3), formulas(3))
@@ -220,8 +208,8 @@ class TestPreImage:
         mgr = BddManager(6)
         targets = bool_to_bdd(mgr, rename_formula(ft, lambda v: 2 * v + 1))
         s = bool_to_bdd(mgr, on_current(fs))
-        meets = mgr.apply(AND, bool_to_bdd(mgr, on_current(ft)), s) != mgr.false
-        assert pre_image(mgr, targets)(s) == (mgr.true if meets else mgr.false)
+        meets = mgr._and(bool_to_bdd(mgr, on_current(ft)), s) != _FALSE
+        assert mgr._pre_image(targets)(s) == (_TRUE if meets else _FALSE)
 
     @settings(max_examples=60, deadline=None)
     @given(formulas(6), formulas(6), formulas(3))
@@ -235,11 +223,11 @@ class TestPreImage:
         current = on_current(fs)
         s = bool_to_bdd(mgr, current)
         results = [
-            (mgr.apply(AND, f, g), ("and", fa, fb)),
-            (mgr.apply(OR, f, g), ("or", fa, fb)),
-            (mgr.negate(f), ("not", fa)),
-            (pre_image(mgr, f)(s), pre_image_formula(fa, current)),
-            (pre_image(mgr, g)(s), pre_image_formula(fb, current)),
+            (mgr._and(f, g), ("and", fa, fb)),
+            (mgr._or(f, g), ("or", fa, fb)),
+            (mgr._negate(f), ("not", fa)),
+            (mgr._pre_image(f)(s), pre_image_formula(fa, current)),
+            (mgr._pre_image(g)(s), pre_image_formula(fb, current)),
         ]
         for got, reference in results:
             ref_mgr = BddManager(6)
@@ -249,9 +237,9 @@ class TestPreImage:
     def test_one_table_across_steps(self, mgr):
         # The steps of one binding share its table, so a repeated step is
         # answered at once; a new binding starts a table of its own.
-        relation = bool_to_bdd(mgr, random_bool_formula(Random(31), 6)).index
+        relation = bool_to_bdd(mgr, random_bool_formula(Random(31), 6))
         step = mgr._pre_image(relation)
-        sets = [bool_to_bdd(mgr, on_current(random_bool_formula(Random(seed), 3))).index
+        sets = [bool_to_bdd(mgr, on_current(random_bool_formula(Random(seed), 3)))
                 for seed in range(37, 45)]
         results = [step(s) for s in sets]
         entries, nodes = table_entries(step), mgr.node_count()
@@ -263,22 +251,21 @@ class TestPreImage:
 
 class TestCounting:
     def test_true_over_three_vars(self, mgr):
-        assert mgr.sat_count(mgr.true, 3) == 8
+        assert sat_count(mgr, _TRUE, 3) == 8
 
     def test_xor_over_two_vars(self, mgr):
-        assert mgr.sat_count(bool_to_bdd(mgr, XOR_01), 2) == 2
+        assert sat_count(mgr, bool_to_bdd(mgr, XOR_01), 2) == 2
 
     def test_nvars_too_small(self, mgr):
-        f = mgr.mk_var(2)
-        with pytest.raises(VarOutOfRangeError):
-            mgr.sat_count(f, 2)
+        with pytest.raises(ValueError):
+            sat_count(mgr, var_node(mgr, 2), 2)
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(5))
     def test_sat_count_matches_truth_table(self, formula):
         mgr = BddManager(5)
         f = bool_to_bdd(mgr, formula)
-        assert mgr.sat_count(f, 5) == sum(truth_table(formula, 5))
+        assert sat_count(mgr, f, 5) == sum(truth_table(formula, 5))
 
 
 class TestCanonicity:
@@ -288,14 +275,14 @@ class TestCanonicity:
         by_table = {}
         for _ in range(300):
             formula = random_bool_formula(rng, 5)
-            ref = bool_to_bdd(mgr, formula)
+            node = bool_to_bdd(mgr, formula)
             table = truth_table(formula, 5)
             if table in by_table:
-                assert by_table[table] == ref
+                assert by_table[table] == node
             else:
-                for other_table, other_ref in by_table.items():
-                    assert other_ref != ref or other_table == table
-                by_table[table] = ref
+                for other_table, other_node in by_table.items():
+                    assert other_node != node or other_table == table
+                by_table[table] = node
         assert mgr.check_invariants() == []
 
     def test_bdd_agrees_with_truth_table(self):
@@ -303,10 +290,10 @@ class TestCanonicity:
         mgr = BddManager(4)
         for _ in range(100):
             formula = random_bool_formula(rng, 4)
-            ref = bool_to_bdd(mgr, formula)
+            node = bool_to_bdd(mgr, formula)
             for bits in itertools.product((False, True), repeat=4):
                 assignment = dict(enumerate(bits))
-                assert evaluate(mgr, ref, assignment) == eval_bool(formula, assignment)
+                assert evaluate(mgr, node, assignment) == eval_bool(formula, assignment)
 
     def test_invariants_after_workload(self, mgr):
         rng = Random(5)
@@ -329,11 +316,11 @@ class TestInvariantScan:
     @pytest.fixture
     def nodes(self):
         mgr = BddManager(4)
-        x0, x1, x2 = (mgr.mk_var(v) for v in range(3))
-        either = mgr.apply(OR, x1, x2)  # var 1: low x2, high TRUE
-        top = mgr.apply(AND, x0, either)  # var 0: low FALSE, high either
+        x0, x1, x2 = (var_node(mgr, v) for v in range(3))
+        either = mgr._or(x1, x2)  # var 1: low x2, high TRUE
+        top = mgr._and(x0, either)  # var 0: low FALSE, high either
         assert mgr.check_invariants() == []
-        return mgr, x1.index, x2.index, either.index, top.index
+        return mgr, x1, x2, either, top
 
     def test_node_interned_twice(self, nodes):
         mgr, x1, _, _, top = nodes

@@ -21,7 +21,6 @@ from avmkit.checker import (
     _pre,
     check_explicit,
     check_symbolic,
-    holds,
     to_kripke,
     witness,
     witness_shape,
@@ -95,7 +94,7 @@ class TestPublicConstructor:
     # to_kripke numbers a behavior directly; the public constructor numbers
     # the same structure from its name-keyed fields. Both must hold one index.
     FIELDS = ("states", "initial", "relation", "labeling", "totalized", "edge_labels",
-              "successors", "atom_states", "index", "succ", "pred", "atoms")
+              "index", "succ", "pred", "atoms")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -136,6 +135,11 @@ class TestPublicConstructor:
         ({"labeling": {"A": frozenset({AtomicProposition("at", "A")}),
                        "B": frozenset({AtomicProposition("at", "A")})}},
          "labeling of B is missing at(B)"),
+        ({"labeling": {s: frozenset({AtomicProposition("at", s)}) for s in "ABZ"}},
+         "labeling names states outside the state set: ['Z']"),
+        ({"labeling": {"A": frozenset({AtomicProposition("at", "A"), AtomicProposition("at", "B")}),
+                       "B": frozenset({AtomicProposition("at", "B")})}},
+         "labeling of A holds at(B)"),
     ])
     def test_rejects_a_malformed_structure(self, edit, message):
         fields = {
@@ -157,10 +161,10 @@ class TestAtomStates:
         labeled = set().union(*k.labeling.values())
         for prop in labeled | in_atoms:
             scan = frozenset(s for s in k.states if prop in k.labeling[s])
-            assert k.atom_states.get(prop, frozenset()) == scan
+            assert frozenset(k.states[i] for i in k.atoms.get(prop, ())) == scan
         for prop in in_atoms - labeled:
             # a valid approach with no member on this side is empty, not unknown
-            assert prop not in k.atom_states
+            assert prop not in k.atoms
             formula = Atom(prop)
             assert check_explicit(k, formula) == check_symbolic(k, formula) == frozenset()
 
@@ -172,7 +176,7 @@ class TestExplicit:
 
     def test_af_done_fails_at_initial(self, control_kripke):
         # the ignore branch and the rescan loop both avoid Done forever
-        assert not holds(control_kripke, parse_ctl("AF at(Done)"))
+        assert control_kripke.initial not in check_explicit(control_kripke, parse_ctl("AF at(Done)"))
         assert check_explicit(control_kripke, parse_ctl("AF at(Done)")) == frozenset({"Done"})
 
     def test_true_is_everything(self, control_kripke):
@@ -289,7 +293,7 @@ class TestTerminalOperands:
     def test_engines_agree_on_complete_structures(self, n):
         k = complete_kripke(n)
         if n > 1:
-            assert k._symbolic.universe == k._symbolic.relation == k._symbolic.mgr.true.index
+            assert k._symbolic.universe == k._symbolic.relation == _TRUE
         for text in self.FORMULAS:
             formula = parse_ctl(text)
             expected = naive_sat(k, formula)
@@ -620,19 +624,17 @@ class TestWitness:
         f = EF(target)
         path = witness(k, f)
         if path is None:
-            assert not holds(k, f)
+            assert k.initial not in check_explicit(k, f)
             return
-        assert holds(k, f)
+        assert k.initial in check_explicit(k, f)
         assert path.states[0] == k.initial
         assert path.states[-1] in check_explicit(k, target)
         for a, b in zip(path.states, path.states[1:]):
             assert (a, b) in k.relation
 
 
-class TestHolds:
-    def test_engine_selection(self, control_kripke):
+class TestVerdict:
+    def test_both_engines_hold_at_the_initial_state(self, control_kripke):
         f = parse_ctl("EF at(Done)")
-        assert holds(control_kripke, f, engine="explicit")
-        assert holds(control_kripke, f, engine="symbolic")
-        with pytest.raises(ValueError):
-            holds(control_kripke, f, engine="magic")
+        assert control_kripke.initial in check_explicit(control_kripke, f)
+        assert control_kripke.initial in check_symbolic(control_kripke, f)
