@@ -67,12 +67,6 @@ class ApproachPartition(NamedTuple):
 
     approaches: tuple[Approach, ...]
 
-    def get(self, name: str) -> Approach:
-        for approach in self.approaches:
-            if approach.name == name:
-                return approach
-        raise KeyError(name)
-
     def states_by_side(self, side: str) -> dict[str, frozenset[str]]:
         if side not in ("control", "preventive"):
             raise ValueError(f"side must be 'control' or 'preventive', not {side!r}")
@@ -492,13 +486,12 @@ def _stitch_paths(control: Behavior, final: str, step, component_of, bit):
     return result
 
 
-def _finishing(control: Behavior, dropped) -> set[str]:
-    """The control states from which a final state is reachable along the
-    control edges not in `dropped`: a search backwards from the finals."""
+def _finishing(control: Behavior) -> set[str]:
+    """The control states from which a final state is reachable: a search
+    backwards from the finals."""
     into: dict[str, list[str]] = {}
     for t in control.transitions:
-        if (t.source, t.target) not in dropped:
-            into.setdefault(t.target, []).append(t.source)
+        into.setdefault(t.target, []).append(t.source)
     todo = list(control.finals)
     found = set(todo)
     while todo:
@@ -509,13 +502,14 @@ def _finishing(control: Behavior, dropped) -> set[str]:
     return found
 
 
-def _may_gap(control: Behavior, step, dropped=frozenset()) -> bool:
+def _may_gap(control: Behavior, step) -> bool:
     """Whether some walk over (control state, sync state) pairs from the
-    initial state, along the control edges not in `dropped`, opens a gap at a
-    state from which a final state is reachable along those edges. The pairs
-    are polynomially many, and every simple control path is such a walk, so
-    False proves that no simple path to a final gaps (product reachability, as
-    in Vardi and Wolper's automata-theoretic model checking)."""
+    initial state opens a gap at a state from which a final state is
+    reachable. The pairs are polynomially many, and every simple control path
+    is such a walk, so False proves that no simple path to a final gaps
+    (product reachability, as in Vardi and Wolper's automata-theoretic model
+    checking). On a control graph without cycles every walk is a simple path,
+    and the answer is exact."""
     finishing = None
     start = (control.initial, step(None, control.initial)[0])
     seen = {start}
@@ -523,12 +517,10 @@ def _may_gap(control: Behavior, step, dropped=frozenset()) -> bool:
     while todo:
         state, sync = todo.pop()
         for _, nxt in control.successor_map[state]:
-            if (state, nxt) in dropped:
-                continue
             nxt_sync, gap = step(sync, nxt)
             if gap is not None:
                 if finishing is None:
-                    finishing = _finishing(control, dropped)
+                    finishing = _finishing(control)
                 if nxt in finishing:
                     return True
             elif (nxt, nxt_sync) not in seen:
@@ -537,19 +529,19 @@ def _may_gap(control: Behavior, step, dropped=frozenset()) -> bool:
     return False
 
 
-def _dominated_edges(control: Behavior) -> set[tuple[str, str]]:
+def _dominated_edges(control: Behavior, components) -> set[tuple[str, str]]:
     """The control edges (source, target) whose target dominates their source:
     every path from the initial state to the source passes through the
-    target, so no simple path from the initial state takes such an edge. Such
-    an edge closes a cycle, so only edges inside a strongly connected
-    component are tested. Dominator sets are bit sets, from the iterative
-    data-flow solution Dom(n) = {n} | the meet of Dom(p) over n's
-    predecessors p, swept in topological order of the components (the
+    target, so no simple path from the initial state takes such an edge.
+    `components` are the control behavior's strongly connected components
+    from its initial state, sinks first. Such an edge closes a cycle, so only
+    edges inside a component are tested. Dominator sets are bit sets, from
+    the iterative data-flow solution Dom(n) = {n} | the meet of Dom(p) over
+    n's predecessors p, swept in topological order of the components (the
     iterative scheme of Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
     Algorithm", 2001). On a reducible control graph the edges left form a
     DAG."""
-    components = strongly_connected_components(control, [control.initial])[::-1]
-    order = [state for members in components for state in members]  # the initial first
+    order = [state for members in reversed(components) for state in members]  # initial first
     number = {state: i for i, state in enumerate(order)}
     component_of = {state: k for k, members in enumerate(components) for state in members}
     preds: list[list[int]] = [[] for _ in order]
@@ -576,18 +568,6 @@ def _dominated_edges(control: Behavior) -> set[tuple[str, str]]:
     return {(order[i], order[j]) for i, j in inner if dom[i] >> j & 1}
 
 
-def _sync_clears(control: Behavior, step) -> bool:
-    """Whether the pass proves that no simple control path to a final gaps:
-    first along every control edge, then, only if a gap remains, without the
-    edges into a dominator of their source. The second stage is exact on a
-    reducible control graph, whose remaining edges form a DAG on which every
-    walk is a simple path."""
-    if not _may_gap(control, step):
-        return True
-    dropped = _dominated_edges(control)
-    return bool(dropped) and not _may_gap(control, step, dropped)
-
-
 def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> CheckReport:
     """Stitching check for the coupled pair: along every simple control path
     from the control initial state to a control final state, the mapped
@@ -598,20 +578,25 @@ def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> C
 
     Paths are counted, not listed: a memoized walk over (control state,
     feasible fragments, previous fragments, path states in the state's SCC)
-    visits each such node once per final, which is polynomial on an acyclic
-    control behavior and exponential only in the size of its largest strongly
-    connected component. The walk is written as a recursion whose suspended
-    calls wait on a list, so no depth of control path overflows the stack.
-    Each distinct gap is reported once, along the first control path that
-    meets it in (labels, states) order, finals in name order. A link between
-    fragments one preventive edge apart, or none, needs no search; any other
-    link is answered from one pass over the preventive condensation, made on
-    the first such link.
+    visits each such node once per final. It walks the control graph without
+    the edges into a dominator of their source, which no simple path takes.
+    On a reducible control graph the edges left form a DAG (Hecht and Ullman,
+    1974), so the walk is polynomial; it is exponential only in the SCCs left
+    after those edges are dropped, which only an irreducible graph has. The
+    walk is written as a recursion whose suspended calls wait on a list, so
+    no depth of control path overflows the stack. Each distinct gap is
+    reported once, along the first control path that meets it in (labels,
+    states) order, finals in name order. A link between fragments one
+    preventive edge apart, or none, needs no search; any other link is
+    answered from one pass over the preventive condensation, made on the
+    first such link.
 
     With `count_paths` false, a polynomial pass over (control state, sync
-    state) pairs runs first, and when it proves that no path gaps the report
-    passes without the walk and without the `control-paths` count. A "may
-    gap" answer, or the default, runs the walk on the same step memo.
+    state) pairs runs first on the whole control graph and, if that leaves a
+    gap, again without the dropped edges, where it is exact on a reducible
+    graph. When it proves that no path gaps, the report passes without the
+    walk and without the `control-paths` count. A "may gap" answer, or the
+    default, runs the walk on the same graph and the same step memo.
     """
     findings: list[Finding] = []
     control = model.control
@@ -624,9 +609,17 @@ def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> C
         )
 
     step = _sync_step(model)
-    if not count_paths and _sync_clears(control, step):
+    if not count_paths and not _may_gap(control, step):
         return CheckReport("synchronization", tuple(findings))
     components = strongly_connected_components(control, [control.initial])
+    dropped = _dominated_edges(control, components)
+    if dropped:  # no simple path takes them: walk the graph without them
+        control = Behavior(control.states, control.initial, control.labels,
+                           tuple(t for t in control.transitions
+                                 if (t.source, t.target) not in dropped), control.finals)
+        if not count_paths and not _may_gap(control, step):
+            return CheckReport("synchronization", tuple(findings))
+        components = strongly_connected_components(control, [control.initial])
     component_of = {state: i for i, members in enumerate(components) for state in members}
     bit = {state: 1 << j for members in components for j, state in enumerate(members)}
     seen_gaps: set[tuple] = set()

@@ -176,6 +176,34 @@ def complete_coupled_model(n: int) -> CoupledModel:
         approach_partition({}), name=f"complete_{n}")
 
 
+def looped_ladder_model(k: int, gap: bool) -> CoupledModel:
+    """A control ladder of k diamonds si -l-> li -l-> s(i+1) and si -r-> ri -r->
+    s(i+1), closed by the back edge sk -back-> s0 and left by sk -done-> end,
+    the final: 2^k simple paths to end, every state of the ladder in one
+    strongly connected component. Each si and li maps onto the one-state path
+    Pi of the preventive chain P0 -> ... -> Pk -> E, closed by Pk -> P0, each
+    ri is exempt and end maps onto E. With `gap` the chain loses the edge
+    into Pj, j = k // 2 + 1, so every path to end gaps at sj. The back edge
+    enters a dominator of its source, so no simple path takes it."""
+    ladder = [f"s{i}" for i in range(k + 1)]
+    chain = [f"P{i}" for i in range(k + 1)]
+    control = [(ladder[i], side, f"{side}{i}") for i in range(k) for side in ("l", "r")]
+    control += [(f"{side}{i}", side, ladder[i + 1]) for i in range(k) for side in ("l", "r")]
+    control += [(ladder[-1], "back", ladder[0]), (ladder[-1], "done", "end")]
+    skipped = chain[k // 2 + 1] if gap else None
+    preventive = [(a, "p", b) for a, b in zip(chain, chain[1:]) if b != skipped]
+    preventive += [(chain[-1], "p", chain[0]), (chain[-1], "p", "E")]
+    fragments = {state: [Path((f"P{i}",))] for i, state in enumerate(ladder)}
+    fragments.update({f"l{i}": [Path((f"P{i}",))] for i in range(k)})
+    fragments["end"] = [Path(("E",))]
+    return build_coupled_model(
+        build_behavior([*chain, "E"], "P0", ("p",), preventive),
+        build_behavior({s for edge in control for s in edge[::2]}, "s0",
+                       ("l", "r", "back", "done"), control, ["end"]),
+        mapping_process(fragments, {f"r{i}" for i in range(k)}), approach_partition({}),
+        name=f"looped_ladder_{k}{'_gap' if gap else ''}")
+
+
 def naive_check_synchronization(model: CoupledModel) -> CheckReport:
     """The stitching check by listing every simple control path and walking
     each one: exponential in the number of diamonds, kept as the oracle."""

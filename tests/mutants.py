@@ -213,6 +213,14 @@ MUTANTS = (
         ("tests/test_coupled.py::TestSynchronizationPass::test_gap_before_a_final_is_seen",),
     ),
     Mutant(
+        "sync walk keys its memo by the SCCs of the unreduced control graph",
+        "coupled.py",
+        "        components = strongly_connected_components(control, [control.initial])",
+        "        components = strongly_connected_components(model.control, [control.initial])",
+        ("tests/test_coupled.py::TestReducedControlGraph::"
+         "test_structured_validate_on_a_looped_ladder_steps_linearly",),
+    ),
+    Mutant(
         "sync link test reads a preventive edge backwards",
         "coupled.py",
         "if (src, dst) in edges:",

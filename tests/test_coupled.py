@@ -4,6 +4,7 @@ import io
 import json
 import re
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ import avmkit.coupled
 from avmkit.cli import main
 from avmkit.coupled import (
     APPROACH_NAMES,
+    CoupledModel,
     approach_partition,
     build_coupled_model,
     check_approach_alignment,
@@ -23,13 +25,14 @@ from avmkit.coupled import (
     model_occurrences,
 )
 from avmkit.dsl import ModelDocument, parse_model, render_model
-from avmkit.lts import Path, Transition, build_behavior
+from avmkit.lts import Path, Transition, build_behavior, strongly_connected_components
 from avmkit.report import Finding, ModelValidationError, SourcePos
 
 from conftest import CORPUS_DIR, MODEL_FILE
 from generators import (
     complete_coupled_model,
     is_valid_path,
+    looped_ladder_model,
     naive_check_synchronization,
     random_behavior,
     random_coupled_model,
@@ -193,13 +196,14 @@ class TestApproachAlignment:
         assert any(f.code == "uncovered-states" for f in report.findings)
 
     def test_recognition_maps_inside_identification(self, coupled):
-        identification = coupled.approaches.get("Identification")
-        assert identification.control_states == frozenset({"Recognition"})
-        assert identification.preventive_states == frozenset({"CheckCleaningOperations"})
+        approaches = coupled.approaches
+        assert approaches.states_by_side("control")["Identification"] == frozenset({"Recognition"})
+        assert approaches.states_by_side("preventive")["Identification"] == frozenset(
+            {"CheckCleaningOperations"})
 
     def test_done_maps_to_deliver_safe_status(self, coupled):
         assert coupled.mapping.paths_for("Done") == (Path(("DeliverSafeStatus",)),)
-        assert "DeliverSafeStatus" in coupled.approaches.get("Removal").preventive_states
+        assert "DeliverSafeStatus" in coupled.approaches.states_by_side("preventive")["Removal"]
 
     def test_moving_cleaning_ops_breaks_alignment(self, coupled):
         assignments = partition_dict(coupled.approaches)
@@ -357,7 +361,17 @@ def fast_check(model):
 
 
 def clears(model):
-    return avmkit.coupled._sync_clears(model.control, avmkit.coupled._sync_step(model))
+    """Whether the pass clears the model: `fast_check` decides it without the
+    exact walk."""
+    with mock.patch.object(avmkit.coupled, "_stitch_paths",
+                           wraps=avmkit.coupled._stitch_paths) as walk:
+        fast_check(model)
+    return not walk.called
+
+
+def dominated_edges(control):
+    return avmkit.coupled._dominated_edges(
+        control, strongly_connected_components(control, [control.initial]))
 
 
 def small_model(preventive_edges, control_edges, finals, fragments):
@@ -406,7 +420,7 @@ class TestSynchronizationPass:
     def test_bundled_model_is_cleared_through_its_rescan_loop(self, coupled):
         # Recognition - rescan -> Process enters a dominator of its source: only
         # walks that repeat Process gap, so the first stage alone may not clear.
-        assert ("Recognition", "Process") in avmkit.coupled._dominated_edges(coupled.control)
+        assert ("Recognition", "Process") in dominated_edges(coupled.control)
         assert clears(coupled)
         gc.collect()
         gc.disable()
@@ -455,7 +469,7 @@ class TestSynchronizationPass:
                             [("I", "a", "A"), ("I", "a", "B"), ("A", "a", "B"),
                              ("B", "a", "A"), ("A", "a", "F"), ("B", "a", "F")],
                             ["F"], {"I": "P0", "A": "PA", "B": "PB", "F": None})
-        assert avmkit.coupled._dominated_edges(model.control) == set()
+        assert dominated_edges(model.control) == set()
         assert not clears(model)
         assert not naive_check_synchronization(model).passed
         assert not fast_check(model).passed
@@ -467,7 +481,7 @@ class TestSynchronizationPass:
                             [("I", "a", "A"), ("A", "a", "B"), ("B", "a", "A"),
                              ("B", "a", "I"), ("B", "a", "F"), ("F", "a", "F")],
                             ["F"], {"I": "P0", "A": None, "B": None, "F": None})
-        assert avmkit.coupled._dominated_edges(model.control) == {
+        assert dominated_edges(model.control) == {
             ("B", "A"), ("B", "I"), ("F", "F")}
 
     def test_text_validate_on_a_complete_graph_does_not_walk(self, tmp_path, monkeypatch):
@@ -496,9 +510,15 @@ class TestSynchronizationPass:
         assert naive_check_synchronization(model).findings[-1].detail == \
             "checked 16 control path(s)"
 
-    @pytest.mark.parametrize("document", [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm"))],
-                             ids=lambda p: p.stem)
-    def test_text_and_structured_validate_agree_on_the_corpus(self, document):
+    @pytest.mark.parametrize("document", [
+        MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm")),
+        looped_ladder_model(6, False), looped_ladder_model(6, True),
+    ], ids=lambda d: d.name if isinstance(d, CoupledModel) else d.stem)
+    def test_text_and_structured_validate_agree_on_the_corpus(self, document, tmp_path):
+        if isinstance(document, CoupledModel):  # a generated model, rendered
+            path = tmp_path / f"{document.name}.avm"
+            path.write_text(render_model(ModelDocument(document, ())), encoding="utf-8")
+            document = path
         self.assert_text_matches_structured(str(document))
 
     @settings(max_examples=60, deadline=None)
@@ -616,6 +636,62 @@ class TestLinksOnDemand:
         for f in fragments:
             for g in fragments:
                 assert on_demand(f.last, g.first) == full(f.last, g.first)
+
+
+class TestReducedControlGraph:
+    """The walk, and the pass's second stage, run on the control graph
+    without the edges into a dominator of their source, which no simple path
+    takes: on a reducible control loop the walk is polynomial."""
+
+    @pytest.mark.parametrize("gap", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_looped_ladder_matches_path_enumeration(self, k, gap):
+        model = looped_ladder_model(k, gap)
+        exact = naive_check_synchronization(model)
+        assert exact.passed != gap
+        assert check_synchronization(model) == exact
+        fast = fast_check(model)
+        assert fast.passed == exact.passed
+        if not fast.passed:
+            assert fast == exact
+
+    def test_structured_validate_on_a_looped_ladder_steps_linearly(self, monkeypatch):
+        k = 16
+        bound = 8 * k + 8
+        calls = 0
+        sync_step = avmkit.coupled._sync_step
+
+        def counted_sync_step(model):
+            step = sync_step(model)
+
+            def counted(sync, state):
+                nonlocal calls
+                calls += 1
+                if calls > bound:
+                    raise AssertionError(f"the sync step ran more than {bound} times")
+                return step(sync, state)
+
+            return counted
+
+        monkeypatch.setattr(avmkit.coupled, "_sync_step", counted_sync_step)
+        assert check_synchronization(looped_ladder_model(k, False)).findings == (
+            Finding("info", "control-paths", "control", f"checked {2 ** k} control path(s)"),)
+
+    def test_control_sccs_computed_once_when_nothing_is_dropped(self, monkeypatch):
+        model = chain_model(40)
+        runs = []
+        scc = avmkit.coupled.strongly_connected_components
+
+        def counted(behavior, roots):
+            if behavior is not model.preventive:
+                runs.append(behavior)
+            return scc(behavior, roots)
+
+        monkeypatch.setattr(avmkit.coupled, "strongly_connected_components", counted)
+        for count_paths in (True, False):
+            runs.clear()
+            check_synchronization(model, count_paths=count_paths)
+            assert runs == ([model.control] if count_paths else [])
 
 
 class TestApproachPartition:
