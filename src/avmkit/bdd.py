@@ -7,9 +7,10 @@ collected within a run, the whole manager is dropped at once. Each operation
 has computed tables of its own (Brace, Rudell and Bryant): AND and OR, one
 recursion that differs only in which terminal absorbs, are each keyed by the
 ordered pair of operand nodes, negation by the node, and each pre-image step
-keeps one dict per relation node, keyed by the set node. The tables live as
-long as the manager or the step, so a client that keeps one manager for many
-queries (the checker keeps one per Kripke structure) reuses earlier results.
+keeps one dict per relation node, keyed by the set node, with entries only
+at variable-pair boundaries. The tables live as long as the manager or the
+step, so a client that keeps one manager for many queries (the checker keeps
+one per Kripke structure) reuses earlier results.
 
 Every table key is one int, like the fixed-width records of a C package,
 not a tuple: AND and OR key an ordered operand pair a <= b by `a << 32 | b`,
@@ -22,10 +23,11 @@ needs no bound.
 Node ids are the manager's only interface. The symbolic engine builds state
 sets by interning nodes itself (`_mk`) and calls the kernels on ids: `_and`,
 `_or`, `_negate` and `_pre_image`, the relational product of Burch, Clarke,
-McMillan and Dill over current/next variable pairs, which reads the set on
-the next-state variables and quantifies them while it conjoins, so neither
-the renamed set nor the conjunction is built. `node_count` and
-`check_invariants` report on the unique table.
+McMillan and Dill over current/next variable pairs. One recursion handles
+one pair: it branches on the current bit, quantifies the next bit, and reads
+the set's bit of that pair as the next bit, so neither the renamed set nor
+the conjunction is built. `node_count` and `check_invariants` report on the
+unique table.
 """
 
 _FALSE = 0
@@ -113,14 +115,19 @@ class BddManager:
         """The pre-image step over one transition relation, on variables
         paired as current 2i and next 2i+1: for a set S on the even variables,
         exists(odd variables, relation & S'), where S' is S on the odd ones.
-        One pass, the relational product of Burch, Clarke, McMillan and Dill:
-        a node of S on variable 2i is read as if it sat on 2i+1, so no renamed
-        copy is interned, and the odd levels are quantified while the
-        conjunction is taken, so it is never built. The first operand is
-        always the relation or one of its sub-nodes, so the computed table is
-        one dict per node that exists at binding, keyed by the set node. The
-        step resolves terminal operands at the top and the recursion does so
-        for the cofactors, so it is never called on a FALSE or on two TRUEs."""
+        One pass, the relational product of Burch, Clarke, McMillan and Dill,
+        one recursion per variable pair. A call at pair i, the first pair
+        either operand tests, cofactors the relation on current variable 2i,
+        each of those two halves on next variable 2i+1, and the set on 2i,
+        which stands for S' on 2i+1. Each half is the OR of the two products
+        whose next bit and set bit agree (a TRUE stops it early), and the call
+        interns (2i, half 0, half 1). So no renamed copy of S is interned,
+        the conjunction is never built, and a next-state variable costs no
+        call or table entry of its own. The first operand is always the
+        relation or one of its sub-nodes, so the computed table is one dict
+        per node that exists at binding, keyed by the set node. The step
+        resolves terminal operands at the top and the recursion does so for
+        the cofactors, so it is never called on a FALSE or on two TRUEs."""
         var, low, high, unique = self._var, self._low, self._high, self._unique
         disjoin = self._or
         rows: list[dict[int, int]] = [{} for _ in var]  # relation node -> set node -> node
@@ -130,34 +137,56 @@ class BddManager:
             res = row.get(b)
             if res is not None:
                 return res
-            v = va = var[a]
-            vb = var[b] + 1
-            if va <= vb:
+            va = var[a]
+            vb = var[b]
+            v = va & -2  # the current bit of a's pair
+            if vb < v:
+                v = vb
+            w = v + 1
+            if va == v:
                 a0 = low[a]
                 a1 = high[a]
             else:
-                v = vb
                 a0 = a1 = a
             if vb == v:
                 b0 = low[b]
                 b1 = high[b]
             else:
                 b0 = b1 = b
-            if a0 == _FALSE or b0 == _FALSE:
+            if var[a0] == w:
+                a00 = low[a0]
+                a01 = high[a0]
+            else:
+                a00 = a01 = a0
+            if a00 == _FALSE or b0 == _FALSE:
                 r0 = _FALSE
             else:
-                r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)
-            quantify = v & 1
-            if quantify and r0 == _TRUE:
-                res = _TRUE  # the other cofactor cannot add to a tautology
+                r0 = _TRUE if a00 == b0 == _TRUE else product(a00, b0)
+            if r0 != _TRUE and (a00 != a01 or b0 != b1):
+                if a01 == _FALSE or b1 == _FALSE:
+                    s = _FALSE
+                else:
+                    s = _TRUE if a01 == b1 == _TRUE else product(a01, b1)
+                r0 = s if r0 == _FALSE else r0 if s == _FALSE or r0 == s else disjoin(r0, s)
+            if a0 == a1:
+                res = r0  # a does not test bit v: half 1 is half 0
             else:
-                if a1 == _FALSE or b1 == _FALSE:
+                if var[a1] == w:
+                    a10 = low[a1]
+                    a11 = high[a1]
+                else:
+                    a10 = a11 = a1
+                if a10 == _FALSE or b0 == _FALSE:
                     r1 = _FALSE
                 else:
-                    r1 = _TRUE if a1 == b1 == _TRUE else product(a1, b1)
-                if quantify:
-                    res = r1 if r0 == _FALSE else r0 if r1 == _FALSE or r0 == r1 else disjoin(r0, r1)
-                elif r0 == r1:
+                    r1 = _TRUE if a10 == b0 == _TRUE else product(a10, b0)
+                if r1 != _TRUE and (a10 != a11 or b0 != b1):
+                    if a11 == _FALSE or b1 == _FALSE:
+                        s = _FALSE
+                    else:
+                        s = _TRUE if a11 == b1 == _TRUE else product(a11, b1)
+                    r1 = s if r1 == _FALSE else r1 if s == _FALSE or r1 == s else disjoin(r1, s)
+                if r0 == r1:
                     res = r0
                 else:
                     node_key = (v << 32 | r0) << 32 | r1

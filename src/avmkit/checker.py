@@ -17,13 +17,13 @@ are checked two ways, and both return the exact satisfying state set:
   on it. Its sets are node ids, its fixpoints call the manager's AND, OR and
   negation kernels on them directly, and EX is one pre-image step bound once
   per context to the relation (`BddManager._pre_image`): a relational product
-  that reads the set on the next-state variables, so no renamed copy is
-  built. EX, EU and EG all call it. The context memoizes each core node's
-  BDD by the node's class, its atom or constant and its children's node ids,
-  so an atom's BDD is built once per structure and a fixpoint that two
-  properties share runs once. EU skips the AND with its left operand when
-  that operand is the universe, as in EF and AG: a pre-image holds only
-  state codes.
+  with one recursion per current/next variable pair, which reads the set's
+  bit of the pair as the next-state bit, so no renamed copy is built. EX, EU
+  and EG all call it. The context memoizes each core node's BDD by the
+  node's class, its atom or constant and its children's node ids, so an
+  atom's BDD is built once per structure and a fixpoint that two properties
+  share runs once. EU skips the AND with its left operand when that operand
+  is the universe, as in EF and AG: a pre-image holds only state codes.
 """
 
 from collections import deque
@@ -272,8 +272,9 @@ class _Symbolic:
     is variable 2b now and variable 2b+1 one step later. Every state set is a
     node id of the manager, and the fixpoints call its AND, OR, negation and
     pre-image kernels on ids directly, so a step costs only its BDD work.
-    `_step` is the pre-image, bound once to the relation; `_memo` holds every
-    core node's BDD computed on this context."""
+    `_step` is the pre-image, bound once to the relation: each of its calls
+    handles one pair (2b, 2b+1) and reads the set's variable 2b as 2b+1.
+    `_memo` holds every core node's BDD computed on this context."""
 
     def __init__(self, k: KripkeStructure):
         self.k = k

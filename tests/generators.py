@@ -6,6 +6,7 @@ they enumerate rather than search, so they stay independent of the code
 under test.
 """
 
+import inspect
 import itertools
 from collections import deque
 from random import Random
@@ -541,6 +542,13 @@ def bool_to_bdd(mgr: BddManager, formula) -> int:
     if op == "implies":
         return mgr._or(mgr._negate(a), b)
     return {"and": mgr._and, "or": mgr._or}[op](a, b)
+
+
+def table_entries(step) -> int:
+    """The entries of a bound pre-image step's computed table, read from its
+    closure."""
+    product = inspect.getclosurevars(step).nonlocals["product"]
+    return sum(map(len, inspect.getclosurevars(product).nonlocals["rows"]))
 
 
 def evaluate(mgr: BddManager, node: int, assignment) -> bool:

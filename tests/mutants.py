@@ -71,22 +71,22 @@ MUTANTS = (
     Mutant(
         "pre-image kernel recurses on two TRUE cofactors",
         "bdd.py",
-        "r0 = _TRUE if a0 == b0 == _TRUE else product(a0, b0)",
-        "r0 = product(a0, b0)",
+        "r0 = _TRUE if a00 == b0 == _TRUE else product(a00, b0)",
+        "r0 = product(a00, b0)",
         ("tests/test_checker.py::TestTerminalOperands",),
     ),
     Mutant(
-        "pre-image reads the set at its own variable, not the next-state one",
+        "pre-image reads the set one variable down, not at its pair's current bit",
         "bdd.py",
-        "vb = var[b] + 1",
-        "vb = var[b]",
+        "vb = var[b]\n",
+        "vb = var[b] + 1\n",
         ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
     ),
     Mutant(
-        "pre-image quantifies the even levels, not the odd ones",
+        "pre-image takes the AND, not the OR, over the next bit",
         "bdd.py",
-        "quantify = v & 1",
-        "quantify = not v & 1",
+        "r0 = s if r0 == _FALSE else r0 if s == _FALSE or r0 == s else disjoin(r0, s)",
+        "r0 = self._and(r0, s)",
         ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
     ),
     Mutant(
@@ -95,6 +95,13 @@ MUTANTS = (
         "[{} for _ in var]",
         "[{}] * len(var)",
         ("tests/test_bdd.py::TestPreImage::test_matches_exists_of_conjunction",),
+    ),
+    Mutant(
+        "pre-image reuses half 0 for half 1 when the relation tests the current bit",
+        "bdd.py",
+        "if a0 == a1:",
+        "if a0 != a1:",
+        ("tests/test_bdd.py::TestPreImage::test_five_pairs_with_skipped_bits",),
     ),
     Mutant(
         "symbolic memo key without child ids",

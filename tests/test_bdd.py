@@ -1,4 +1,3 @@
-import inspect
 import itertools
 from random import Random
 
@@ -17,6 +16,7 @@ from generators import (
     rename_formula,
     restrict_formula,
     sat_count,
+    table_entries,
     truth_table,
 )
 
@@ -143,22 +143,31 @@ def on_current(formula):
     return rename_formula(formula, lambda v: 2 * v)
 
 
-def pre_image_formula(relation, current):
+def pre_image_formula(relation, current, odd=ODD):
     """exists(odd variables, relation & current read on the next-state
     variables), by Shannon expansion on the formulas."""
     following = rename_formula(current, lambda v: v + 1)
-    return exists_formula(("and", relation, following), ODD)
+    return exists_formula(("and", relation, following), odd)
 
 
-def table_entries(step) -> int:
-    """The entries of a bound step's computed table, read from its closure."""
-    product = inspect.getclosurevars(step).nonlocals["product"]
-    return sum(map(len, inspect.getclosurevars(product).nonlocals["rows"]))
+def formula_on(seed, variables, depth=4):
+    """A random formula that reads no variable outside `variables` (a
+    constant when the list is empty)."""
+    if not variables:
+        return ("const", seed % 2 == 0)
+    return rename_formula(random_bool_formula(Random(seed), len(variables), depth),
+                          variables.__getitem__)
+
+
+# The bits of one pair that a drawn relation may test: both, the current
+# bit only, the next bit only, or neither.
+PAIR_BITS = ((0, 1), (0,), (1,), ())
 
 
 class TestPreImage:
-    """The pre-image kernel on a 6-variable manager: current-state variables
-    0, 2, 4 and their next-state partners 1, 3, 5."""
+    """The pre-image kernel on a 6-variable manager, current-state variables
+    0, 2, 4 and their next-state partners 1, 3, 5, unless a test says
+    otherwise."""
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(6), formulas(3))
@@ -167,6 +176,25 @@ class TestPreImage:
         step = mgr._pre_image(bool_to_bdd(mgr, ft))
         current = on_current(fs)
         assert step(bool_to_bdd(mgr, current)) == bool_to_bdd(mgr, pre_image_formula(ft, current))
+        assert mgr.check_invariants() == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000),
+           st.lists(st.sampled_from(PAIR_BITS), min_size=5, max_size=5),
+           st.integers(min_value=0, max_value=100_000),
+           st.sets(st.integers(min_value=0, max_value=4)))
+    def test_five_pairs_with_skipped_bits(self, relation_seed, pair_bits, set_seed, set_bits):
+        # Five pairs on a 10-variable manager; the relation skips a pair's
+        # current bit, its next bit or both, and the set skips bits, so every
+        # combination of cofactors a recursion meets occurs.
+        mgr = BddManager(10)
+        relation = formula_on(relation_seed,
+                              [2 * p + bit for p, bits in enumerate(pair_bits) for bit in bits],
+                              depth=5)
+        current = formula_on(set_seed, [2 * b for b in sorted(set_bits)])
+        expected = pre_image_formula(relation, current, odd=range(1, 10, 2))
+        step = mgr._pre_image(bool_to_bdd(mgr, relation))
+        assert step(bool_to_bdd(mgr, current)) == bool_to_bdd(mgr, expected)
         assert mgr.check_invariants() == []
 
     def test_identity_relation_maps_a_set_to_itself(self, mgr):

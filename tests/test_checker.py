@@ -41,6 +41,7 @@ from generators import (
     random_formula,
     random_kripke,
     ring_kripke,
+    table_entries,
     topdown_codes_to_bdd,
 )
 
@@ -225,8 +226,9 @@ class TestSymbolic:
 
     def test_wide_structure_specs_on_one_manager(self):
         # A 256-state ring plus chords under the spec shapes of the
-        # random-wide benchmark, all on one manager; the pin catches a
-        # kernel change that interns a different set of nodes.
+        # random-wide benchmark, all on one manager; the pins catch a
+        # kernel change that interns a different set of nodes or memoizes
+        # at other levels than the variable pairs.
         k = ring_kripke(Random(1), 256)
         targets = Random(2).sample(k.states[1:], 4)
         specs = [
@@ -241,6 +243,7 @@ class TestSymbolic:
             assert check_symbolic(k, formula) == check_explicit(k, formula), text
         assert k._symbolic.mgr.check_invariants() == []
         assert k._symbolic.mgr.node_count() == 3904
+        assert table_entries(k._symbolic._step) == 8838
 
     def test_single_state_structure(self):
         b = build_behavior({"A"}, "A", set(), [])
