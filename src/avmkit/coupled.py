@@ -6,7 +6,14 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from . import ctl
-from .lts import Behavior, Path, UnknownStateError, _Frozen, strongly_connected_components
+from .lts import (
+    Behavior,
+    Path,
+    UnknownStateError,
+    _Frozen,
+    path_order,
+    strongly_connected_components,
+)
 from .report import CheckReport, Finding, ModelValidationError
 
 APPROACH_NAMES = ("Protection", "Detection", "Identification", "Removal")
@@ -50,7 +57,7 @@ class MappingProcess(_Frozen):
 def mapping_process(entries: Mapping[str, Iterable[Path]], exempt=()) -> MappingProcess:
     """Normalize a state -> paths mapping into a canonical MappingProcess."""
     normalized = tuple(
-        (state, tuple(sorted(set(paths), key=lambda p: (p.labels, p.states))))
+        (state, tuple(sorted(set(paths), key=path_order)))
         for state, paths in sorted(entries.items())
     )
     return MappingProcess(entries=normalized, exempt=frozenset(exempt))
@@ -422,8 +429,7 @@ def _unwind(cell) -> Path:
 
 
 def _path_order(cell) -> tuple:
-    path = _unwind(cell)
-    return path.labels, path.states
+    return path_order(_unwind(cell))
 
 
 def _stitch_paths(control: Behavior, final: str, step, component_of, bit):

@@ -22,6 +22,7 @@ the error reported, before any parse error.
 """
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from functools import cache
 from typing import Callable, Iterator, NoReturn, TypeVar
@@ -57,7 +58,8 @@ class AtomicProposition(_Frozen):
         if kind not in ("at", "in"):
             raise ValueError(f"atom kind must be 'at' or 'in', not {kind!r}")
         # Formula equality compares rendered text, which only names tell apart.
-        if not NAME_RE.fullmatch(subject):
+        # This is `lts.all_identifiers` inlined for one name.
+        if not (str.isidentifier(subject) and str.isascii(subject)):
             raise ValueError(f"atom subject must be an identifier, not {subject!r}")
         _set_kind(self, kind)
         _set_subject(self, subject)
@@ -316,20 +318,32 @@ def locate(line_starts: list[int], offset: int, start_line: int = 1) -> SourcePo
     return SourcePos(start_line + row, offset - line_starts[row] + 1)
 
 
+# Python 3.11 reads `*+` as a possessive star; earlier versions have none,
+# and there the plain star finds the same tokens, only slower.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+
+
 @cache
 def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
     """Finds skipped text then a mark (group 1), a name (2), any other
     character but whitespace or a comment's ``#`` (3), or the end of the
-    text, so that every character is covered."""
-    skip = r"(?:[ \t\r\n]|#.*)*" if comments else r"[ \t\r\n]*"
+    text, so that every character is covered.
+
+    The skip and a name never give back what they took, so the scan never
+    backtracks: it could gain nothing by it, since group 3 takes any
+    character the skip stops at and a name ends where no name character
+    follows. Their stars are possessive, which says so to the matcher."""
+    p = _POSSESSIVE
+    skip = rf"[ \t\r\n]*{p}(?:#[^\n]*{p}[ \t\r\n]*{p})*{p}" if comments else rf"[ \t\r\n]*{p}"
     stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
-    pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({NAME_RE.pattern})|({stray})|\\Z)"
-    return re.compile(pattern).finditer
+    mark = "|".join(map(re.escape, marks))
+    return re.compile(rf"{skip}(?:({mark})|({NAME_RE.pattern}{p})|({stray})|\Z)").finditer
 
 
 class Lexer:
-    """One text scanned once, by one `finditer`, into flat per-token lists
-    read through an int cursor `i`, for either grammar.
+    """One text scanned once, by one `finditer` that never backtracks, into
+    flat per-token lists read through an int cursor `i`, for either grammar.
+    A `NAME` token is an identifier by the pattern that found it.
 
     `kinds[k]`, `values[k]` and `starts[k]` describe token k, `starts[k]`
     being its offset in the text; the last real token is `END`, with value

@@ -14,9 +14,13 @@ themselves; ``state`` lines are only needed for otherwise unmentioned states.
 
 The document is scanned once, up front, by the lexer the CTL grammar uses
 (`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments. The
-statement parsers read whole edges, path steps and runs of names off its
-token lists, and keep the index of the token where a name stands: a
-SourcePos is built from one only for a finding or a property's `position`.
+statement parsers read whole edges, map statements, path steps and runs of
+names off its token lists with index arithmetic; only where a token does not
+fit do they read token by token, to raise at the token at fault. They keep
+the index of the token where a name stands: a SourcePos is built from one
+only for a finding or a property's `position`. A behavior block's names and
+edges are then proved valid in bulk (`lts.build_behavior`), and walked one
+by one only to report what fails.
 `source_positions` keeps the text offset of each state it places and the
 lexer's table of line starts, and builds a state's SourcePos only when it is
 looked up. A document reports its first fault in reading
@@ -175,10 +179,10 @@ _SIDES = ("control", "preventive")
 
 
 class _DocParser:
-    """Reads the statements off the lexer's token lists. A whole edge, path
-    step or run of names is read with index arithmetic; where the tokens do
-    not fit, the `expect_*` calls re-read them to raise at the token at
-    fault."""
+    """Reads the statements off the lexer's token lists. A whole edge, map
+    statement, path step or run of names is read with index arithmetic; where
+    the tokens do not fit, the `expect_*` calls re-read them to raise at the
+    token at fault."""
 
     def __init__(self, text: str):
         self.lx = Lexer(text, _DOC_MARKS, _syntax_error, comments=True)
@@ -203,18 +207,13 @@ class _DocParser:
             self.lx.i += 1
             statement()
 
-    def _step(self, k: int) -> bool:
-        """Whether a path step ``- ID -> ID`` starts at token k. A '-' that
-        starts anything else is a syntax error."""
-        kinds, values = self.kinds, self.values
-        if values[k] != "-":
-            return False
-        if not (kinds[k + 1] == NAME and values[k + 2] == "->" and kinds[k + 3] == NAME):
-            self.lx.i = k + 1
-            self.lx.expect_ident("a transition label")
-            self.lx.expect_punct("->")
-            self.lx.expect_ident("a target state")
-        return True
+    def _fail_step(self, k: int) -> None:
+        """Raise at the first token that does not fit the path step
+        ``- ID -> ID`` starting at token k, which is a '-'."""
+        self.lx.i = k + 1
+        self.lx.expect_ident("a transition label")
+        self.lx.expect_punct("->")
+        self.lx.expect_ident("a target state")
 
     def _take_names(self, end: int) -> list[tuple[str, int]]:
         """The names from the cursor up to token `end`, each with its spot;
@@ -236,7 +235,9 @@ class _DocParser:
         edge_positions: list[int] = []
         while True:
             k = lx.i
-            if kinds[k] == NAME and self._step(k + 1):  # an edge, whatever its names
+            if kinds[k] == NAME and values[k + 1] == "-":  # an edge, whatever its names
+                if not (kinds[k + 2] == NAME and values[k + 3] == "->" and kinds[k + 4] == NAME):
+                    self._fail_step(k + 1)
                 edges.append(Transition(values[k], values[k + 2], values[k + 4]))
                 edge_positions.append(k)
                 lx.i = k + 5
@@ -306,22 +307,32 @@ class _DocParser:
             raw.sides.setdefault(side, []).extend(self._take_names(end))
         self.approaches.append(raw)
 
-    def _path_expr(self) -> tuple[Path, range]:
-        first = self.lx.expect_ident("a preventive state name")
+    def _path_expr(self, first: int) -> tuple[Path, range]:
+        """The path ``ID (- ID -> ID)*`` from token `first`, with its states'
+        spots; the cursor moves past it."""
+        kinds, values = self.kinds, self.values
+        if kinds[first] != NAME:
+            self.lx.i = first
+            self.lx.expect_ident("a preventive state name")
         k = first
-        while self._step(k + 1):
+        while values[k + 1] == "-":
+            if not (kinds[k + 2] == NAME and values[k + 3] == "->" and kinds[k + 4] == NAME):
+                self._fail_step(k + 1)
             k += 4
         self.lx.i = k + 1
-        return (Path(tuple(self.values[first:k + 1:4]), tuple(self.values[first + 2:k:4])),
+        return (Path(tuple(values[first:k + 1:4]), tuple(values[first + 2:k:4])),
                 range(first, k + 1, 4))
 
     def _map(self) -> None:
-        key = self.named(self.lx.expect_ident("a control state name"))
-        self.lx.expect_punct("=>")
-        paths = [self._path_expr()]
-        while self.lx.accept(","):
-            paths.append(self._path_expr())
-        self.maps.append(_RawMap(*key, paths))
+        lx, kinds, values = self.lx, self.kinds, self.values
+        key = lx.i
+        if kinds[key] != NAME or values[key + 1] != "=>":
+            lx.expect_ident("a control state name")
+            lx.expect_punct("=>")
+        paths = [self._path_expr(key + 2)]
+        while values[lx.i] == ",":
+            paths.append(self._path_expr(lx.i + 1))
+        self.maps.append(_RawMap(values[key], key, paths))
 
     def _exempt(self) -> None:
         self.exempts.append(self.named(self.lx.expect_ident("a control state name")))

@@ -12,6 +12,7 @@ The walks: `enumerate_simple_paths` behind `avm paths`,
 
 import re
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .report import Finding, ModelValidationError
@@ -147,6 +148,11 @@ class Path(_Frozen):
         return " ".join(parts)
 
 
+def path_order(path: Path) -> tuple:
+    """The sort key that lists paths by label sequence, then by states."""
+    return path.labels, path.states
+
+
 def _as_transition(t) -> Transition:
     if isinstance(t, Transition):
         return t
@@ -154,17 +160,31 @@ def _as_transition(t) -> Transition:
     return Transition(source, label, target)
 
 
+def all_identifiers(names) -> bool:
+    """Whether every string in `names` is an identifier, one `NAME_RE` matches
+    in full. An ASCII string is a Python identifier exactly when it is such
+    a name, and both tests run in C, a whole collection per call."""
+    return all(map(str.isidentifier, names)) and all(map(str.isascii, names))
+
+
 def build_behavior(states, initial, labels, transitions, finals=(), positions=None,
                    place=lambda spot: spot) -> Behavior:
     """Construct a validated Behavior; raises ModelValidationError listing every
     defect. `positions`, when given, holds one spot per transition, and
     `place(spot)` is the SourcePos of a finding about that transition, asked
-    for only for the findings made."""
+    for only for the findings made.
+
+    It proves in bulk, reports item by item: calls that each run over a whole
+    collection in C show that every transition is a `Transition`, every name
+    an identifier, every endpoint a state, every label declared and no
+    transition repeated, and only a check that fails walks its items one by
+    one, in order, to convert them or to make the findings."""
     states = frozenset(states)
     labels = frozenset(labels)
     finals = frozenset(finals)
-    transitions = [_as_transition(t) for t in transitions]
-    positions = [None] * len(transitions) if positions is None else list(positions)
+    transitions = list(transitions)
+    if not all(map(isinstance, transitions, repeat(Transition))):
+        transitions = [_as_transition(t) for t in transitions]
     findings: list[Finding] = []
 
     def error(code: str, subject: str, detail: str, spot=None) -> None:
@@ -175,26 +195,32 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
         error("empty-state-set", "<behavior>", "behavior declares no states")
         raise ModelValidationError(findings)
 
-    for name in sorted(name for name in states | labels if not NAME_RE.fullmatch(name)):
-        error("invalid-identifier", name,
-              "identifiers are letters, digits and underscore, not starting with a digit")
+    names = states | labels
+    if not all_identifiers(names):
+        for name in sorted(name for name in names if not NAME_RE.fullmatch(name)):
+            error("invalid-identifier", name,
+                  "identifiers are letters, digits and underscore, not starting with a digit")
 
     if initial not in states:
         error("bad-initial", str(initial), "initial state is not a declared state")
     for name in sorted(finals - states):
         error("unknown-state", name, "final state is not a declared state")
 
-    seen: set[Transition] = set()
-    for t, spot in zip(transitions, positions, strict=True):
-        if t.source not in states:
-            error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
-        if t.target not in states:
-            error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
-        if t.label not in labels:
-            error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
-        if t in seen:
-            error("duplicate-transition", str(t), "transition appears more than once", spot)
-        seen.add(t)
+    sources, used, targets = zip(*transitions) if transitions else ((), (), ())
+    if not (states.issuperset(sources) and states.issuperset(targets)
+            and labels.issuperset(used) and len(set(transitions)) == len(transitions)):
+        positions = [None] * len(transitions) if positions is None else list(positions)
+        seen: set[Transition] = set()
+        for t, spot in zip(transitions, positions, strict=True):
+            if t.source not in states:
+                error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
+            if t.target not in states:
+                error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
+            if t.label not in labels:
+                error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
+            if t in seen:
+                error("duplicate-transition", str(t), "transition appears more than once", spot)
+            seen.add(t)
     if findings:
         raise ModelValidationError(findings)
     return Behavior(states, initial, labels, tuple(sorted(transitions)), finals)
@@ -235,7 +261,7 @@ def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list
             visited.discard(states_acc.pop())
             if labels_acc:
                 labels_acc.pop()
-    out.sort(key=lambda p: (p.labels, p.states))
+    out.sort(key=path_order)
     return out
 
 

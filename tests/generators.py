@@ -40,8 +40,8 @@ from avmkit.coupled import (
     build_coupled_model,
     mapping_process,
 )
-from avmkit.lts import Behavior, Path, build_behavior, enumerate_simple_paths
-from avmkit.report import CheckReport, Finding
+from avmkit.lts import NAME_RE, Behavior, Path, Transition, build_behavior, enumerate_simple_paths
+from avmkit.report import CheckReport, Finding, ModelValidationError
 
 # -- labeled transition systems -----------------------------------------------
 
@@ -108,6 +108,47 @@ def naive_simple_paths(behavior: Behavior, source: str, target: str) -> set[Path
             for combo in itertools.product(*options):
                 found.add(Path(seq, combo))
     return found
+
+
+
+def naive_build_behavior(states, initial, labels, transitions, finals=(), positions=None,
+                         place=lambda spot: spot) -> Behavior:
+    """`build_behavior` checking item by item: every name by the name pattern,
+    then every transition in turn. Kept as the reference for the bulk checks,
+    whose findings, order and positions must be the same."""
+    states, labels, finals = frozenset(states), frozenset(labels), frozenset(finals)
+    transitions = [Transition(*t) for t in transitions]
+    positions = [None] * len(transitions) if positions is None else list(positions)
+    findings: list[Finding] = []
+
+    def error(code: str, subject: str, detail: str, spot=None) -> None:
+        findings.append(Finding("error", code, subject, detail,
+                                None if spot is None else place(spot)))
+
+    if not states:
+        error("empty-state-set", "<behavior>", "behavior declares no states")
+        raise ModelValidationError(findings)
+    for name in sorted(name for name in states | labels if not NAME_RE.fullmatch(name)):
+        error("invalid-identifier", name,
+              "identifiers are letters, digits and underscore, not starting with a digit")
+    if initial not in states:
+        error("bad-initial", str(initial), "initial state is not a declared state")
+    for name in sorted(finals - states):
+        error("unknown-state", name, "final state is not a declared state")
+    seen: set[Transition] = set()
+    for t, spot in zip(transitions, positions, strict=True):
+        if t.source not in states:
+            error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
+        if t.target not in states:
+            error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
+        if t.label not in labels:
+            error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
+        if t in seen:
+            error("duplicate-transition", str(t), "transition appears more than once", spot)
+        seen.add(t)
+    if findings:
+        raise ModelValidationError(findings)
+    return Behavior(states, initial, labels, tuple(sorted(transitions)), finals)
 
 
 # -- coupled models --------------------------------------------------------------

@@ -235,11 +235,46 @@ MUTANTS = (
         ("tests/test_coupled.py::TestLinksOnDemand::test_a_link_follows_an_edge_forward_only",),
     ),
     Mutant(
-        "atom subject checked by prefix",
+        "atom subject test takes a non-ASCII identifier for a name",
         "ctl.py",
-        "if not NAME_RE.fullmatch(subject):",
-        "if not NAME_RE.match(subject):",
+        "str.isidentifier(subject) and str.isascii(subject)",
+        "str.isidentifier(subject)",
         ("tests/test_ctl.py::TestAtoms",),
+    ),
+    Mutant(
+        "bulk name test takes a non-ASCII identifier for a name",
+        "lts.py",
+        "all(map(str.isidentifier, names)) and all(map(str.isascii, names))",
+        "all(map(str.isidentifier, names))",
+        ("tests/test_dsl.py::TestIdentifierTest",),
+    ),
+    Mutant(
+        "bulk endpoint test asks the targets to cover the states",
+        "lts.py",
+        "states.issuperset(targets)",
+        "states.issubset(targets)",
+        ("tests/test_lts.py::TestBulkChecks",),
+    ),
+    Mutant(
+        "bulk transition test lets a duplicate through",
+        "lts.py",
+        " and len(set(transitions)) == len(transitions)):",
+        "):",
+        ("tests/test_lts.py::TestBulkChecks",),
+    ),
+    Mutant(
+        "map statement read whole after any mark but a name",
+        "dsl.py",
+        'values[key + 1] != "=>"',
+        "kinds[key + 1] == NAME",
+        ("tests/test_dsl.py::TestMapStatements::test_only_the_map_arrow_follows_the_key",),
+    ),
+    Mutant(
+        "scanner skips no comment",
+        "ctl.py",
+        r'(?:#[^\n]*{p}[ \t\r\n]*{p})*{p}" if comments',
+        '" if comments',
+        ("tests/test_ctl.py::TestLexerReference",),
     ),
     Mutant(
         "AND/OR return the identity where zero absorbs",

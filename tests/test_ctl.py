@@ -1,10 +1,12 @@
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avmkit.ctl import (
+    _CTL_MARKS,
     AF,
     AG,
     AU,
@@ -21,6 +23,7 @@ from avmkit.ctl import (
     AtomicProposition,
     CtlSyntaxError,
     Implies,
+    Lexer,
     Not,
     Or,
     atoms,
@@ -30,7 +33,8 @@ from avmkit.ctl import (
     parse_ctl,
     render,
 )
-from avmkit.dsl import parse_model
+from avmkit.dsl import _DOC_MARKS, parse_model
+from avmkit.lts import NAME_RE
 
 from conftest import MODEL_FILE
 from generators import random_formula
@@ -276,3 +280,44 @@ class TestAtoms:
         # otherwise at(A) & at(B) would also render from one atom
         with pytest.raises(ValueError):
             AtomicProposition("at", "A) & at(B")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("é")
+    @example("_0")
+    @example("0_")
+    def test_atom_subject_is_exactly_a_name(self, subject):
+        if NAME_RE.fullmatch(subject):
+            assert AtomicProposition("in", subject).subject == subject
+        else:
+            with pytest.raises(ValueError):
+                AtomicProposition("in", subject)
+
+
+# The scanner's pattern with plain, backtracking stars, kept as the reference
+# the lexer must agree with token for token.
+def reference_tokens(text, marks, comments):
+    skip = r"(?:[ \t\r\n]|#.*)*" if comments else r"[ \t\r\n]*"
+    stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
+    pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|([A-Za-z_][A-Za-z0-9_]*)|({stray})|\\Z)"
+    tokens = []
+    for m in re.finditer(pattern, text):
+        if m.lastindex is None:
+            break
+        tokens.append((m.lastindex, m[m.lastindex], m.start(m.lastindex)))
+    return tokens
+
+
+_PIECES = (" ", "\t", "\n", "\r", "\r\n", "#", "\x0b", "a", "Z", "q7", "0", "9", "_", "é",
+           *_CTL_MARKS, *_DOC_MARKS, "=", ">")
+
+
+class TestLexerReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+           st.sampled_from([_CTL_MARKS, _DOC_MARKS]), st.booleans())
+    @example("a # b -> c\r\n d", _DOC_MARKS, True)
+    def test_tokens_and_starts_match_the_reference(self, text, marks, comments):
+        lexer = Lexer(text, marks, CtlSyntaxError, comments=comments)
+        assert list(zip(lexer.kinds, lexer.values, lexer.starts))[:-5] == \
+            reference_tokens(text, marks, comments)

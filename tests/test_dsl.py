@@ -2,7 +2,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avmkit.coupled import (
@@ -11,8 +11,15 @@ from avmkit.coupled import (
     mapping_process,
 )
 from avmkit.ctl import CtlSyntaxError, parse_ctl
-from avmkit.dsl import ModelDocument, ModelSyntaxError, PropertySpec, parse_model, render_model
-from avmkit.lts import Path, build_behavior
+from avmkit.dsl import (
+    _DOC_MARKS,
+    ModelDocument,
+    ModelSyntaxError,
+    PropertySpec,
+    parse_model,
+    render_model,
+)
+from avmkit.lts import NAME_RE, Path, all_identifiers, build_behavior
 from avmkit.report import ModelValidationError, SourcePos
 
 from conftest import BENCH_CORPUS_DIR, CORPUS_DIR, MODEL_FILE
@@ -252,6 +259,58 @@ class TestErrorOrder:
             parse_model(MINIMAL + "approach Protection { " + body)
         assert err.value.detail == message
         assert tuple(err.value.position) == (11, column)
+
+
+class TestMapStatements:
+    """A map statement is read whole by index arithmetic; where a token does
+    not fit, the error is raised at that token, as reading it token by token
+    would."""
+
+    @pytest.mark.parametrize("mark", [mark for mark in _DOC_MARKS if mark != "=>"])
+    def test_only_the_map_arrow_follows_the_key(self, mark):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL.replace("map C => P", f"map C {mark} P"))
+        assert err.value.detail == "expected '=>'"
+        assert tuple(err.value.position) == (10, 7)
+
+    @pytest.mark.parametrize("replacement, message, position", [
+        ("map => P", "expected a control state name", (10, 5)),
+        ("map $ => P", "unexpected character '$'", (10, 5)),
+        ("map C $ P", "unexpected character '$'", (10, 7)),
+        ("map C =>", "expected a preventive state name", (11, 1)),
+        ("map C => P,", "expected a preventive state name", (11, 1)),
+        ("map C => P, $", "unexpected character '$'", (10, 13)),
+        ("map C => P - -> Q", "expected a transition label", (10, 14)),
+        ("map C => P - go", "expected '->'", (11, 1)),
+        ("map C => P, Q - go - Q", "expected '->'", (10, 20)),
+        ("map C => P - go ->", "expected a target state", (11, 1)),
+        ("map C => P - go -> Q, R - x -> $", "unexpected character '$'", (10, 32)),
+        ("map C => P Q", "expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", (10, 12)),
+    ])
+    def test_fault_reported_at_its_token(self, replacement, message, position):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL.replace("map C => P", replacement))
+        assert err.value.detail == message
+        assert tuple(err.value.position) == position
+
+
+class TestIdentifierTest:
+    """`all_identifiers`, which proves a document's names in bulk, accepts
+    exactly the strings the name pattern matches in full."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    @example("é")
+    @example("A\u0660")
+    @example("_")
+    @example("")
+    def test_equals_the_name_pattern(self, text):
+        assert all_identifiers([text]) == bool(NAME_RE.fullmatch(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=4)))
+    def test_a_set_passes_when_every_name_does(self, texts):
+        assert all_identifiers(texts) == all(NAME_RE.fullmatch(text) for text in texts)
 
 
 _TOKEN = re.compile(r"->|=>|[{}:,-]|\w+")

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avmkit.lts import (
@@ -13,9 +13,15 @@ from avmkit.lts import (
     find_deadlocks,
     strongly_connected_components,
 )
-from avmkit.report import ModelValidationError
+from avmkit.report import ModelValidationError, SourcePos
 
-from generators import is_valid_path, naive_simple_paths, random_behavior, reachable_states
+from generators import (
+    is_valid_path,
+    naive_build_behavior,
+    naive_simple_paths,
+    random_behavior,
+    reachable_states,
+)
 
 
 def behaviors(max_states=6):
@@ -78,6 +84,46 @@ class TestBuildBehavior:
                                (t for t in transitions), (f for f in finals))
         assert built == build_behavior(states, "A", labels, transitions, finals)
         assert built.transitions == (Transition("A", "l", "B"), Transition("B", "m", "A"))
+
+
+# Declared names, some of them no identifiers, and names a transition may
+# use without their being declared.
+_STATES, _LABELS = ("A", "B", "C", "0a", "é"), ("a", "b", "9x", "ç")
+_EXTRA = ("Z", "z")
+
+
+def build_outcome(build, states, initial, labels, transitions, finals):
+    """The behavior built, or the findings raised, each placed at the line
+    that is its transition's number."""
+    try:
+        return build(states, initial, labels, transitions, finals,
+                     positions=range(len(transitions)), place=lambda k: SourcePos(k + 1, 1))
+    except ModelValidationError as exc:
+        return list(exc.findings)
+
+
+class TestBulkChecks:
+    """`build_behavior` proves in bulk and reports item by item: what it
+    builds or raises equals what the per-item reference does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(st.sampled_from(_STATES), max_size=4),
+           st.sampled_from(_STATES + _EXTRA),
+           st.sets(st.sampled_from(_LABELS), max_size=3),
+           st.lists(st.tuples(st.sampled_from(_STATES + _EXTRA),
+                              st.sampled_from(_LABELS + _EXTRA),
+                              st.sampled_from(_STATES + _EXTRA)), max_size=8),
+           st.sets(st.sampled_from(_STATES + _EXTRA), max_size=3),
+           st.booleans())
+    @example({"A"}, "A", {"a"}, [("A", "a", "A"), ("A", "a", "Z")], set(), True)
+    @example({"A"}, "A", {"a"}, [("A", "z", "A"), ("A", "a", "A")], set(), True)
+    @example({"A"}, "A", {"a"}, [("A", "a", "A"), ("A", "a", "A")], set(), True)
+    def test_findings_equal_the_per_item_reference(self, states, initial, labels,
+                                                  transitions, finals, as_records):
+        if as_records:  # as the document parser passes them
+            transitions = [Transition(*t) for t in transitions]
+        assert build_outcome(build_behavior, states, initial, labels, transitions, finals) == \
+            build_outcome(naive_build_behavior, states, initial, labels, transitions, finals)
 
 
 class TestPaths:
