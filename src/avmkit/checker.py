@@ -24,6 +24,10 @@ are checked two ways, and both return the exact satisfying state set:
   atom's BDD is built once per structure and a fixpoint that two properties
   share runs once. EU skips the AND with its left operand when that operand
   is the universe, as in EF and AG: a pre-image holds only state codes.
+
+A verdict comes with a path only for the top-level formula classes in
+`WITNESSES`, the one table of the verdict each path shows and its name: a
+holding EF g gets a witness, a failing AG g a counterexample.
 """
 
 from collections import deque
@@ -396,14 +400,9 @@ def check_symbolic(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
 # -- verdicts and witnesses ------------------------------------------------------
 
 
-def witness_shape(formula: CtlFormula) -> str | None:
-    """Which witness this checker can produce: 'reachability' for EF goals,
-    'invariant' for AG counterexamples, None otherwise."""
-    if isinstance(formula, ctl.EF):
-        return "reachability"
-    if isinstance(formula, ctl.AG):
-        return "invariant"
-    return None
+# The top-level formula classes whose verdict a path can show: the verdict
+# under which the path exists, and the name it is shown under.
+WITNESSES = {ctl.EF: ("holds", "witness"), ctl.AG: ("fails", "counterexample")}
 
 
 def _shortest_path_to(k: KripkeStructure, targets) -> Path | None:
@@ -438,15 +437,15 @@ def _shortest_path_to(k: KripkeStructure, targets) -> Path | None:
 
 
 def witness(k: KripkeStructure, formula: CtlFormula) -> Path | None:
-    """A path from the initial state demonstrating the verdict, when supported.
-
-    For EF g: a shortest path to a g-state (None when unreachable). For AG g:
-    a shortest path to a state violating g (None when AG g holds). Other
-    shapes return None; see witness_shape.
-    """
-    if isinstance(formula, ctl.EF):
-        return _shortest_path_to(k, _label(k, formula.operand))
-    if isinstance(formula, ctl.AG):
-        good = _label(k, formula.operand)
-        return _shortest_path_to(k, frozenset(range(len(k.states))) - good)
-    return None
+    """A shortest path from the initial state that shows the formula's
+    verdict, for a class in `WITNESSES`. It ends where the operand holds if
+    the path shows that the verdict holds (EF g: a g-state), and where it
+    fails otherwise (AG g: a !g state). None when there is no such path, or
+    the class is not in the table."""
+    rule = WITNESSES.get(type(formula))
+    if rule is None:
+        return None
+    targets = _label(k, formula.operand)
+    if rule[0] == "fails":
+        targets = frozenset(range(len(k.states))) - targets
+    return _shortest_path_to(k, targets)

@@ -20,7 +20,7 @@ EXIT_IO = 2
 
 # The engines load on the first `check`, and the exporters in `export`, so the
 # other commands do not compile them.
-_ENGINE_NAMES = ("to_kripke", "check_explicit", "check_symbolic", "witness", "witness_shape")
+_ENGINE_NAMES = ("to_kripke", "check_explicit", "check_symbolic", "witness", "WITNESSES")
 
 
 def _bind_engines() -> None:
@@ -152,10 +152,6 @@ def cmd_validate(args, doc) -> int:
                  code)
 
 
-# The verdict under which each formula shape has a path to show.
-_WITNESS_VERDICT = {"reachability": "holds", "invariant": "fails"}
-
-
 def cmd_check(args, doc) -> int:
     _bind_engines()
     coupled = doc.coupled
@@ -164,7 +160,7 @@ def cmd_check(args, doc) -> int:
         for target in dict.fromkeys(prop.target for prop in doc.properties)
     }
     findings = []
-    outcomes = []  # (property, verdict, matches its expectation, witness shape, path)
+    outcomes = []  # (property, verdict, matches its expectation, witness rule, path)
     # Text `--quiet` prints no witness line, so it computes no witness.
     shows_witness = args.report_format == "structured" or not args.quiet
     for prop in doc.properties:
@@ -185,21 +181,21 @@ def cmd_check(args, doc) -> int:
             findings.append(Finding("error", "expectation-mismatch", prop.name,
                                     f"verdict {verdict}, expected {prop.expected}", prop.position))
 
-        shape = witness_shape(prop.formula)
+        rule = WITNESSES.get(type(prop.formula))  # (verdict it shows, name) or None
         path = None
-        if shows_witness and verdict == _WITNESS_VERDICT.get(shape):
+        if shows_witness and rule is not None and verdict == rule[0]:
             path = witness(k, prop.formula)
-        outcomes.append((prop, verdict, matches, shape, path))
+        outcomes.append((prop, verdict, matches, rule, path))
 
     def lines():
-        for prop, verdict, matches, shape, path in outcomes:
+        for prop, verdict, matches, rule, path in outcomes:
             suffix = ""
             if prop.expected is not None:
                 suffix = (f" (expected {prop.expected})" if matches
                           else f" (expected {prop.expected}, MISMATCH)")
             yield f"{prop.name} on {prop.target}: {verdict}{suffix}"
             if path is not None and not args.quiet:
-                yield f"  {'witness' if shape == 'reachability' else 'counterexample'}: {path}"
+                yield f"  {rule[1]}: {path}"
         yield from map(Finding.format, findings)
         mismatches = sum(matches is False for _, _, matches, _, _ in outcomes)
         yield (f"{len(outcomes)} propert{'y' if len(outcomes) == 1 else 'ies'} checked, "
@@ -210,9 +206,9 @@ def cmd_check(args, doc) -> int:
             "name": prop.name, "target": prop.target, "formula": str(prop.formula),
             "verdict": verdict, "expected": prop.expected, "matches_expectation": matches,
             "witness": list(path.states) if path is not None else None,
-            "witness_note": None if shape else "witness unsupported for this formula shape",
+            "witness_note": None if rule else "witness unsupported for this formula shape",
             "engine": args.engine,
-        } for prop, verdict, matches, shape, path in outcomes]}
+        } for prop, verdict, matches, rule, path in outcomes]}
 
     return _emit(args, lines, fields, EXIT_OK if not findings else EXIT_FAIL, findings)
 

@@ -22,7 +22,6 @@ the error reported, before any parse error.
 """
 
 import re
-import sys
 from bisect import bisect_left, bisect_right
 from functools import cache
 from typing import Callable, Iterator, NoReturn, TypeVar
@@ -318,11 +317,6 @@ def locate(line_starts: list[int], offset: int, start_line: int = 1) -> SourcePo
     return SourcePos(start_line + row, offset - line_starts[row] + 1)
 
 
-# Python 3.11 reads `*+` as a possessive star; earlier versions have none,
-# and there the plain star finds the same tokens, only slower.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
-
-
 @cache
 def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
     """Finds skipped text then a mark (group 1), a name (2), any other
@@ -332,12 +326,12 @@ def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
     The skip and a name never give back what they took, so the scan never
     backtracks: it could gain nothing by it, since group 3 takes any
     character the skip stops at and a name ends where no name character
-    follows. Their stars are possessive, which says so to the matcher."""
-    p = _POSSESSIVE
-    skip = rf"[ \t\r\n]*{p}(?:#[^\n]*{p}[ \t\r\n]*{p})*{p}" if comments else rf"[ \t\r\n]*{p}"
+    follows. Their stars are possessive (`*+`), which says so to the
+    matcher; the `+` after the name pattern makes its final star one."""
+    skip = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+" if comments else r"[ \t\r\n]*+"
     stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
     mark = "|".join(map(re.escape, marks))
-    return re.compile(rf"{skip}(?:({mark})|({NAME_RE.pattern}{p})|({stray})|\Z)").finditer
+    return re.compile(rf"{skip}(?:({mark})|({NAME_RE.pattern}+)|({stray})|\Z)").finditer
 
 
 class Lexer:

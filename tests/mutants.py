@@ -225,7 +225,15 @@ MUTANTS = (
         "        components = strongly_connected_components(control, [control.initial])",
         "        components = strongly_connected_components(model.control, [control.initial])",
         ("tests/test_coupled.py::TestReducedControlGraph::"
-         "test_structured_validate_on_a_looped_ladder_steps_linearly",),
+         "test_validate_on_a_looped_ladder_steps_linearly",),
+    ),
+    Mutant(
+        "text validate walks the control graph with its dominated edges",
+        "coupled.py",
+        "    if dropped:",
+        "    if dropped and count_paths:",
+        ("tests/test_coupled.py::TestReducedControlGraph::"
+         "test_validate_on_a_looped_ladder_steps_linearly[text-with-gap]",),
     ),
     Mutant(
         "sync link test reads a preventive edge backwards",
@@ -272,9 +280,17 @@ MUTANTS = (
     Mutant(
         "scanner skips no comment",
         "ctl.py",
-        r'(?:#[^\n]*{p}[ \t\r\n]*{p})*{p}" if comments',
+        r'(?:#[^\n]*+[ \t\r\n]*+)*+" if comments',
         '" if comments',
-        ("tests/test_ctl.py::TestLexerReference",),
+        ("tests/test_ctl.py::TestLexerReference",
+         "tests/test_cli.py::TestInputText::test_ignored_text_changes_no_output"),
+    ),
+    Mutant(
+        "scanner skips a comment only when a newline ends it",
+        "ctl.py",
+        r'(?:#[^\n]*+[',
+        r'(?:#[^\n]*+\n[',
+        ("tests/test_cli.py::TestInputText::test_ignored_text_changes_no_output",),
     ),
     Mutant(
         "AND/OR return the identity where zero absorbs",
@@ -368,7 +384,9 @@ MUTANTS = (
         "r.format(min_severity, place)",
         "r.format(min_severity)",
         ("tests/test_cli_golden.py::test_output_matches_record"
-         "[validate tests/corpus/mutant_missing_edge.avm]",),
+         "[validate tests/corpus/mutant_missing_edge.avm]",
+         "tests/test_cli.py::TestValidate::test_quiet_hides_warnings_not_errors",
+         "tests/test_cli.py::TestFindingPositions::test_state_finding_placed_at_its_map"),
     ),
     Mutant(
         "structured mode places only the findings text shows",
@@ -405,7 +423,15 @@ MUTANTS = (
         "checker.py",
         "range(code, count, 1 << b)",
         "range(code, count, 1 << (b + 1))",
-        ("tests/test_checker.py::TestDecode::test_decode_returns_the_encoded_states",),
+        ("tests/test_checker.py::TestDecode::test_decode_returns_the_encoded_states",
+         "tests/test_cli.py::TestCheck::test_engines_agree"),
+    ),
+    Mutant(
+        "witness table shows AG by a path when it holds",
+        "checker.py",
+        'ctl.AG: ("fails", "counterexample")',
+        'ctl.AG: ("holds", "counterexample")',
+        ("tests/test_cli.py::TestOnlyPrintedOutputIsBuilt::test_shown_witnesses_are_computed",),
     ),
 )
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import avmkit.checker
 from avmkit.bdd import _TRUE
 from avmkit.checker import (
+    WITNESSES,
     KripkeStructure,
     UnknownAtomError,
     _Symbolic,
@@ -23,10 +24,9 @@ from avmkit.checker import (
     check_symbolic,
     to_kripke,
     witness,
-    witness_shape,
 )
 from avmkit.coupled import APPROACH_NAMES
-from avmkit.ctl import AU, EX, And, Atom, AtomicProposition, fold, parse_ctl
+from avmkit.ctl import AG, AU, EF, EX, And, Atom, AtomicProposition, fold, parse_ctl
 from avmkit.lts import build_behavior
 
 from generators import (
@@ -611,27 +611,29 @@ class TestWitness:
 
     def test_unsupported_shape(self, control_kripke):
         f = parse_ctl("E [ true U at(Done) ]")
-        assert witness_shape(f) is None
+        assert type(f) not in WITNESSES
         assert witness(control_kripke, f) is None
 
     def test_degenerate_witness(self, control_kripke):
         path = witness(control_kripke, parse_ctl("EF at(NotActivated)"))
         assert path.states == ("NotActivated",)
 
-    @settings(max_examples=60, deadline=None)
-    @given(kripkes(), st.integers(min_value=0, max_value=100_000))
-    def test_witness_end_state_satisfies_target(self, k, seed):
-        from avmkit.ctl import EF
-
+    # A path shows EF g holding by ending in a g-state, and AG g failing by
+    # ending in a !g state; there is one exactly when the verdict is shown.
+    @settings(max_examples=120, deadline=None)
+    @given(kripkes(), st.integers(min_value=0, max_value=100_000),
+           st.sampled_from([(EF, "holds"), (AG, "fails")]))
+    def test_witness_end_state_satisfies_target(self, k, seed, rule):
+        operator, shown = rule
         target = random_formula(Random(seed), k.states, depth=2)
-        f = EF(target)
+        f = operator(target)
         path = witness(k, f)
+        verdict = "holds" if k.initial in check_explicit(k, f) else "fails"
+        assert (path is not None) == (verdict == shown)
         if path is None:
-            assert k.initial not in check_explicit(k, f)
             return
-        assert k.initial in check_explicit(k, f)
         assert path.states[0] == k.initial
-        assert path.states[-1] in check_explicit(k, target)
+        assert (path.states[-1] in check_explicit(k, target)) == (shown == "holds")
         for a, b in zip(path.states, path.states[1:]):
             assert (a, b) in k.relation
 

@@ -24,6 +24,7 @@ from conftest import CORPUS_DIR, MODEL_FILE
 from generators import random_coupled_model
 
 BUNDLED = str(MODEL_FILE)
+DOCUMENTS = [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm"))]
 
 
 def run_cli(capsys, *argv):
@@ -77,7 +78,10 @@ class TestValidate:
         code, quiet = run_cli(capsys, "--quiet", "validate",
                               str(CORPUS_DIR / "mutant_missing_edge.avm"))
         assert code == 1
-        assert "  [error] invalid-mapped-path " in quiet
+        assert ("  [error] invalid-mapped-path Activated: path SystemProtection -offline-> "
+                "PCProtection -auto-> RealTimeProtection is not a preventive path: missing "
+                "transition PCProtection -auto-> RealTimeProtection (line 63, col 5)"
+                ) in quiet.splitlines()
 
     def test_structured_output(self, capsys):
         code, out = run_cli(capsys, "--format", "structured", "validate", BUNDLED)
@@ -131,19 +135,28 @@ exempt preventive
 
 
 class TestFindingPositions:
-    @pytest.mark.parametrize("name", ["Done", "reach"])
-    def test_state_finding_placed_at_its_map(self, capsys, tmp_path, name):
+    # The gap in mutant_remapped_done needs the preventive condensation.
+    @pytest.mark.parametrize("text, detail, line", [
+        *((SPEC_NAMED_LIKE_A_STATE.format(name=name),
+           "Start -run-> Done: no preventive walk from {P} to {Q}", 11)
+          for name in ("Done", "reach")),
+        ((CORPUS_DIR / "mutant_remapped_done.avm").read_text(encoding="utf-8"),
+         "NotActivated -activate-> Activated -start-> Process -found-> Recognition -remove-> "
+         "Done -finish-> End: no preventive walk from {CheckCleaningOperations} to "
+         "{RealTimeProtection}", 67),
+    ], ids=["Done", "reach", "mutant_remapped_done"])
+    def test_state_finding_placed_at_its_map(self, capsys, tmp_path, text, detail, line):
         path = tmp_path / "spec.avm"
-        path.write_text(SPEC_NAMED_LIKE_A_STATE.format(name=name), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code, out = run_cli(capsys, "validate", str(path))
         assert code == 1
-        assert ("  [error] sync-gap Done: along control path Start -run-> Done: "
-                "no preventive walk from {P} to {Q} (line 11, col 5)") in out.splitlines()
+        assert (f"  [error] sync-gap Done: along control path {detail} (line {line}, col 5)"
+                in out.splitlines())
         code, out = run_cli(capsys, "--format", "structured", "validate", str(path))
         assert code == 1
         [gap] = [f for c in json.loads(out)["checks"] for f in c["findings"]
                  if f["code"] == "sync-gap"]
-        assert gap["position"] == {"line": 11, "column": 5}
+        assert gap["position"] == {"line": line, "column": 5}
 
     def test_side_and_model_findings_are_not_placed(self, capsys, tmp_path):
         path = tmp_path / "preventive.avm"
@@ -170,13 +183,25 @@ class TestFindingPositions:
 
 
 class TestInputText:
-    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
-        path = tmp_path / "bom.avm"
-        path.write_bytes(b"\xef\xbb\xbf" + MODEL_FILE.read_bytes())
-        code, out = run_cli(capsys, "validate", str(path))
-        assert code == 0, out
-        code, out = run_cli(capsys, "check", str(path))
-        assert (code, out) == run_cli(capsys, "check", BUNDLED)
+    # A byte-order mark, or a comment and a carriage return at the end of every
+    # line and a last line that is only a comment with no newline, change no
+    # finding, position, verdict or exit code: validate and check print what
+    # they print on the plain file, but for the structured "file" key.
+    @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda path: path.stem)
+    @pytest.mark.parametrize("edit", [
+        lambda text: "\ufeff" + text,
+        lambda text: text.replace("\n", " # note\r\n") + "# note",
+    ], ids=["byte-order-mark", "comments"])
+    def test_ignored_text_changes_no_output(self, capsys, tmp_path, edit, document):
+        path = tmp_path / document.name
+        path.write_bytes(edit(document.read_text(encoding="utf-8")).encode("utf-8"))
+        for command in ("validate", "check"):
+            assert run_cli(capsys, command, str(path)) == run_cli(capsys, command, str(document))
+            outcomes = []
+            for file in (path, document):
+                code, out = run_cli(capsys, "--format", "structured", command, str(file))
+                outcomes.append((code, json.loads(out) | {"file": None}))
+            assert outcomes[0] == outcomes[1]
 
     # A finding's detail carries no position: the finding prints it once.
     @pytest.mark.parametrize("tail, subject, detail, position, line", [
@@ -213,20 +238,19 @@ class TestCheck:
         assert ("witness: NotActivated -activate-> Activated -start-> Process "
                 "-found-> Recognition -remove-> Done") in out
 
-    @pytest.mark.parametrize("engine", ["explicit", "symbolic", "both"])
-    def test_engines_agree(self, capsys, engine):
-        code, out = run_cli(capsys, "--format", "structured", "check",
-                            "--engine", engine, BUNDLED)
-        assert code == 0
-        payload = json.loads(out)
-        verdicts = {p["name"]: p["verdict"] for p in payload["properties"]}
-        assert verdicts == {
-            "reach_done": "holds",
-            "always_done": "fails",
-            "recognition_resolves": "holds",
-            "reach_aborted": "holds",
-            "removal_is_done": "holds",
-        }
+    # Each engine exits alike and prints the same structured report once every
+    # "engine" key is removed.
+    @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda path: path.stem)
+    def test_engines_agree(self, capsys, document):
+        outcomes = []
+        for engine in ("explicit", "symbolic", "both"):
+            code, out = run_cli(capsys, "--format", "structured", "check",
+                                "--engine", engine, str(document))
+            payload = json.loads(out)
+            for record in (payload, *payload.get("properties", ())):
+                record.pop("engine", None)
+            outcomes.append((code, payload))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_unreachable_done_mismatch(self, capsys):
         code, out = run_cli(capsys, "check", str(CORPUS_DIR / "mutant_unreachable_done.avm"))

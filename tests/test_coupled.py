@@ -655,7 +655,12 @@ class TestReducedControlGraph:
         if not fast.passed:
             assert fast == exact
 
-    def test_structured_validate_on_a_looped_ladder_steps_linearly(self, monkeypatch):
+    # Structured validate walks to count the 2^k paths. On the ladder with a
+    # gap, text validate runs the pass on the whole control graph, again
+    # without the back edge, and then the walk, all within the one bound.
+    @pytest.mark.parametrize("count_paths, gap", [(True, False), (False, True)],
+                             ids=["structured", "text-with-gap"])
+    def test_validate_on_a_looped_ladder_steps_linearly(self, monkeypatch, count_paths, gap):
         k = 16
         bound = 8 * k + 8
         calls = 0
@@ -674,8 +679,13 @@ class TestReducedControlGraph:
             return counted
 
         monkeypatch.setattr(avmkit.coupled, "_sync_step", counted_sync_step)
-        assert check_synchronization(looped_ladder_model(k, False)).findings == (
-            Finding("info", "control-paths", "control", f"checked {2 ** k} control path(s)"),)
+        report = check_synchronization(looped_ladder_model(k, gap), count_paths=count_paths)
+        j = k // 2 + 1  # the preventive chain has no edge into Pj
+        first = "".join(f"s{i} -l-> l{i} -l-> " for i in range(k)) + f"s{k} -done-> end"
+        assert report.findings == (
+            *[Finding("error", "sync-gap", f"s{j}", f"along control path {first}: "
+                      f"no preventive walk from {{P{j - 1}}} to {{P{j}}}")] * gap,
+            Finding("info", "control-paths", "control", f"checked {2 ** k} control path(s)"))
 
     def test_control_sccs_computed_once_when_nothing_is_dropped(self, monkeypatch):
         model = chain_model(40)
