@@ -14,9 +14,10 @@ This grammar and the model document's (`dsl`) share one `Lexer`. It scans
 the whole text once, up front, into flat per-token lists (kind, value,
 offset) that the parsers read through an int cursor; a line and column are
 worked out only where a position is kept or shown. Both grammars have the
-same identifiers, whitespace and positions, each with its own marks. A
-character that is not whitespace, a mark or part of a name becomes a stray
-token, and each grammar decides when a stray is an error. CTL's marks are
+same identifiers, whitespace and positions, each with its own marks; the
+document's ``-`` mark makes a whole path step one token. A character that is
+not whitespace, a mark or part of a name becomes a stray token, and each
+grammar decides when a stray is an error. CTL's marks are
 ``-> ( ) [ ] ! & |`` and it has no comments; a stray anywhere in a formula is
 the error reported, before any parse error.
 """
@@ -306,8 +307,10 @@ def render(
     return "".join(pieces)
 
 
-# Token kinds: the pattern group each comes from, and the end of the text.
-MARK, NAME, STRAY, END = 1, 2, 3, 0
+# Token kinds: the pattern group each comes from, and the end of the text. A
+# path step's groups are its `-` (DASH), label and target (STEP), which
+# closes the match last; a `-` no step follows is a DASH token, a mark.
+MARK, NAME, STRAY, DASH, STEP, END = 1, 2, 3, 4, 6, 0
 
 
 def locate(line_starts: list[int], offset: int, start_line: int = 1) -> SourcePos:
@@ -321,34 +324,51 @@ def locate(line_starts: list[int], offset: int, start_line: int = 1) -> SourcePo
 def _token_scanner(marks: tuple[str, ...], comments: bool) -> Callable:
     """Finds skipped text then a mark (group 1), a name (2), any other
     character but whitespace or a comment's ``#`` (3), or the end of the
-    text, so that every character is covered.
+    text, so that every character is covered. Where `-` is a mark, it is
+    found last: with the path step ``- NAME -> NAME`` after it, skipped text
+    allowed between the parts, as one match (groups 4 to 6), else alone (4).
 
-    The skip and a name never give back what they took, so the scan never
-    backtracks: it could gain nothing by it, since group 3 takes any
-    character the skip stops at and a name ends where no name character
-    follows. Their stars are possessive (`*+`), which says so to the
-    matcher; the `+` after the name pattern makes its final star one."""
+    The skip and a name never give back what they took: they could gain
+    nothing by it, since group 3 takes any character the skip stops at, a
+    name ends where no name character follows, and the name or `->` a step
+    needs next can start neither inside a skip nor inside a name. Their
+    stars are possessive (`*+`), which says so to the matcher; the `+` after
+    the name pattern makes its final star one. So the scan backtracks only
+    to give up a step that does not fit, whole, for the `-` alone."""
     skip = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+" if comments else r"[ \t\r\n]*+"
-    stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
+    not_stray = r" \t\r\n#" if comments else r" \t\r\n"
+    name = f"{NAME_RE.pattern}+"
+    step = ""
+    if "-" in marks:
+        marks = tuple(mark for mark in marks if mark != "-")
+        not_stray += "-"
+        step = rf"|(-)(?:{skip}({name}){skip}->{skip}({name}))?"
     mark = "|".join(map(re.escape, marks))
-    return re.compile(rf"{skip}(?:({mark})|({NAME_RE.pattern}+)|({stray})|\Z)").finditer
+    return re.compile(rf"{skip}(?:({mark})|({name})|([^{not_stray}])|\Z{step})").finditer
 
 
 class Lexer:
-    """One text scanned once, by one `finditer` that never backtracks, into
-    flat per-token lists read through an int cursor `i`, for either grammar.
-    A `NAME` token is an identifier by the pattern that found it.
+    """One text scanned once, by one `finditer` that backtracks only out of a
+    step that does not fit (`_token_scanner`), into flat per-token lists read
+    through an int cursor `i`, for either grammar. A `NAME` token is an
+    identifier by the pattern that found it.
 
     `kinds[k]`, `values[k]` and `starts[k]` describe token k, `starts[k]`
     being its offset in the text; the last real token is `END`, with value
     "" at the end of the text, and a few copies of it follow so that a
     lookahead never runs off the lists. A token's line and column are worked
     out only when asked for: `position(k)` looks its offset up by bisection
-    in the table of line starts.
+    in the table of line starts, and `locate` does so for any offset.
     `marks` lists the punctuation, two-character marks first. `comments`
     skips ``#`` to end of line. A character neither a mark nor part of a
     name becomes a `STRAY` token rather than an error, so each grammar
     decides when it is reported; `fail` at a stray reports it.
+    Where `-` is a mark, a whole path step ``- NAME -> NAME`` is one `STEP`
+    token, starting at its `-`, with the value (label, target, offset of the
+    target); comments and line breaks may stand between its parts. A `-` that
+    starts no step is a `DASH` token. `take_rest_of_line` splits a step that
+    starts on the line it takes and ends on a later one: the step's parts
+    after the line's end, scanned again from there, replace its token.
     Errors are built by `error(message, line, column, expected)`; positions
     count from `start_line`/`start_column`, which locate the text inside a
     larger one (the column shift holds on the text's first line only).
@@ -362,18 +382,28 @@ class Lexer:
         # The first line starts start_column - 1 characters before the text.
         self.line_starts = [1 - start_column, *[m.end() for m in re.finditer("\n", text)]]
         self.i = 0
-        self.kinds, self.values, self.starts = [], [], []
-        kinds, values, starts = self.kinds.append, self.values.append, self.starts.append
-        for m in _token_scanner(marks, comments)(text):
-            kind = m.lastindex
-            if kind is None:
-                break
-            kinds(kind)
-            values(m[kind])
-            starts(m.start(kind))
+        self._scanner = _token_scanner(marks, comments)
+        self.kinds, self.values, self.starts = self._scan(0, len(text))
         self.kinds += [END] * 5
         self.values += [""] * 5
         self.starts += [len(text)] * 5
+
+    def _scan(self, start: int, stop: int) -> tuple[list, list, list]:
+        """The kinds, values and starts of the tokens in text[start:stop]."""
+        kinds, values, starts = [], [], []
+        add_kind, add_value, add_start = kinds.append, values.append, starts.append
+        for m in self._scanner(self.text, start, stop):
+            kind = m.lastindex
+            if kind is None:
+                break
+            add_kind(kind)
+            if kind == STEP:  # group 5 is its label
+                add_value((m[5], m[STEP], m.start(STEP)))
+                add_start(m.start(DASH))
+            else:
+                add_value(m[kind])
+                add_start(m.start(kind))
+        return kinds, values, starts
 
     def locate(self, offset: int) -> SourcePos:
         """The line and column of a text offset."""
@@ -416,7 +446,15 @@ class Lexer:
         end = text.find("\n", start)
         if end < 0:
             end = len(text)
-        self.i = bisect_left(self.starts, end, self.i)
+        k = bisect_left(self.starts, end, self.i)
+        if self.kinds[k - 1] == STEP and self.values[k - 1][2] > end:
+            # A step runs on past the line's end: its parts after the end
+            # take its place, scanned as the tokens they are there.
+            k -= 1
+            _, target, at = self.values[k]
+            self.kinds[k:k + 1], self.values[k:k + 1], self.starts[k:k + 1] = \
+                self._scan(end, at + len(target))
+        self.i = k
         if text.startswith("\r\n", end - 1):
             end -= 1
         return text[start:end].partition("#")[0], self.locate(start)

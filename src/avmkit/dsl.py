@@ -13,14 +13,15 @@ Comments run from ``#`` to end of line. Edge endpoints and labels declare
 themselves; ``state`` lines are only needed for otherwise unmentioned states.
 
 The document is scanned once, up front, by the lexer the CTL grammar uses
-(`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments. The
-statement parsers read whole edges, map statements, path steps and runs of
-names off its token lists with index arithmetic; only where a token does not
-fit do they read token by token, to raise at the token at fault. They keep
-the index of the token where a name stands: a SourcePos is built from one
-only for a finding or a property's `position`. A behavior block's names and
-edges are then proved valid in bulk (`lts.build_behavior`), and walked one
-by one only to report what fails.
+(`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments; a
+whole path step ``- ID -> ID`` is one token. The statement parsers read
+whole edges (a name and a step), map statements, paths (a name and a run of
+steps) and runs of names off its token lists with index arithmetic; only
+where a token does not fit do they read token by token, to raise at the
+token at fault. They keep the text offset where a name stands, its spot: a
+SourcePos is built from one only for a finding or a property's `position`.
+A behavior block's names and edges are then proved valid in bulk
+(`lts.build_behavior`), and walked one by one only to report what fails.
 `source_positions` keeps the text offset of each state it places and the
 lexer's table of line starts, and builds a state's SourcePos only when it is
 looked up. A document reports its first fault in reading
@@ -43,7 +44,18 @@ from .coupled import (
     mapping_process,
     unresolved_atoms,
 )
-from .ctl import END, NAME, STRAY, CtlFormula, CtlSyntaxError, Lexer, locate, parse_ctl
+from .ctl import (
+    DASH,
+    END,
+    NAME,
+    STEP,
+    STRAY,
+    CtlFormula,
+    CtlSyntaxError,
+    Lexer,
+    locate,
+    parse_ctl,
+)
 from .lts import Behavior, Path, Transition, _Frozen, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
@@ -141,7 +153,7 @@ class ModelDocument(_Frozen):
 # -- raw statement collection ----------------------------------------------------
 
 
-# A `pos` is a spot: the index of the token where a name or statement stands.
+# A `pos` is a spot: the text offset where a name or statement stands.
 class _RawBehavior(NamedTuple):
     kind: str
     pos: int
@@ -150,12 +162,13 @@ class _RawBehavior(NamedTuple):
     decls: list[tuple[str, int]]
     edges: list[Transition]
     edge_positions: list[int]  # each edge's source
+    target_positions: list[int]  # each edge's target
 
 
 class _RawMap(NamedTuple):
     key: str
     pos: int
-    paths: list[tuple[Path, range]]  # each path with its states' spots
+    paths: list[tuple[Path, list[int]]]  # each path with its states' spots
 
 
 class _RawApproach(NamedTuple):
@@ -179,14 +192,15 @@ _SIDES = ("control", "preventive")
 
 
 class _DocParser:
-    """Reads the statements off the lexer's token lists. A whole edge, map
-    statement, path step or run of names is read with index arithmetic; where
-    the tokens do not fit, the `expect_*` calls re-read them to raise at the
+    """Reads the statements off the lexer's token lists. An edge is a name
+    and a step token, a path a name and a run of them; a whole edge, map
+    statement, path or run of names is read with index arithmetic. Where the
+    tokens do not fit, the `expect_*` calls re-read them to raise at the
     token at fault."""
 
     def __init__(self, text: str):
         self.lx = Lexer(text, _DOC_MARKS, _syntax_error, comments=True)
-        self.kinds, self.values = self.lx.kinds, self.lx.values
+        self.kinds, self.values, self.starts = self.lx.kinds, self.lx.values, self.lx.starts
         self.behaviors: dict[str, _RawBehavior] = {}
         self.maps: list[_RawMap] = []
         self.approaches: list[_RawApproach] = []
@@ -195,7 +209,7 @@ class _DocParser:
         self.findings: list[Finding] = []
 
     def named(self, k: int) -> tuple[str, int]:
-        return self.values[k], k
+        return self.values[k], self.starts[k]
 
     def parse(self) -> None:
         statements = {"behavior": self._behavior, "approach": self._approach,
@@ -209,7 +223,7 @@ class _DocParser:
 
     def _fail_step(self, k: int) -> None:
         """Raise at the first token that does not fit the path step
-        ``- ID -> ID`` starting at token k, which is a '-'."""
+        ``- ID -> ID`` starting at token k, a '-' that starts no step token."""
         self.lx.i = k + 1
         self.lx.expect_ident("a transition label")
         self.lx.expect_punct("->")
@@ -219,11 +233,11 @@ class _DocParser:
         """The names from the cursor up to token `end`, each with its spot;
         the cursor moves to `end`."""
         start, self.lx.i = self.lx.i, end
-        return list(zip(self.values[start:end], range(start, end)))
+        return list(zip(self.values[start:end], self.starts[start:end]))
 
     def _behavior(self) -> None:
-        lx, kinds, values = self.lx, self.kinds, self.values
-        spot = lx.i - 1
+        lx, kinds, values, starts = self.lx, self.kinds, self.values, self.starts
+        spot = starts[lx.i - 1]
         kind = values[lx.expect_ident("'preventive' or 'control'")]
         if kind not in _SIDES:
             lx.fail("expected 'preventive' or 'control'", lx.i - 1)
@@ -232,16 +246,19 @@ class _DocParser:
         finals: list[tuple[str, int]] = []
         decls: list[tuple[str, int]] = []
         edges: list[Transition] = []
-        edge_positions: list[int] = []
+        sources: list[int] = []
+        targets: list[int] = []
         while True:
             k = lx.i
-            if kinds[k] == NAME and values[k + 1] == "-":  # an edge, whatever its names
-                if not (kinds[k + 2] == NAME and values[k + 3] == "->" and kinds[k + 4] == NAME):
-                    self._fail_step(k + 1)
-                edges.append(Transition(values[k], values[k + 2], values[k + 4]))
-                edge_positions.append(k)
-                lx.i = k + 5
+            if kinds[k] == NAME and kinds[k + 1] == STEP:
+                label, target, at = values[k + 1]
+                edges.append(Transition(values[k], label, target))
+                sources.append(starts[k])
+                targets.append(at)
+                lx.i = k + 2
                 continue
+            if kinds[k] == NAME and kinds[k + 1] == DASH:  # an edge that does not fit
+                self._fail_step(k + 1)
             if values[k] == "}":
                 lx.i = k + 1
                 break
@@ -254,7 +271,7 @@ class _DocParser:
             lx.i = k + 1
             if values[k] == "final":
                 end = k + 1
-                while (kinds[end] == NAME and values[end + 1] != "-"
+                while (kinds[end] == NAME and kinds[end + 1] != STEP and kinds[end + 1] != DASH
                        and values[end] not in _DECLARATIONS):
                     end += 1
                 if end == k + 1:
@@ -268,18 +285,18 @@ class _DocParser:
                 self.findings.append(
                     Finding("error", "duplicate-initial", name[0],
                             "behavior block declares more than one initial state",
-                            lx.position(name[1]))
+                            lx.locate(name[1]))
                 )
             else:
                 initial = name
         if kind in self.behaviors:
             self.findings.append(
                 Finding("error", "duplicate-behavior", kind,
-                        f"more than one {kind} behavior block", lx.position(spot))
+                        f"more than one {kind} behavior block", lx.locate(spot))
             )
         else:
             self.behaviors[kind] = _RawBehavior(kind, spot, initial, finals, decls, edges,
-                                                 edge_positions)
+                                                 sources, targets)
 
     def _approach(self) -> None:
         lx, kinds, values = self.lx, self.kinds, self.values
@@ -292,8 +309,9 @@ class _DocParser:
                 lx.fail("unclosed approach block; expected '}'", k)
             if not (values[k] in _SIDES and values[k + 1] == ":"):
                 # A section head is read as a pair, so a stray character in
-                # its second place is reached before the first is judged.
-                at = k + 1 if kinds[k + 1] == STRAY and kinds[k] != STRAY else k
+                # its second place is reached before the first is judged; a
+                # step's second place is its label.
+                at = k + 1 if kinds[k + 1] == STRAY and kinds[k] not in (STRAY, STEP) else k
                 lx.fail("expected 'control:', 'preventive:', or '}'", at)
             side = values[k]
             if side in raw.sides:
@@ -307,21 +325,23 @@ class _DocParser:
             raw.sides.setdefault(side, []).extend(self._take_names(end))
         self.approaches.append(raw)
 
-    def _path_expr(self, first: int) -> tuple[Path, range]:
-        """The path ``ID (- ID -> ID)*`` from token `first`, with its states'
-        spots; the cursor moves past it."""
+    def _path_expr(self, first: int) -> tuple[Path, list[int]]:
+        """The path ``ID (- ID -> ID)*`` from token `first`, a name and its
+        steps, with its states' spots; the cursor moves past it."""
         kinds, values = self.kinds, self.values
         if kinds[first] != NAME:
             self.lx.i = first
             self.lx.expect_ident("a preventive state name")
-        k = first
-        while values[k + 1] == "-":
-            if not (kinds[k + 2] == NAME and values[k + 3] == "->" and kinds[k + 4] == NAME):
-                self._fail_step(k + 1)
-            k += 4
-        self.lx.i = k + 1
-        return (Path(tuple(values[first:k + 1:4]), tuple(values[first + 2:k:4])),
-                range(first, k + 1, 4))
+        end = first + 1
+        while kinds[end] == STEP:
+            end += 1
+        if kinds[end] == DASH:
+            self._fail_step(end)
+        self.lx.i = end
+        if end == first + 1:
+            return Path((values[first],)), [self.starts[first]]
+        labels, targets, spots = zip(*values[first + 1:end])
+        return Path((values[first], *targets), labels), [self.starts[first], *spots]
 
     def _map(self) -> None:
         lx, kinds, values = self.lx, self.kinds, self.values
@@ -332,7 +352,7 @@ class _DocParser:
         paths = [self._path_expr(key + 2)]
         while values[lx.i] == ",":
             paths.append(self._path_expr(lx.i + 1))
-        self.maps.append(_RawMap(values[key], key, paths))
+        self.maps.append(_RawMap(values[key], self.starts[key], paths))
 
     def _exempt(self) -> None:
         self.exempts.append(self.named(self.lx.expect_ident("a control state name")))
@@ -364,9 +384,10 @@ def _assemble_behavior(raw: _RawBehavior, findings: list[Finding], place):
     note = first_spot.setdefault
     for name, spot in ([raw.initial] if raw.initial else []) + raw.finals + raw.decls:
         note(name, spot)
-    for (source, _, target), spot in zip(raw.edges, raw.edge_positions):
+    for (source, _, target), spot, target_spot in zip(raw.edges, raw.edge_positions,
+                                                       raw.target_positions):
         note(source, spot)
-        note(target, spot + 4)
+        note(target, target_spot)
 
     if not first_spot:
         findings.append(
@@ -406,7 +427,7 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     parser = _DocParser(text)
     parser.parse()
     findings = list(parser.findings)
-    place = parser.lx.position
+    place = parser.lx.locate
 
     built: dict[str, Behavior] = {}
     spots: dict[str, dict[str, int]] = {}
@@ -482,11 +503,8 @@ def parse_model(text: str, *, name: str = "model") -> ModelDocument:
     for raw_map in parser.maps:  # map statements win over state declarations
         kept[raw_map.key] = raw_map.pos
     kept.update(parser.exempts)
-    starts = parser.lx.starts
     return ModelDocument(coupled=coupled, properties=tuple(properties),
-                         source_positions=_StatePositions(
-                             {state: starts[spot] for state, spot in kept.items()},
-                             parser.lx.line_starts))
+                         source_positions=_StatePositions(kept, parser.lx.line_starts))
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -1,8 +1,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from avmkit.dsl import parse_model
+
+# The mutation gate's profile (`tests/mutants.py`): a failing example fails
+# the test as it was found, without shrinking or explaining it, so a caught
+# mutant is reported in seconds. Which examples run does not change.
+settings.register_profile(
+    "mutants", phases=[phase for phase in Phase if phase not in (Phase.shrink, Phase.explain)])
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODEL_FILE = REPO_ROOT / "src" / "avmkit" / "models" / "antivirus.avm"

@@ -4,11 +4,14 @@ tests it names must catch that break.
 For each row the script copies `src/`, `tests/` and `pyproject.toml` into a
 temporary directory, replaces the row's snippet (which must occur exactly
 once in its file) and runs `pytest -x -q -p no:cacheprovider <selector>` on
-the copy, with Hypothesis seeded so that every run draws the same examples.
-The unedited copy is run first on every selector, so a mutant counts as
-caught only where the same tests pass without it. The rows then run
-`WORKERS` at a time, each in its own copy and pytest process, and their
-verdicts print in row order. Standard library only; run from anywhere:
+the copy once per selector the row lists: the row is caught only when every
+one of them fails. Hypothesis is seeded, so that every run draws the same
+examples, and runs under the `mutants` profile of `tests/conftest.py`, which
+reports a failing example without shrinking it. The unedited copy is run
+first on every selector, so a mutant counts as caught only where the same
+tests pass without it. The rows then run `WORKERS` at a time, each in its
+own copy, and their verdicts print in row order. Standard library only; run
+from anywhere:
 
     python3 tests/mutants.py
 
@@ -329,11 +332,42 @@ MUTANTS = (
          "test_document_equality_and_repr_ignore_source_positions",),
     ),
     Mutant(
-        "a state position looked up places the token after the state",
+        "a name's spot taken at the token after it",
         "dsl.py",
-        "{state: starts[spot] for state, spot in kept.items()}",
-        "{state: starts[spot + 1] for state, spot in kept.items()}",
+        "return self.values[k], self.starts[k]",
+        "return self.values[k], self.starts[k + 1]",
         ("tests/test_dsl.py::TestLazyPositions::test_equals_the_placed_dict_on_the_corpus",),
+    ),
+    Mutant(
+        "a step token starts at its label",
+        "ctl.py",
+        "add_start(m.start(DASH))",
+        "add_start(m.start(5))",
+        ("tests/test_ctl.py::TestLexerReference",
+         "tests/test_dsl.py::TestSteps::test_malformed_edge_reported_at_its_token"),
+    ),
+    Mutant(
+        "a step's target offset taken from its label",
+        "ctl.py",
+        "add_value((m[5], m[STEP], m.start(STEP)))",
+        "add_value((m[5], m[STEP], m.start(5)))",
+        ("tests/test_ctl.py::TestLexerReference",
+         "tests/test_dsl.py::TestSteps::test_spaced_steps_read_as_the_rendered_ones"),
+    ),
+    Mutant(
+        "a step from a spec line into the next is not rescanned",
+        "ctl.py",
+        "if self.kinds[k - 1] == STEP and self.values[k - 1][2] > end:",
+        "if False:",
+        ("tests/test_dsl.py::TestErrorOrder::"
+         "test_spec_line_ending_in_a_step_leaves_the_next_line",),
+    ),
+    Mutant(
+        "the final run does not stop before a step",
+        "dsl.py",
+        "kinds[end + 1] != STEP and ",
+        "",
+        ("tests/test_dsl.py::TestSteps::test_final_run_stops_before_an_edge",),
     ),
     Mutant(
         "state positions claim to hold every name",
@@ -413,8 +447,8 @@ MUTANTS = (
     Mutant(
         "take_rest_of_line leaves that line's tokens unconsumed",
         "ctl.py",
-        "self.i = bisect_left(self.starts, end, self.i)",
-        "pass",
+        "        self.i = k\n",
+        "        pass\n",
         ("tests/test_dsl.py::TestErrorOrder::"
          "test_spec_line_with_ctl_marks_leaves_later_statements",),
     ),
@@ -433,6 +467,13 @@ MUTANTS = (
         'ctl.AG: ("holds", "counterexample")',
         ("tests/test_cli.py::TestOnlyPrintedOutputIsBuilt::test_shown_witnesses_are_computed",),
     ),
+    Mutant(
+        "an AG counterexample ends where its operand holds",
+        "checker.py",
+        'if rule[0] == "fails":',
+        "if False:",
+        ("tests/test_checker.py::TestWitness::test_witness_end_state_satisfies_target",),
+    ),
 )
 
 
@@ -447,7 +488,7 @@ def run_pytest(tree: Path, selector) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *selector],
+         "--hypothesis-seed=0", "--hypothesis-profile=mutants", *selector],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
 
@@ -469,11 +510,13 @@ def run_row(scratch: Path, number: int, mutant: Mutant) -> tuple[str | None, flo
     copy_tree(tree)
     started = time.perf_counter()
     error = apply(tree, mutant)
-    if error is None:
-        code = run_pytest(tree, mutant.selector)
+    for selector in mutant.selector if error is None else ():
+        code = run_pytest(tree, [selector])
         # pytest exits 1 when a test failed; 0 means the mutant survived,
         # anything else is a usage or collection error.
-        error = None if code == 1 else ("survived" if code == 0 else f"pytest exit {code}")
+        if code != 1:
+            error = f"survived {selector}" if code == 0 else f"pytest exit {code} on {selector}"
+            break
     shutil.rmtree(tree)
     return error, time.perf_counter() - started
 

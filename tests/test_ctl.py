@@ -295,21 +295,33 @@ class TestAtoms:
 
 
 # The scanner's pattern with plain, backtracking stars, kept as the reference
-# the lexer must agree with token for token.
+# the lexer must agree with token for token. A comment runs to its line's end
+# (`$`), so no star inside a step can end one early. Where `-` is a mark, a
+# step `- name -> name` is one token, with the value (label, target, target
+# offset), that starts at its `-`.
 def reference_tokens(text, marks, comments):
-    skip = r"(?:[ \t\r\n]|#.*)*" if comments else r"[ \t\r\n]*"
-    stray = r"[^ \t\r\n#]" if comments else r"[^ \t\r\n]"
-    pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|([A-Za-z_][A-Za-z0-9_]*)|({stray})|\\Z)"
+    skip = r"(?:[ \t\r\n]|#.*$)*" if comments else r"[ \t\r\n]*"
+    not_stray = r" \t\r\n#" if comments else r" \t\r\n"
+    name = "[A-Za-z_][A-Za-z0-9_]*"
+    step = ""
+    if "-" in marks:
+        marks = [mark for mark in marks if mark != "-"]
+        not_stray += "-"
+        step = f"|(-)(?:{skip}({name}){skip}->{skip}({name}))?"
+    pattern = f"{skip}(?:({'|'.join(map(re.escape, marks))})|({name})|([^{not_stray}])|\\Z{step})"
     tokens = []
-    for m in re.finditer(pattern, text):
+    for m in re.finditer(pattern, text, re.MULTILINE):
         if m.lastindex is None:
             break
-        tokens.append((m.lastindex, m[m.lastindex], m.start(m.lastindex)))
+        if m.lastindex == 6:
+            tokens.append((6, (m[5], m[6], m.start(6)), m.start(4)))
+        else:
+            tokens.append((m.lastindex, m[m.lastindex], m.start(m.lastindex)))
     return tokens
 
 
 _PIECES = (" ", "\t", "\n", "\r", "\r\n", "#", "\x0b", "a", "Z", "q7", "0", "9", "_", "é",
-           *_CTL_MARKS, *_DOC_MARKS, "=", ">")
+           *_CTL_MARKS, *_DOC_MARKS, "=", ">", " - a -> ")
 
 
 class TestLexerReference:
@@ -317,6 +329,10 @@ class TestLexerReference:
     @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
            st.sampled_from([_CTL_MARKS, _DOC_MARKS]), st.booleans())
     @example("a # b -> c\r\n d", _DOC_MARKS, True)
+    @example("a - # c -> d\n l # e\r\n -> # f\n b", _DOC_MARKS, True)
+    @example("a -\r\n l\r\n->\r\n b", _DOC_MARKS, True)
+    @example("a - l # -> b", _DOC_MARKS, True)
+    @example("a - l -> b", _CTL_MARKS, False)
     def test_tokens_and_starts_match_the_reference(self, text, marks, comments):
         lexer = Lexer(text, marks, CtlSyntaxError, comments=comments)
         assert list(zip(lexer.kinds, lexer.values, lexer.starts))[:-5] == \

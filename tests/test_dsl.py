@@ -13,6 +13,7 @@ from avmkit.coupled import (
 from avmkit.ctl import CtlSyntaxError, parse_ctl
 from avmkit.dsl import (
     _DOC_MARKS,
+    _STATEMENT,
     ModelDocument,
     ModelSyntaxError,
     PropertySpec,
@@ -244,6 +245,23 @@ class TestErrorOrder:
         assert [(p.name, str(p.formula)) for p in doc.properties] == [
             ("p", "!(E [ at(C) U at(C) ] & true) | false"), ("q", "EF at(C)")]
 
+    # A spec line that ends inside a path step: the step's parts on the next
+    # line are read as the statements there, not taken with the formula.
+    @pytest.mark.parametrize("tail, after, column", [
+        ("-", " go -> Q", 2),
+        (" - # c", " go -> Q", 2),
+        (" - go", " -> Q", 2),
+        (" -", "go -> Q", 1),
+        (" - go ->", " Q", 2),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_spec_line_ending_in_a_step_leaves_the_next_line(self, tail, after, column, newline):
+        text = MINIMAL + f"spec z on control: EF at(C){tail}\n{after}\n"
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(text.replace("\n", newline))
+        assert err.value.detail == _STATEMENT
+        assert tuple(err.value.position) == (12, column)
+
     def test_final_comment_without_newline(self):
         # Scanned as text, the comment would exempt a mapped state.
         doc = parse_model(MINIMAL + "# exempt C")
@@ -253,6 +271,7 @@ class TestErrorOrder:
         ("bogus }", "expected 'control:', 'preventive:', or '}'", 23),
         ("bogus $ }", "unexpected character '$'", 29),
         ("control { }", "expected 'control:', 'preventive:', or '}'", 23),
+        ("- l -> x $ }", "expected 'control:', 'preventive:', or '}'", 23),
     ])
     def test_approach_section_head_is_read_as_a_pair(self, body, message, column):
         with pytest.raises(ModelSyntaxError) as err:
@@ -285,6 +304,11 @@ class TestMapStatements:
         ("map C => P, Q - go - Q", "expected '->'", (10, 20)),
         ("map C => P - go ->", "expected a target state", (11, 1)),
         ("map C => P - go -> Q, R - x -> $", "unexpected character '$'", (10, 32)),
+        ("map C => P - - go -> Q", "expected a transition label", (10, 14)),
+        ("map C => P - go - > Q", "expected '->'", (10, 17)),
+        ("map C => P - 1go -> Q", "unexpected character '1'", (10, 14)),
+        ("map C => P, P - go -> # Q\n", "expected a target state", (12, 1)),
+        ("map C => P -> Q", _STATEMENT, (10, 12)),
         ("map C => P Q", "expected 'behavior', 'approach', 'map', 'exempt', or 'spec'", (10, 12)),
     ])
     def test_fault_reported_at_its_token(self, replacement, message, position):
@@ -311,6 +335,61 @@ class TestIdentifierTest:
     @given(st.lists(st.text(max_size=4)))
     def test_a_set_passes_when_every_name_does(self, texts):
         assert all_identifiers(texts) == all(NAME_RE.fullmatch(text) for text in texts)
+
+
+# What may stand between a step's parts: blanks, line ends and comments.
+_GAPS = (" ", "\t", "\n", "\r\n", " # c -> x\n", "#-\r\n")
+
+
+class TestSteps:
+    """A path step, ``- label -> target``, is one token, whatever stands
+    between its parts; a step that does not fit is reported at the token at
+    fault, as reading it token by token would."""
+
+    @pytest.mark.parametrize("edge, message, position", [
+        ("P - go ->\n}", "expected a target state", (5, 1)),
+        ("P - - go -> Q", "expected a transition label", (4, 7)),
+        ("P -> Q", "expected '-'", (4, 5)),
+        ("P - go - > Q", "expected '->'", (4, 10)),
+        ("P - go - x -> Q", "expected '->'", (4, 10)),
+        ("P - 1go -> Q", "unexpected character '1'", (4, 7)),
+        ("P - go -> 1Q", "unexpected character '1'", (4, 13)),
+        ("P - go # -> Q\n}", "expected '->'", (5, 1)),
+    ])
+    def test_malformed_edge_reported_at_its_token(self, edge, message, position):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL.replace("P - go -> Q", edge))
+        assert err.value.detail == message
+        assert tuple(err.value.position) == position
+
+    def test_final_run_stops_before_an_edge(self):
+        doc = parse_model(MINIMAL.replace("P - go -> Q", "final P Q - go -> P"))
+        assert doc.coupled.preventive.finals == {"P"}
+        assert doc.coupled.preventive.transitions == (("Q", "go", "P"),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_spaced_steps_read_as_the_rendered_ones(self, seed):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        specs = tuple(PropertySpec(f"p{i}", "control", random_formula(rng, model.control.states, 3))
+                      for i in range(2))
+        text = render_model(ModelDocument(model, specs))
+
+        def gap():
+            return "".join(rng.choice(_GAPS) for _ in range(rng.randint(0, 2)))
+
+        def space(step):
+            return f"{gap()}-{gap()}{step[1]}{gap()}->{gap()}"
+
+        statements, formulas = text.split("\nspec ", 1)
+        spaced = re.sub(r" - (\w+) -> ", space, statements) + "\nspec " + formulas
+        doc = parse_model(spaced)
+        assert doc == parse_model(text)
+        for state, (line, column) in doc.source_positions.items():
+            assert re.match(rf"{state}\b", spaced.split("\n")[line - 1][column - 1:])
 
 
 _TOKEN = re.compile(r"->|=>|[{}:,-]|\w+")
