@@ -2,10 +2,11 @@
 
 Behaviors convert to Kripke structures by erasing transition labels and
 totalizing dead-end states with self-loops. A structure numbers its states
-once, in sorted order, and holds successors, predecessors and atom labels as
-sorted tuples of those numbers; both engines, the witness search and the SMV
-export read that one index, and sorted numbers are sorted names. Formulas
-are checked two ways, and both return the exact satisfying state set:
+once, in sorted order, and holds successors, predecessors and in(...) atoms'
+members as sorted tuples of those numbers; a name's number answers at(name).
+Both engines, the witness search and the SMV export read that one index,
+and sorted numbers are sorted names; other views are built on first read.
+Formulas are checked two ways, and both return the exact satisfying state set:
 
 - the explicit engine (the oracle) labels states in time linear in the
   structure, as in Clarke, Emerson and Sistla, on sets of state numbers: EX
@@ -58,15 +59,16 @@ class KripkeStructure:
     - `succ[i]` and `pred[i]` are state i's successors and predecessors as
       sorted int tuples, totalizing self-loops included (`pred` is built on
       first use: only the explicit engine reads it);
-    - `atoms` maps each atom to the sorted int tuple of the states it
-      labels; an atom that labels no state is absent.
+    - `members(prop)` is the sorted int tuple of the states an atom labels:
+      `index` answers at(s), and only the in(...) atoms are stored.
 
-    Both engines, the witness and the SMV export read this index. The
-    name-keyed views `relation` and `labeling` are derived from it on first
-    use.
+    Both engines, the witness and the SMV export read this index. The views
+    `atoms`, `relation` and `labeling` are derived from it on first read, and
+    `edge_labels` (each edge's smallest label) from the behavior's transitions.
 
-    The constructor takes the structure by name, checks it and numbers it;
-    `to_kripke` numbers a behavior directly and builds the same index.
+    The constructor takes the structure by name, checks it and numbers it,
+    keeping the `edge_labels` it is given; `to_kripke` numbers a behavior
+    directly and builds the same index.
     """
 
     def __init__(self, states, initial: str, relation, labeling,
@@ -99,25 +101,21 @@ class KripkeStructure:
             for i in members:
                 if prop.kind == "at" and names[i] != prop.subject:
                     raise ValueError(f"labeling of {names[i]} holds {prop}")
-        self._build(names, index, initial, [tuple(sorted(ts)) for ts in targets],
-                    {prop: tuple(members) for prop, members in atoms.items()},
-                    totalized, {} if edge_labels is None else edge_labels)
-
-    @classmethod
-    def _numbered(cls, *fields) -> "KripkeStructure":
-        """A structure from an index its caller built and knows to be valid."""
-        k = cls.__new__(cls)
-        k._build(*fields)
-        return k
-
-    def _build(self, states: tuple[str, ...], index: dict[str, int], initial: str,
-               succ, atoms: dict[AtomicProposition, tuple[int, ...]],
-               totalized: frozenset[str], edge_labels: dict[tuple[str, str], str]) -> None:
-        self.__dict__.update(states=states, index=index, initial=initial, succ=tuple(succ),
-                             atoms=atoms, totalized=totalized, edge_labels=edge_labels)
+        self.__dict__.update(
+            states=names, index=index, initial=initial, totalized=totalized,
+            succ=tuple(tuple(sorted(ts)) for ts in targets),
+            _in_atoms={prop: tuple(ms) for prop, ms in atoms.items() if prop.kind == "in"},
+            edge_labels={} if edge_labels is None else edge_labels)
 
     # The fields and the views derived from them must stay one structure.
     __setattr__, __delattr__ = _Frozen.__setattr__, _Frozen.__delattr__
+
+    def members(self, prop: AtomicProposition) -> tuple[int, ...]:
+        """The sorted numbers of the states `prop` labels."""
+        if prop.kind == "at":
+            i = self.index.get(prop.subject)
+            return () if i is None else (i,)
+        return self._in_atoms.get(prop, ())
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
@@ -126,6 +124,11 @@ class KripkeStructure:
             for j in targets:
                 into[j].append(i)  # sources ascend, so each list is sorted
         return tuple(map(tuple, into))
+
+    @cached_property
+    def atoms(self) -> dict[AtomicProposition, tuple[int, ...]]:
+        at = {AtomicProposition("at", s): (i,) for i, s in enumerate(self.states)}
+        return at | self._in_atoms
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -140,6 +143,11 @@ class KripkeStructure:
             for i in members:
                 props[i].append(prop)
         return {s: frozenset(ps) for s, ps in zip(self.states, props)}
+
+    @cached_property
+    def edge_labels(self) -> dict[tuple[str, str], str]:
+        # Descending, so each pair's smallest label is written last.
+        return {(s, t): label for s, label, t in sorted(self._transitions, reverse=True)}
 
     def _names(self, members) -> frozenset[str]:
         states = self.states
@@ -161,28 +169,24 @@ def to_kripke(behavior: Behavior,
     """
     states = tuple(sorted(behavior.states))
     index = {s: i for i, s in enumerate(states)}
-    successor_map = behavior.successor_map
-    succ = []
-    totalized = []
-    edge_labels: dict[tuple[str, str], str] = {}
-    for i, s in enumerate(states):
-        pairs = successor_map[s]  # sorted by label, so the first label of a pair is its smallest
-        if not pairs:
-            totalized.append(s)
-            succ.append((i,))
-            continue
-        for label, t in pairs:
-            edge_labels.setdefault((s, t), label)
-        succ.append(tuple(sorted({index[t] for _, t in pairs})))
+    targets: list[list[int]] = [[] for _ in states]
+    for s, _, t in behavior.transitions:
+        targets[index[s]].append(index[t])
+    # A dead end loops to itself; only a state with several targets is deduplicated and sorted.
+    succ = [(i,) if not ts else tuple(ts) if len(ts) == 1 else tuple(sorted(set(ts)))
+            for i, ts in enumerate(targets)]
 
-    atoms = {AtomicProposition("at", s): (i,) for i, s in enumerate(states)}
+    in_atoms = {}
     for name, members in (approaches or {}).items():
         covered = sorted(index[s] for s in members if s in index)
         if covered:
-            atoms[AtomicProposition("in", name)] = tuple(covered)
+            in_atoms[AtomicProposition("in", name)] = tuple(covered)
 
-    return KripkeStructure._numbered(states, index, behavior.initial, succ, atoms,
-                                     frozenset(totalized), edge_labels)
+    k = KripkeStructure.__new__(KripkeStructure)  # a behavior is valid: skip the checks
+    k.__dict__.update(states=states, index=index, initial=behavior.initial, succ=tuple(succ),
+                      totalized=frozenset([states[i] for i, ts in enumerate(targets) if not ts]),
+                      _in_atoms=in_atoms, _transitions=behavior.transitions)
+    return k
 
 
 def _validate_atoms(k: KripkeStructure, formula: CtlFormula) -> None:
@@ -239,7 +243,7 @@ def _sat_explicit(k: KripkeStructure, node: CtlFormula,
     if isinstance(node, ctl.Const):
         return frozenset(range(len(k.states))) if node.value else frozenset()
     if isinstance(node, ctl.Atom):
-        return frozenset(k.atoms.get(node.prop, ()))
+        return frozenset(k.members(node.prop))
     if isinstance(node, ctl.Not):
         return frozenset(range(len(k.states))) - sats[0]
     if isinstance(node, ctl.And):
@@ -269,6 +273,22 @@ def check_explicit(k: KripkeStructure, formula: CtlFormula) -> frozenset[str]:
 # -- symbolic engine -----------------------------------------------------------
 
 
+def _below(mgr: BddManager, n: int, bits: int) -> int:
+    """The codes 0..n-1 over the current-state variables, one node per level
+    at most, last level first. Read from the lowest bit, code < n is decided
+    by the highest bit where the code and n differ: `less` once the bits read
+    are below n's, `rest` otherwise. A level interns only a node the root
+    reaches, so the nodes and their order are `_codes_to_bdd(range(n))`'s."""
+    mk = mgr._mk
+    less, rest = _TRUE, _TRUE if n >> bits else _FALSE
+    for b in reversed(range(bits)):
+        if n >> b & 1:
+            rest = mk(2 * b, less, rest)
+        elif n & ((1 << b) - 1):
+            less = mk(2 * b, less, rest)
+    return rest
+
+
 class _Symbolic:
     """BDD context of one Kripke structure, shared by every formula checked on
     it. Each state's number in the structure's index is binary-encoded over
@@ -286,7 +306,7 @@ class _Symbolic:
         self.bits = bits = max(1, (len(self.states) - 1).bit_length())
         self.mgr = BddManager(2 * bits)
 
-        self.universe = self._set_to_bdd(range(len(self.states)))
+        self.universe = _below(self.mgr, len(self.states), bits)
         # A pair's code holds the source index in its low bits and the target
         # index above them; variable v reads bit v // 2 of the source (v even)
         # or of the target (v odd).
@@ -361,7 +381,7 @@ class _Symbolic:
         if isinstance(node, ctl.Const):
             return self.universe if node.value else _FALSE
         if isinstance(node, ctl.Atom):
-            return self._set_to_bdd(self.k.atoms.get(node.prop, ()))
+            return self._set_to_bdd(self.k.members(node.prop))
         if isinstance(node, ctl.Not):
             # Complement within the valid state codes, never the raw BDD space.
             return conj(self.universe, self.mgr._negate(sats[0]))

@@ -56,11 +56,12 @@ class MappingProcess(_Frozen):
 
 def mapping_process(entries: Mapping[str, Iterable[Path]], exempt=()) -> MappingProcess:
     """Normalize a state -> paths mapping into a canonical MappingProcess."""
-    normalized = tuple(
-        (state, tuple(sorted(set(paths), key=path_order)))
-        for state, paths in sorted(entries.items())
-    )
-    return MappingProcess(entries=normalized, exempt=frozenset(exempt))
+    normalized = []
+    for state, paths in sorted(entries.items()):
+        paths = tuple(paths)  # one path is already canonical
+        normalized.append((state, paths if len(paths) == 1
+                           else tuple(sorted(set(paths), key=path_order))))
+    return MappingProcess(entries=tuple(normalized), exempt=frozenset(exempt))
 
 
 class Approach(NamedTuple):

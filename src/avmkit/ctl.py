@@ -76,8 +76,8 @@ class AtomicProposition(_Frozen):
         return f"{self.kind}({self.subject})"
 
 
-# The slots' own setters, which skip the raising `__setattr__`; a structure
-# builds one atom per state, so the constructor's cost shows.
+# The slots' own setters, which skip the raising `__setattr__`; a structure's
+# `atoms` view builds one atom per state, so the constructor's cost shows.
 _set_kind, _set_subject = AtomicProposition.kind.__set__, AtomicProposition.subject.__set__
 
 

@@ -36,7 +36,7 @@ def to_smv(doc: ModelDocument, target: str) -> str:
     """One MODULE main over a single `state` enum variable, rendered from
     the int index of `checker.to_kripke`'s structure of the target behavior:
     states in their sorted numbering, successors from `succ`, approach
-    members from `atoms`.
+    members from `members`.
 
     Successor sets use SMV set-choice syntax and are the structure's
     successors, so dead ends carry its self-loops. Every state gets an `at_`
@@ -74,7 +74,7 @@ def to_smv(doc: ModelDocument, target: str) -> str:
     for name in ident:
         lines.append(f"  at_{name} := state = {name};")
     for approach_name in APPROACH_NAMES:
-        members = k.atoms.get(ctl.AtomicProposition("in", approach_name), ())
+        members = k.members(ctl.AtomicProposition("in", approach_name))
         expr = " | ".join(f"state = {ident[i]}" for i in members) if members else "FALSE"
         lines.append(f"  in_{approach_name} := {expr};")
 

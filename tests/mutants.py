@@ -474,6 +474,34 @@ MUTANTS = (
         "if False:",
         ("tests/test_checker.py::TestWitness::test_witness_end_state_satisfies_target",),
     ),
+    Mutant(
+        "universe of a power-of-two state count left FALSE",
+        "checker.py",
+        "less, rest = _TRUE, _TRUE if n >> bits else _FALSE",
+        "less, rest = _TRUE, _FALSE",
+        ("tests/test_checker.py::TestUniverse",),
+    ),
+    Mutant(
+        "members answers at(s) from the stored in(...) atoms",
+        "checker.py",
+        'if prop.kind == "at":\n            i = self.index.get(prop.subject)',
+        'if False:\n            i = self.index.get(prop.subject)',
+        ("tests/test_checker.py::TestMembers",),
+    ),
+    Mutant(
+        "edge_labels keeps each pair's largest label",
+        "checker.py",
+        "sorted(self._transitions, reverse=True)",
+        "sorted(self._transitions)",
+        ("tests/test_checker.py::TestToKripke::test_edge_labels_keep_each_pairs_smallest_label",),
+    ),
+    Mutant(
+        "to_kripke keeps repeated successors of a multi-target state",
+        "checker.py",
+        "tuple(sorted(set(ts)))",
+        "tuple(sorted(ts))",
+        ("tests/test_checker.py::TestToKripke::test_labels_erased_once",),
+    ),
 )
 
 

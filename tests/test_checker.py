@@ -7,16 +7,17 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import avmkit.checker
-from avmkit.bdd import _TRUE
+from avmkit.bdd import _TRUE, BddManager
 from avmkit.checker import (
     WITNESSES,
     KripkeStructure,
     UnknownAtomError,
     _Symbolic,
+    _below,
     _eg,
     _eu,
     _pre,
@@ -27,7 +28,7 @@ from avmkit.checker import (
 )
 from avmkit.coupled import APPROACH_NAMES
 from avmkit.ctl import AG, AU, EF, EX, And, Atom, AtomicProposition, fold, parse_ctl
-from avmkit.lts import build_behavior
+from avmkit.lts import Behavior, build_behavior
 
 from generators import (
     complete_kripke,
@@ -81,7 +82,25 @@ class TestToKripke:
                            [("A", "x", "B"), ("A", "y", "B"), ("B", "x", "A")])
         k = to_kripke(b)
         assert k.relation == frozenset({("A", "B"), ("B", "A")})
+        assert k.succ == ((1,), (0,))  # parallel edges are one successor
         assert k.edge_labels[("A", "B")] == "x"  # smallest label represents the pair
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_edge_labels_keep_each_pairs_smallest_label(self, seed):
+        # Transitions in a random order, with parallel edges under different
+        # labels: the labels are read off them on first use.
+        rng = Random(seed)
+        b = random_behavior(rng)
+        transitions = list(b.transitions)
+        rng.shuffle(transitions)
+        pairs = [(s, t) for s, _, t in transitions]
+        assume(len(set(pairs)) < len(pairs))
+        k = to_kripke(Behavior(b.states, b.initial, b.labels, tuple(transitions), b.finals))
+        assert "edge_labels" not in vars(k)
+        assert k.edge_labels == {
+            pair: min(label for s, label, t in transitions if (s, t) == pair)
+            for pair in pairs}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -168,6 +187,17 @@ class TestAtomStates:
             assert prop not in k.atoms
             formula = Atom(prop)
             assert check_explicit(k, formula) == check_symbolic(k, formula) == frozenset()
+
+
+class TestMembers:
+    @settings(max_examples=60, deadline=None)
+    @given(kripkes())
+    def test_members_are_the_atoms_view(self, k):
+        props = [AtomicProposition("at", s) for s in (*k.states, "nowhere")]
+        props += [AtomicProposition("in", name) for name in APPROACH_NAMES]
+        for prop in props:
+            assert k.members(prop) == k.atoms.get(prop, ())
+        assert k.members(AtomicProposition("at", "nowhere")) == ()
 
 
 class TestExplicit:
@@ -395,6 +425,22 @@ print(hashlib.sha256(repr((mgr._var, mgr._low, mgr._high)).encode()).hexdigest()
         ]
         assert len(digests[0].strip()) == 64
         assert digests[0] == digests[1]
+
+
+class TestUniverse:
+    def test_direct_build_interns_the_bottom_up_nodes(self):
+        # Every n from 1 to 1100, every power of two up to 1024 among them:
+        # on fresh managers, the direct build leaves the table and root of
+        # the general build of range(n), node for node.
+        for n in range(1, 1101):
+            bits = max(1, (n - 1).bit_length())
+            direct = BddManager(2 * bits)
+            root = _below(direct, n, bits)
+            context = _Symbolic.__new__(_Symbolic)
+            context.mgr, context.bits = BddManager(2 * bits), bits
+            built = context._set_to_bdd(range(n))
+            assert (root, direct._var, direct._low, direct._high) == \
+                (built, context.mgr._var, context.mgr._low, context.mgr._high), n
 
 
 class TestDecode:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import avmkit.cli
 from avmkit import ctl
+from avmkit.checker import KripkeStructure
 from avmkit.cli import main
 from avmkit.ctl import MAX_NESTING
 from avmkit.dsl import ModelDocument, render_model
@@ -551,6 +552,27 @@ class TestOnlyPrintedOutputIsBuilt:
         assert shown and len(witnesses) == 2
         code, out = run_cli(capsys, "check", BUNDLED)
         assert "  witness: " in out and len(witnesses) == 4
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        """Counts the builds of the structure views the engines do not read."""
+        counts = Counter()
+        for name in ("atoms", "labeling", "edge_labels"):
+            view = vars(KripkeStructure)[name]
+            monkeypatch.setattr(view, "func", lambda k, name=name, build=view.func:
+                                counts.update([name]) or build(k))
+        return counts
+
+    def test_quiet_check_builds_no_view(self, capsys, tmp_path, views):
+        code, out = run_cli(capsys, "--quiet", "check", chain_document(tmp_path))
+        assert code == 0
+        assert views == Counter()
+
+    def test_shown_witnesses_build_edge_labels_once(self, capsys, tmp_path, views):
+        code, out = run_cli(capsys, "check", chain_document(tmp_path))
+        assert code == 0
+        assert "  witness: c0000 -go-> " in out and "  counterexample: c0000 -go-> " in out
+        assert views == Counter({"edge_labels": 1})
 
 
 def printed_findings(out):
