@@ -15,9 +15,10 @@ themselves; ``state`` lines are only needed for otherwise unmentioned states.
 The document is scanned once, up front, by the lexer the CTL grammar uses
 (`ctl.Lexer`), with the marks ``-> => { } : , -`` and ``#`` comments; a
 whole path step ``- ID -> ID`` is one token. The statement parsers read
-whole edges (a name and a step), map statements, paths (a name and a run of
-steps) and runs of names off its token lists with index arithmetic; only
-where a token does not fit do they read token by token, to raise at the
+edge runs (the longest run of edges, each a name and a step, taken as list
+slices, their Transitions built in C), map statements, paths (a name and a
+run of steps) and runs of names off its token lists with index arithmetic;
+only where a token does not fit do they read token by token, to raise at the
 token at fault. They keep the text offset where a name stands, its spot: a
 SourcePos is built from one only for a finding or a property's `position`.
 A behavior block's names and edges are then proved valid in bulk
@@ -34,6 +35,7 @@ finding and the statements after it are read as usual.
 """
 
 from collections.abc import Mapping
+from functools import partial
 from typing import NamedTuple
 
 from . import ctl
@@ -60,6 +62,8 @@ from .lts import Behavior, Path, Transition, _Frozen, build_behavior
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
 _DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
+# A Transition from a (source, label, target) tuple, built in C.
+_transition = partial(tuple.__new__, Transition)
 
 
 class ModelSyntaxError(ValueError):
@@ -193,10 +197,12 @@ _SIDES = ("control", "preventive")
 
 class _DocParser:
     """Reads the statements off the lexer's token lists. An edge is a name
-    and a step token, a path a name and a run of them; a whole edge, map
-    statement, path or run of names is read with index arithmetic. Where the
-    tokens do not fit, the `expect_*` calls re-read them to raise at the
-    token at fault."""
+    and a step token, a path a name and a run of them. A behavior block's
+    edge run, the longest run of such pairs, is read at once: its sources,
+    steps and spots are list slices, and its edges keep document order. A
+    map statement, path or run of names is read with index arithmetic too.
+    Where the tokens do not fit, the `expect_*` calls re-read them to raise
+    at the token at fault."""
 
     def __init__(self, text: str):
         self.lx = Lexer(text, _DOC_MARKS, _syntax_error, comments=True)
@@ -249,13 +255,15 @@ class _DocParser:
         sources: list[int] = []
         targets: list[int] = []
         while True:
-            k = lx.i
-            if kinds[k] == NAME and kinds[k + 1] == STEP:
-                label, target, at = values[k + 1]
-                edges.append(Transition(values[k], label, target))
-                sources.append(starts[k])
-                targets.append(at)
-                lx.i = k + 2
+            k = end = lx.i
+            while kinds[end] == NAME and kinds[end + 1] == STEP:
+                end += 2
+            if end > k:  # a run of edges, read at once
+                labels, target_names, spots = zip(*values[k + 1:end:2])
+                edges += map(_transition, zip(values[k:end:2], labels, target_names))
+                sources += starts[k:end:2]
+                targets += spots
+                lx.i = end
                 continue
             if kinds[k] == NAME and kinds[k + 1] == DASH:  # an edge that does not fit
                 self._fail_step(k + 1)

@@ -84,7 +84,9 @@ class Transition(NamedTuple):
 
 
 class Behavior(_Frozen):
-    """An immutable labeled transition system."""
+    """An immutable labeled transition system. `transitions` keeps the order
+    it was given in (a parsed behavior's is document order); equality and
+    hash are over their set, `transition_set`."""
 
     __slots__ = ("states", "initial", "labels", "transitions", "finals", "__dict__")
 
@@ -97,7 +99,7 @@ class Behavior(_Frozen):
         object.__setattr__(self, "finals", finals)
 
     def _key(self) -> tuple:
-        return (self.states, self.initial, self.labels, self.transitions, self.finals)
+        return (self.states, self.initial, self.labels, self.transition_set, self.finals)
 
     @cached_property
     def transition_set(self) -> frozenset[Transition]:
@@ -178,7 +180,9 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
     collection in C show that every transition is a `Transition`, every name
     an identifier, every endpoint a state, every label declared and no
     transition repeated, and only a check that fails walks its items one by
-    one, in order, to convert them or to make the findings."""
+    one, in order, to convert them or to make the findings. The behavior
+    keeps the transitions in the order given; it equals and hashes as one
+    built from them in any other order."""
     states = frozenset(states)
     labels = frozenset(labels)
     finals = frozenset(finals)
@@ -223,7 +227,7 @@ def build_behavior(states, initial, labels, transitions, finals=(), positions=No
             seen.add(t)
     if findings:
         raise ModelValidationError(findings)
-    return Behavior(states, initial, labels, tuple(sorted(transitions)), finals)
+    return Behavior(states, initial, labels, tuple(transitions), finals)
 
 
 def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list[Path]:

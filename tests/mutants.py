@@ -370,6 +370,42 @@ MUTANTS = (
         ("tests/test_dsl.py::TestSteps::test_final_run_stops_before_an_edge",),
     ),
     Mutant(
+        "edge run stops one pair early",
+        "dsl.py",
+        "zip(values[k:end:2], labels, target_names)",
+        "zip(values[k:end - 2:2], labels, target_names)",
+        ("tests/test_dsl.py::TestEdgeRuns::test_recorded_outcome",),
+    ),
+    Mutant(
+        "run spots taken from the step token",
+        "dsl.py",
+        "sources += starts[k:end:2]",
+        "sources += starts[k + 1:end:2]",
+        ("tests/test_dsl.py::TestEdgeRuns::test_recorded_outcome",),
+    ),
+    Mutant(
+        "behavior equality ignores transitions",
+        "lts.py",
+        "return (self.states, self.initial, self.labels, self.transition_set, self.finals)",
+        "return (self.states, self.initial, self.labels, self.finals)",
+        ("tests/test_lts.py::TestBehaviorIdentity",),
+    ),
+    Mutant(
+        "behavior hash ignores transitions",
+        "lts.py",
+        "return hash(self._key())",
+        "return hash(self._key()[:3] + self._key()[4:])",
+        ("tests/test_lts.py::TestBehaviorIdentity",),
+    ),
+    Mutant(
+        "behavior identity depends on the order of its transitions",
+        "lts.py",
+        "self.labels, self.transition_set, self.finals)",
+        "self.labels, self.transitions, self.finals)",
+        ("tests/test_lts.py::TestBehaviorIdentity",
+         "tests/test_cli.py::TestLineOrder::test_shuffled_lines_give_the_same_output"),
+    ),
+    Mutant(
         "state positions claim to hold every name",
         "dsl.py",
         "return state in self._offsets",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,11 +19,13 @@ from avmkit import ctl
 from avmkit.checker import KripkeStructure
 from avmkit.cli import main
 from avmkit.ctl import MAX_NESTING
-from avmkit.dsl import ModelDocument, render_model
+from avmkit.coupled import mapping_process
+from avmkit.dsl import ModelDocument, PropertySpec, parse_model, render_model
+from avmkit.lts import build_behavior
 from avmkit.report import CheckReport, Finding, SourcePos
 
 from conftest import CORPUS_DIR, MODEL_FILE
-from generators import random_coupled_model
+from generators import naive_build_behavior, random_coupled_model, random_formula
 
 BUNDLED = str(MODEL_FILE)
 DOCUMENTS = [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm"))]
@@ -618,6 +621,82 @@ class TestTextStructuredParity:
                     for r in records if r["severity"] in shown]
                 assert code == structured_code
                 assert printed_findings(text) == expected
+
+
+def shuffled_lines(text, rng):
+    """`text` with the edge lines of each behavior block, and the map lines,
+    shuffled among themselves; and, for each line of the result, the number
+    of the line of `text` it came from."""
+    lines = text.split("\n")
+    groups: dict[object, list[int]] = {}
+    block = None
+    for at, line in enumerate(lines):
+        if line.startswith("behavior "):
+            block = line
+        elif line == "}":
+            block = None
+        elif line.startswith("map ") or (block and " -> " in line):
+            groups.setdefault(block or "map", []).append(at)
+    origin = list(range(len(lines)))
+    for places in groups.values():
+        moved = places[:]
+        rng.shuffle(moved)
+        for at, source in zip(places, moved):
+            origin[at] = source
+    return "\n".join(lines[source] for source in origin), [source + 1 for source in origin]
+
+
+class TestLineOrder:
+    """The order of a document's edge lines and map lines changes no output:
+    a behavior keeps its edges in document order, but equals, hashes and
+    reports as the behavior of any order. A validate finding placed at a map
+    statement moves with its line, and only so."""
+
+    COMMANDS = [
+        ("validate",), ("validate", "--no-sync"), ("info",),
+        *[("check", "--engine", engine) for engine in ("explicit", "symbolic", "both")],
+        ("paths", "--behavior", "control", "--from", "C0", "--to", "C1"),
+        ("paths", "--behavior", "preventive", "--from", "P0", "--to", "P1"),
+        *[("export", "--format", kind, "--target", target)
+          for kind in ("smv", "dot") for target in ("control", "preventive")],
+    ]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_lines_give_the_same_output(self, tmp_path, seed):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        specs = tuple(PropertySpec(f"p{i}", "control", random_formula(rng, model.control.states, 3))
+                      for i in range(3))
+        text = render_model(ModelDocument(model, specs))
+        shuffled, origin = shuffled_lines(text, rng)
+        assert shuffled != text
+
+        def unshuffle(out):  # a printed line number, read as the unshuffled line's
+            return re.sub(r'\bline(\W+)(\d+)', lambda m: f"line{m[1]}{origin[int(m[2]) - 1]}", out)
+
+        path = tmp_path / "model.avm"
+        outputs = []
+        for document in (text, shuffled):
+            path.write_text(document, encoding="utf-8")
+            outputs.append([call([*style, *command[:1], str(path), *command[1:]])
+                            for command in self.COMMANDS
+                            for style in ((), ("--format", "structured"))])
+        assert [(code, unshuffle(out)) for code, out in outputs[1]] == outputs[0]
+
+        before, after = parse_model(text), parse_model(shuffled)
+        assert after == before and hash(after) == hash(before)
+        for kind in ("preventive", "control"):
+            behavior = after.coupled.behavior(kind)
+            assert behavior == before.coupled.behavior(kind)
+            assert hash(behavior) == hash(before.coupled.behavior(kind))
+            block = shuffled.split(f"behavior {kind} {{\n")[1].split("\n}")[0]
+            edges = [tuple(re.fullmatch(r"\s*(\w+) - (\w+) -> (\w+)", line).groups())
+                     for line in block.split("\n") if " -> " in line]
+            assert behavior.transitions == tuple(edges)
+            args = (behavior.states, behavior.initial, behavior.labels, edges, behavior.finals)
+            assert build_behavior(*args) == naive_build_behavior(*args) == behavior
 
 
 class TestPaths:

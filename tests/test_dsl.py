@@ -14,6 +14,7 @@ from avmkit.ctl import CtlSyntaxError, parse_ctl
 from avmkit.dsl import (
     _DOC_MARKS,
     _STATEMENT,
+    _DocParser,
     ModelDocument,
     ModelSyntaxError,
     PropertySpec,
@@ -390,6 +391,240 @@ class TestSteps:
         assert doc == parse_model(text)
         for state, (line, column) in doc.source_positions.items():
             assert re.match(rf"{state}\b", spaced.split("\n")[line - 1][column - 1:])
+
+
+# Edge runs, whole and cut short: by a malformed step, a declaration, a
+# comment or line break inside a step, or a spec line whose trailing step is
+# split, before a behavior block, by `take_rest_of_line`. The expected values
+# were recorded from the reader that took one edge at a time: each block's
+# edges in document order with their sources' and targets' places, and the
+# syntax error, the findings or every state's position.
+_RUN_BASE = """behavior preventive {
+  initial P
+  P - go -> Q
+  Q - go -> R
+  R - back -> P
+}
+behavior control {
+  initial C
+  final D
+  C - a -> D
+  D - b -> C
+}
+map C => P
+map D => P - go -> Q
+"""
+
+_RUN_CASES = {
+    "whole_runs": _RUN_BASE,
+    "label_without_arrow": _RUN_BASE.replace("Q - go -> R", "Q - x"),
+    "arrow_without_label": _RUN_BASE.replace("Q - go -> R", "Q - -> R"),
+    "dash_then_broken_arrow": _RUN_BASE.replace("R - back -> P", "R - back - > P"),
+    "state_line_in_run": _RUN_BASE.replace("  Q - go -> R\n",
+                                           "  Q - go -> R\n  state S\n  T - go -> S\n"),
+    "final_line_in_run": _RUN_BASE.replace("  final D\n  C - a -> D\n",
+                                           "  C - a -> D\n  final D\n"),
+    "initial_line_in_run": _RUN_BASE.replace("  Q - go -> R\n", "  Q - go -> R\n  initial R\n"),
+    "comment_in_step": _RUN_BASE.replace("Q - go -> R", "Q - go # c -> x\n     -> R"),
+    "line_break_in_step": _RUN_BASE.replace("Q - go -> R", "Q -\n go\n -> R"),
+    "repeated_edge_in_run": _RUN_BASE.replace("  R - back -> P\n",
+                                              "  R - back -> P\n  Q - go -> R\n"),
+    "spec_line_split_before_block": "spec z on control: EF at(C) - go ->\n" + _RUN_BASE,
+    "spec_line_split_comment_before_block":
+        "spec z on control: EF at(C) - go -> # c\n\n" + _RUN_BASE,
+}
+
+_RUN_OUTCOMES = {
+    "whole_runs": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (4, 13)),
+                ("R", "back", "P", (5, 3), (5, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (10, 3), (10, 12)),
+                ("D", "b", "C", (11, 3), (11, 12)),
+            ],
+        },
+        "positions": {
+            "C": (13, 5), "D": (14, 5), "P": (2, 11), "Q": (3, 13), "R": (4, 13),
+        },
+    },
+    "label_without_arrow": {
+        "syntax": ("expected '->'", (5, 3)),
+    },
+    "arrow_without_label": {
+        "syntax": ('expected a transition label', (4, 7)),
+    },
+    "dash_then_broken_arrow": {
+        "syntax": ("expected '->'", (5, 12)),
+    },
+    "state_line_in_run": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (4, 13)),
+                ("T", "go", "S", (6, 3), (6, 13)),
+                ("R", "back", "P", (7, 3), (7, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (12, 3), (12, 12)),
+                ("D", "b", "C", (13, 3), (13, 12)),
+            ],
+        },
+        "positions": {
+            "C": (15, 5), "D": (16, 5), "P": (2, 11), "Q": (3, 13), "R": (4, 13), "S": (5, 9),
+            "T": (6, 3),
+        },
+    },
+    "final_line_in_run": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (4, 13)),
+                ("R", "back", "P", (5, 3), (5, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (9, 3), (9, 12)),
+                ("D", "b", "C", (11, 3), (11, 12)),
+            ],
+        },
+        "positions": {
+            "C": (13, 5), "D": (14, 5), "P": (2, 11), "Q": (3, 13), "R": (4, 13),
+        },
+    },
+    "initial_line_in_run": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (4, 13)),
+                ("R", "back", "P", (6, 3), (6, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (11, 3), (11, 12)),
+                ("D", "b", "C", (12, 3), (12, 12)),
+            ],
+        },
+        "findings": [
+            "[error] duplicate-initial R: behavior block declares more than one initial state"
+            " (line 5, col 11)",
+        ],
+    },
+    "comment_in_step": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (5, 9)),
+                ("R", "back", "P", (6, 3), (6, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (11, 3), (11, 12)),
+                ("D", "b", "C", (12, 3), (12, 12)),
+            ],
+        },
+        "positions": {
+            "C": (14, 5), "D": (15, 5), "P": (2, 11), "Q": (3, 13), "R": (5, 9),
+        },
+    },
+    "line_break_in_step": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (6, 5)),
+                ("R", "back", "P", (7, 3), (7, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (12, 3), (12, 12)),
+                ("D", "b", "C", (13, 3), (13, 12)),
+            ],
+        },
+        "positions": {
+            "C": (15, 5), "D": (16, 5), "P": (2, 11), "Q": (3, 13), "R": (6, 5),
+        },
+    },
+    "repeated_edge_in_run": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (3, 3), (3, 13)),
+                ("Q", "go", "R", (4, 3), (4, 13)),
+                ("R", "back", "P", (5, 3), (5, 15)),
+                ("Q", "go", "R", (6, 3), (6, 13)),
+            ],
+            "control": [
+                ("C", "a", "D", (11, 3), (11, 12)),
+                ("D", "b", "C", (12, 3), (12, 12)),
+            ],
+        },
+        "findings": [
+            "[error] duplicate-transition Q -go-> R: transition appears more than once"
+            " (line 6, col 3)",
+        ],
+    },
+    "spec_line_split_before_block": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (4, 3), (4, 13)),
+                ("Q", "go", "R", (5, 3), (5, 13)),
+                ("R", "back", "P", (6, 3), (6, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (11, 3), (11, 12)),
+                ("D", "b", "C", (12, 3), (12, 12)),
+            ],
+        },
+        "findings": [
+            "[error] ctl-syntax z: unexpected character '-' (line 1, col 29)",
+        ],
+    },
+    "spec_line_split_comment_before_block": {
+        "edges": {
+            "preventive": [
+                ("P", "go", "Q", (5, 3), (5, 13)),
+                ("Q", "go", "R", (6, 3), (6, 13)),
+                ("R", "back", "P", (7, 3), (7, 15)),
+            ],
+            "control": [
+                ("C", "a", "D", (12, 3), (12, 12)),
+                ("D", "b", "C", (13, 3), (13, 12)),
+            ],
+        },
+        "findings": [
+            "[error] ctl-syntax z: unexpected character '-' (line 1, col 29)",
+        ],
+    },
+}
+
+
+def read_edges(text):
+    """The reader's outcome on `text`, in the recorded values' form."""
+    parser = _DocParser(text)
+    try:
+        parser.parse()
+    except ModelSyntaxError as exc:
+        return {"syntax": (exc.detail, tuple(exc.position))}
+    place = parser.lx.locate
+    edges = {kind: [(*edge, tuple(place(source)), tuple(place(target)))
+                    for edge, source, target in zip(raw.edges, raw.edge_positions,
+                                                    raw.target_positions, strict=True)]
+             for kind, raw in parser.behaviors.items()}
+    try:
+        doc = parse_model(text)
+    except ModelValidationError as exc:
+        return {"edges": edges, "findings": [f.format() for f in exc.findings]}
+    return {"edges": edges,
+            "positions": {state: tuple(doc.source_positions[state])
+                          for state in sorted(doc.source_positions)}}
+
+
+class TestEdgeRuns:
+    """A behavior block's edges are read a run at a time; the first token that
+    does not fit an edge is read token by token. Edges, places, errors and
+    findings are those of reading one edge at a time."""
+
+    @pytest.mark.parametrize("case", sorted(_RUN_CASES))
+    def test_recorded_outcome(self, case):
+        assert read_edges(_RUN_CASES[case]) == _RUN_OUTCOMES[case]
 
 
 _TOKEN = re.compile(r"->|=>|[{}:,-]|\w+")

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avmkit.lts import (
+    Behavior,
     Path,
     Transition,
     UnknownStateError,
@@ -124,6 +125,32 @@ class TestBulkChecks:
             transitions = [Transition(*t) for t in transitions]
         assert build_outcome(build_behavior, states, initial, labels, transitions, finals) == \
             build_outcome(naive_build_behavior, states, initial, labels, transitions, finals)
+
+
+class TestBehaviorIdentity:
+    """A behavior keeps its transitions in the order given; its equality and
+    hash are over their set. Any order of the same transitions gives an equal
+    behavior with the same hash, one transition fewer or more an unequal
+    behavior with another hash."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(behaviors(), st.randoms(use_true_random=False))
+    def test_order_kept_identity_over_the_set(self, behavior, rng):
+        order = list(behavior.transitions)
+        rng.shuffle(order)
+        again = build_behavior(behavior.states, behavior.initial, behavior.labels, order,
+                               behavior.finals)
+        assert again.transitions == tuple(order)
+        assert again == behavior and hash(again) == hash(behavior)
+        states, labels = sorted(behavior.states), sorted(behavior.labels)
+        extra = Transition(rng.choice(states), rng.choice(labels), rng.choice(states))
+        changed = [order[:k] + order[k + 1:] for k in range(len(order))]
+        if extra not in order:
+            changed.append([*order, extra])
+        for transitions in changed:
+            other = Behavior(behavior.states, behavior.initial, behavior.labels,
+                             tuple(transitions), behavior.finals)
+            assert other != behavior and hash(other) != hash(behavior)
 
 
 class TestPaths:
