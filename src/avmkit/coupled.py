@@ -11,8 +11,8 @@ from .lts import (
     Path,
     UnknownStateError,
     _Frozen,
+    integer_components,
     path_order,
-    strongly_connected_components,
 )
 from .report import CheckReport, Finding, ModelValidationError
 
@@ -311,55 +311,60 @@ def check_approach_alignment(model: CoupledModel) -> CheckReport:
 _GAP = "gap"
 
 
-def _reach_test(preventive: Behavior, sources: Iterable[str], targets: Iterable[str]):
-    """`reaches(src, dst)`: can the preventive behavior go from src, a state
-    among `sources`, to dst, a state among `targets`, in zero or more
-    transitions? One pass over the condensation of what the sources reach,
-    sinks first, gives each strongly connected component the bit set of
-    target components it reaches. `_link_test` builds it only when a link
-    is neither one state nor one preventive edge."""
-    components = strongly_connected_components(
-        preventive, sorted(s for s in sources if s in preventive.states))
-    component_of = {state: i for i, members in enumerate(components) for state in members}
-    target_bit: dict[int, int] = {}
-    for state in targets:
-        if state in component_of:
-            target_bit.setdefault(component_of[state], 1 << len(target_bit))
-    reach: list[int] = []
+def _numbered(behavior: Behavior) -> tuple[dict[str, int], list[list[int]]]:
+    """(number, successors): the states in set order; per number, its edges' targets."""
+    number = {state: i for i, state in enumerate(behavior.states)}
+    successors: list[list[int]] = [[] for _ in number]
+    for source, _, target in behavior.transitions:
+        successors[number[source]].append(number[target])
+    return number, successors
+
+
+def _reach_test(number, successors, sources: Iterable[str], targets: Iterable[str]):
+    """`reaches(src, dst)`: can the preventive graph, numbered by `_numbered`,
+    go from src, a state among `sources`, to dst, a state among `targets`?
+    `integer_components` runs once on the successor lists; one pass over the
+    condensation, sinks first, gives each component the bit set of target
+    components it reaches. `_link_test` builds it only for a link that is
+    neither one state nor one preventive edge."""
+    components, component_of = integer_components(
+        successors, [number[s] for s in sources if s in number])
+    bit = [0] * len(components)  # per component, its own bit if it holds a target
+    for k, c in enumerate({component_of[number[s]] for s in targets if s in number} - {-1}):
+        bit[c] = 1 << k
+    reach = bit.copy()
     for i, members in enumerate(components):
-        bits = target_bit.get(i, 0)
-        for state in members:
-            for _, nxt in preventive.successor_map[state]:
-                if component_of[nxt] != i:
-                    bits |= reach[component_of[nxt]]
-        reach.append(bits)
+        for v in members:
+            for w in successors[v]:
+                reach[i] |= reach[component_of[w]]
 
     def reaches(src: str, dst: str) -> bool:
-        if src not in component_of:
+        c, d = (component_of[number[s]] if s in number else -1 for s in (src, dst))
+        if c < 0:
             raise UnknownStateError(src)
-        return bool(reach[component_of[src]] & target_bit.get(component_of.get(dst), 0))
+        return d >= 0 and bool(reach[c] & bit[d])
 
     return reaches
 
 
 def _link_test(preventive: Behavior, fragment_sets):
     """`_reach_test`'s `reaches` over the last and first states of the
-    fragments in `fragment_sets`, built on demand. A link whose ends are one
-    state, or one preventive edge apart, is answered on the spot, from a set
-    of the edges built on the first query; only the first link that is
-    neither builds `_reach_test`, which then answers it and every later one."""
-    edges = walks = None
+    fragments in `fragment_sets`, built on demand. The first query numbers the
+    preventive graph; a link whose ends are one state or one edge apart is
+    answered from those successor lists, and only the first link that is
+    neither builds `_reach_test` on them, for it and every later link."""
+    number = successors = walks = None
 
     def reaches(src: str, dst: str) -> bool:
-        nonlocal edges, walks
+        nonlocal number, successors, walks
         if src == dst and src in preventive.states:
             return True
-        if edges is None:
-            edges = {(t.source, t.target) for t in preventive.transitions}
-        if (src, dst) in edges:
+        if number is None:
+            number, successors = _numbered(preventive)
+        if src in number and number.get(dst) in successors[number[src]]:
             return True
         if walks is None:
-            walks = _reach_test(preventive, {f.last for fs in fragment_sets for f in fs},
+            walks = _reach_test(number, successors, {f.last for fs in fragment_sets for f in fs},
                                 {g.first for fs in fragment_sets for g in fs})
         return walks(src, dst)
 
@@ -509,26 +514,25 @@ def _finishing(control: Behavior) -> set[str]:
     return found
 
 
-def _may_gap(control: Behavior, step) -> bool:
+def _may_gap(control: Behavior, step, names, successors) -> bool:
     """Whether some walk over (control state, sync state) pairs from the
-    initial state opens a gap at a state from which a final state is
-    reachable. The pairs are polynomially many, and every simple control path
+    initial state opens a gap at a state from which a final is reachable, on
+    the control graph `successors` with its states `names` by `_numbered`'s
+    numbers. The pairs are polynomially many, and every simple control path
     is such a walk, so False proves that no simple path to a final gaps
     (product reachability, as in Vardi and Wolper's automata-theoretic model
-    checking). On a control graph without cycles every walk is a simple path,
-    and the answer is exact."""
+    checking). Without control cycles every walk is a simple path: exact."""
     finishing = None
-    start = (control.initial, step(None, control.initial)[0])
-    seen = {start}
-    todo = [start]
+    start = (names.index(control.initial), step(None, control.initial)[0])
+    seen, todo = {start}, [start]
     while todo:
         state, sync = todo.pop()
-        for _, nxt in control.successor_map[state]:
-            nxt_sync, gap = step(sync, nxt)
+        for nxt in successors[state]:
+            nxt_sync, gap = step(sync, names[nxt])
             if gap is not None:
                 if finishing is None:
                     finishing = _finishing(control)
-                if nxt in finishing:
+                if names[nxt] in finishing:
                     return True
             elif (nxt, nxt_sync) not in seen:
                 seen.add((nxt, nxt_sync))
@@ -536,43 +540,42 @@ def _may_gap(control: Behavior, step) -> bool:
     return False
 
 
-def _dominated_edges(control: Behavior, components) -> set[tuple[str, str]]:
+def _dominated_edges(successors, components, component_of, names) -> set[tuple[str, str]]:
     """The control edges (source, target) whose target dominates their source:
     every path from the initial state to the source passes through the
     target, so no simple path from the initial state takes such an edge.
-    `components` are the control behavior's strongly connected components
-    from its initial state, sinks first. Such an edge closes a cycle, so only
-    edges inside a component are tested. Dominator sets are bit sets, from
+    `successors` and `names` are the control graph and its states by number,
+    `components` and `component_of` its `integer_components` from the
+    initial state. Such an edge closes a cycle, so only edges inside a
+    component are tested. Dominator sets are bit sets over the numbers, from
     the iterative data-flow solution Dom(n) = {n} | the meet of Dom(p) over
     n's predecessors p, swept in topological order of the components (the
     iterative scheme of Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
-    Algorithm", 2001). On a reducible control graph the edges left form a
-    DAG."""
-    order = [state for members in reversed(components) for state in members]  # initial first
-    number = {state: i for i, state in enumerate(order)}
-    component_of = {state: k for k, members in enumerate(components) for state in members}
-    preds: list[list[int]] = [[] for _ in order]
+    Algorithm", 2001). On a reducible control graph the edges left form a DAG."""
+    order = [v for members in reversed(components) for v in members]  # initial first
+    preds: list[list[int]] = [[] for _ in successors]
     inner = []
-    for i, state in enumerate(order):
-        for _, nxt in control.successor_map[state]:
-            preds[number[nxt]].append(i)
-            if component_of[nxt] == component_of[state]:
-                inner.append((i, number[nxt]))
+    for v in order:
+        for w in successors[v]:
+            preds[w].append(v)
+            if component_of[w] == component_of[v]:
+                inner.append((v, w))
     if not inner:
         return set()
-    everything = (1 << len(order)) - 1
-    dom = [1] + [everything] * (len(order) - 1)
+    everything = (1 << len(successors)) - 1
+    dom = [everything] * len(successors)
+    dom[order[0]] = 1 << order[0]
     changed = True
     while changed:
         changed = False
-        for i in range(1, len(order)):
+        for v in order[1:]:
             meet = everything
-            for p in preds[i]:
-                meet &= dom[p]
-            if dom[i] != meet | 1 << i:
-                dom[i] = meet | 1 << i
+            for u in preds[v]:
+                meet &= dom[u]
+            if dom[v] != meet | 1 << v:
+                dom[v] = meet | 1 << v
                 changed = True
-    return {(order[i], order[j]) for i, j in inner if dom[i] >> j & 1}
+    return {(names[v], names[w]) for v, w in inner if dom[v] >> w & 1}
 
 
 def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> CheckReport:
@@ -593,10 +596,11 @@ def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> C
     walk is written as a recursion whose suspended calls wait on a list, so
     no depth of control path overflows the stack. Each distinct gap is
     reported once, along the first control path that meets it in (labels,
-    states) order, finals in name order. A link between fragments one
-    preventive edge apart, or none, needs no search; any other link is
-    answered from one pass over the preventive condensation, made on the
-    first such link.
+    states) order, finals in name order. Both graphs are read as int
+    successor lists (`_numbered`), and their SCCs come from one Tarjan,
+    `integer_components`. A link one preventive edge long, or none, needs no
+    search; any other is answered from one pass over the preventive
+    condensation, made on the first such link.
 
     With `count_paths` false, a polynomial pass over (control state, sync
     state) pairs runs first on the whole control graph and, if that leaves a
@@ -616,19 +620,22 @@ def check_synchronization(model: CoupledModel, *, count_paths: bool = True) -> C
         )
 
     step = _sync_step(model)
-    if not count_paths and not _may_gap(control, step):
+    number, successors = _numbered(control)
+    names = list(number)
+    if not count_paths and not _may_gap(control, step, names, successors):
         return CheckReport("synchronization", tuple(findings))
-    components = strongly_connected_components(control, [control.initial])
-    dropped = _dominated_edges(control, components)
+    components, component_of = integer_components(successors, [number[control.initial]])
+    dropped = _dominated_edges(successors, components, component_of, names)
     if dropped:  # no simple path takes them: walk the graph without them
         control = Behavior(control.states, control.initial, control.labels,
                            tuple(t for t in control.transitions
                                  if (t.source, t.target) not in dropped), control.finals)
-        if not count_paths and not _may_gap(control, step):
+        successors = _numbered(control)[1]  # the same states, so the same numbers
+        if not count_paths and not _may_gap(control, step, names, successors):
             return CheckReport("synchronization", tuple(findings))
-        components = strongly_connected_components(control, [control.initial])
-    component_of = {state: i for i, members in enumerate(components) for state in members}
-    bit = {state: 1 << j for members in components for j, state in enumerate(members)}
+        components, component_of = integer_components(successors, [number[control.initial]])
+    component_of = dict(zip(names, component_of))
+    bit = {names[v]: 1 << j for members in components for j, v in enumerate(members)}
     seen_gaps: set[tuple] = set()
     checked = 0
     for final in finals:

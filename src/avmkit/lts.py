@@ -5,9 +5,9 @@ label set, a labeled transition relation, and an optional set of declared
 final states. A path is an alternating state/label sequence; a single state
 is a valid degenerate path.
 
-The walks: `enumerate_simple_paths` behind `avm paths`,
-`strongly_connected_components` behind the synchronization check, and
-`find_deadlocks`, which reads the reachable states off those components.
+The walks: `enumerate_simple_paths` behind `avm paths`; Tarjan's
+`integer_components` behind the synchronization check, and by state name
+`strongly_connected_components`, whose components `find_deadlocks` reads.
 """
 
 import re
@@ -107,7 +107,8 @@ class Behavior(_Frozen):
 
     @cached_property
     def successor_map(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Per state, the outgoing (label, target) pairs in sorted order."""
+        """Per state, the outgoing (label, target) pairs in sorted order, for the
+        sync walk, `paths`, `find_deadlocks` and `strongly_connected_components`."""
         out: dict[str, list[tuple[str, str]]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t.source].append((t.label, t.target))
@@ -269,48 +270,50 @@ def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list
     return out
 
 
-def strongly_connected_components(behavior: Behavior, roots) -> list[tuple[str, ...]]:
-    """The strongly connected components of the states reachable from `roots`,
-    by Tarjan's algorithm without recursion. A component is listed after
-    every component it can reach, so the list is a reverse topological order
-    of the condensation."""
-    successor_map = behavior.successor_map
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    out: list[tuple[str, ...]] = []
+def integer_components(successors: list[list[int]], roots) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's strongly connected components, without recursion, of the
+    vertices that `roots` reach in the graph `successors` (v's successors at
+    index v): the components, each listed after every component it reaches,
+    and per vertex its component's place in that list, or -1. A vertex's
+    index is its place on Tarjan's stack, where it stays until its component
+    is complete; it is on the stack while it has an index and no component."""
+    index, low, component = ([-1] * len(successors) for _ in range(3))
+    out: list[list[int]] = []
     for root in roots:
-        if root in index:
+        if index[root] >= 0:
             continue
-        # The depth-first path: each state with the successors it has left.
-        work = [(root, iter(successor_map[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
+        # The depth-first path (each vertex, its successors left) and the stack, empty at a root.
+        work, stack = [(root, iter(successors[root]))], [root]
+        index[root] = low[root] = 0
         while work:
-            state, successors_left = work[-1]
-            for _, nxt in successors_left:
-                if nxt not in index:
-                    work.append((nxt, iter(successor_map[nxt])))
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
+            v, successors_left = work[-1]
+            for w in successors_left:
+                if index[w] < 0:
+                    work.append((w, iter(successors[w])))
+                    index[w] = low[w] = len(stack)
+                    stack.append(w)
                     break
-                if nxt in on_stack and index[nxt] < low[state]:
-                    low[state] = index[nxt]
+                if component[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work and low[state] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[state]
-                if low[state] == index[state]:
-                    start = len(stack) - 1
-                    while stack[start] != state:
-                        start -= 1
-                    out.append(tuple(stack[start:]))
-                    del stack[start:]
-                    on_stack.difference_update(out[-1])
-    return out
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    for w in stack[index[v]:]:
+                        component[w] = len(out)
+                    out.append(stack[index[v]:])
+                    del stack[index[v]:]
+    return out, component
+
+
+def strongly_connected_components(behavior: Behavior, roots) -> list[tuple[str, ...]]:
+    """`integer_components` by state name, successors in `successor_map` order."""
+    names = list(behavior.successor_map)
+    number = {state: i for i, state in enumerate(names)}
+    successors = [[number[t] for _, t in pairs] for pairs in behavior.successor_map.values()]
+    components, _ = integer_components(successors, [number[root] for root in roots])
+    return [tuple(names[v] for v in members) for members in components]
 
 
 def find_deadlocks(behavior: Behavior) -> frozenset[str]:

@@ -1,3 +1,6 @@
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MODEL_FILE = REPO_ROOT / "src" / "avmkit" / "models" / "antivirus.avm"
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 BENCH_CORPUS_DIR = REPO_ROOT / "bench" / "corpus"
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's document generators, `bench/workloads.py`."""
+    path = REPO_ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_text(generator: str, seed: int) -> str:
+    """The first document the benchmark generator `generator` makes at `seed`."""
+    return getattr(bench_workloads(), generator)(seed)[0].text
 
 
 @pytest.fixture(scope="session")

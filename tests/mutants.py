@@ -165,11 +165,18 @@ MUTANTS = (
         ("tests/test_values.py::TestRecords::test_round_trips",),
     ),
     Mutant(
-        "Tarjan low-link taken from states off the stack",
+        "Tarjan low-link taken from vertices off the stack",
         "lts.py",
-        "if nxt in on_stack and index[nxt] < low[state]:",
-        "if index[nxt] < low[state]:",
+        "if component[w] < 0 and index[w] < low[v]:",
+        "if index[w] < low[v]:",
         ("tests/test_lts.py::TestStronglyConnectedComponents",),
+    ),
+    Mutant(
+        "low-link not passed up to the parent frame",
+        "lts.py",
+        "if work and low[v] < low[work[-1][0]]:",
+        "if False:",
+        ("tests/test_lts.py::TestIntegerComponents",),
     ),
     Mutant(
         "mapping equality ignores the exempt states",
@@ -204,14 +211,14 @@ MUTANTS = (
         "sync pass stops exploring at a final",
         "coupled.py",
         "elif (nxt, nxt_sync) not in seen:",
-        "elif nxt not in control.finals and (nxt, nxt_sync) not in seen:",
+        "elif names[nxt] not in control.finals and (nxt, nxt_sync) not in seen:",
         ("tests/test_coupled.py::TestSynchronizationPass::test_walks_on_through_a_final",),
     ),
     Mutant(
         "sync pass drops an edge inside a control SCC whose target does not dominate its source",
         "coupled.py",
-        "for i, j in inner if dom[i] >> j & 1}",
-        "for i, j in inner}",
+        "for v, w in inner if dom[v] >> w & 1}",
+        "for v, w in inner}",
         ("tests/test_coupled.py::TestSynchronizationPass::"
          "test_keeps_an_edge_inside_an_scc_into_a_non_dominator",),
     ),
@@ -225,8 +232,8 @@ MUTANTS = (
     Mutant(
         "sync walk keys its memo by the SCCs of the unreduced control graph",
         "coupled.py",
-        "        components = strongly_connected_components(control, [control.initial])",
-        "        components = strongly_connected_components(model.control, [control.initial])",
+        "        components, component_of = integer_components(successors, [",
+        "        components, component_of = integer_components(_numbered(model.control)[1], [",
         ("tests/test_coupled.py::TestReducedControlGraph::"
          "test_validate_on_a_looped_ladder_steps_linearly",),
     ),
@@ -239,11 +246,33 @@ MUTANTS = (
          "test_validate_on_a_looped_ladder_steps_linearly[text-with-gap]",),
     ),
     Mutant(
-        "sync link test reads a preventive edge backwards",
+        "one-edge link read in the wrong direction",
         "coupled.py",
-        "if (src, dst) in edges:",
-        "if (dst, src) in edges:",
+        "if src in number and number.get(dst) in successors[number[src]]:",
+        "if dst in number and number.get(src) in successors[number[dst]]:",
         ("tests/test_coupled.py::TestLinksOnDemand::test_a_link_follows_an_edge_forward_only",),
+    ),
+    Mutant(
+        "reach bits skip a cross-component edge",
+        "coupled.py",
+        "reach[i] |= reach[component_of[w]]",
+        "reach[i] |= reach[component_of[w]] if component_of[w] == i else 0",
+        ("tests/test_coupled.py::TestReachOracle::test_reach_test_matches_search",),
+    ),
+    Mutant(
+        "`_may_gap` follows only a state's first target",
+        "coupled.py",
+        "for nxt in successors[state]:",
+        "for nxt in successors[state][:1]:",
+        ("tests/test_coupled.py::TestSynchronizationPass::"
+         "test_no_gap_is_sound_and_exact_on_acyclic",),
+    ),
+    Mutant(
+        "dominator sets seeded at number 0, not at the initial state's number",
+        "coupled.py",
+        "dom[order[0]] = 1 << order[0]",
+        "dom[order[0]] = 1",
+        ("tests/test_coupled.py::TestReducedControlGraph",),
     ),
     Mutant(
         "atom subject test takes a non-ASCII identifier for a name",

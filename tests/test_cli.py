@@ -24,7 +24,7 @@ from avmkit.dsl import ModelDocument, PropertySpec, parse_model, render_model
 from avmkit.lts import build_behavior
 from avmkit.report import CheckReport, Finding, SourcePos
 
-from conftest import CORPUS_DIR, MODEL_FILE
+from conftest import CORPUS_DIR, MODEL_FILE, workload_text
 from generators import naive_build_behavior, random_coupled_model, random_formula
 
 BUNDLED = str(MODEL_FILE)
@@ -51,6 +51,17 @@ class TestValidate:
         assert code == 0
         for line in ("mapping: pass", "approaches: pass", "synchronization: pass"):
             assert line in out
+
+    @pytest.mark.parametrize("report_format", ["text", "structured"])
+    def test_byte_identical_across_hash_seeds(self, tmp_path, report_format):
+        # The sync check numbers states in set order; its answers, and so
+        # the report, must not depend on that order.
+        document = tmp_path / "random_wide.avm"
+        document.write_text(workload_text("random_wide", 1), encoding="utf-8")
+        first, second = (run_subprocess("--format", report_format, "validate", str(document),
+                                        hash_seed=seed) for seed in ("0", "1"))
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout and "synchronization" in first.stdout
 
     def test_missing_file_exits_two(self, capsys):
         code, out = run_cli(capsys, "validate", "no_such_file.avm")

@@ -25,10 +25,10 @@ from avmkit.coupled import (
     model_occurrences,
 )
 from avmkit.dsl import ModelDocument, parse_model, render_model
-from avmkit.lts import Path, Transition, build_behavior, strongly_connected_components
+from avmkit.lts import Path, Transition, UnknownStateError, build_behavior, integer_components
 from avmkit.report import Finding, ModelValidationError, SourcePos
 
-from conftest import CORPUS_DIR, MODEL_FILE
+from conftest import CORPUS_DIR, MODEL_FILE, workload_text
 from generators import (
     complete_coupled_model,
     is_valid_path,
@@ -370,8 +370,10 @@ def clears(model):
 
 
 def dominated_edges(control):
+    """`_dominated_edges` of the control graph, by state name."""
+    number, successors = avmkit.coupled._numbered(control)
     return avmkit.coupled._dominated_edges(
-        control, strongly_connected_components(control, [control.initial]))
+        successors, *integer_components(successors, [number[control.initial]]), list(number))
 
 
 def small_model(preventive_edges, control_edges, finals, fragments):
@@ -624,18 +626,87 @@ class TestLinksOnDemand:
             assert check_synchronization(coupled, count_paths=count_paths).findings == findings
             assert len(built) == builds
 
+    # The bundled model's text check also walks its control graph without the
+    # rescan edge; the generated one answers every link from the edge lists.
+    @pytest.mark.parametrize("text", [lambda: MODEL_FILE.read_text(encoding="utf-8"),
+                                      lambda: workload_text("random_wide", 1)],
+                             ids=["bundled", "random-wide"])
+    def test_text_check_builds_no_successor_map(self, text):
+        coupled = parse_model(text()).coupled
+        assert fast_check(coupled).passed
+        assert "successor_map" not in vars(coupled.preventive)
+        assert "successor_map" not in vars(coupled.control)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
     def test_agrees_with_the_condensation(self, seed, acyclic):
         model = random_coupled_model(Random(seed), acyclic)
         fragment_sets = [paths for _, paths in model.mapping.entries]
         fragments = [f for paths in fragment_sets for f in paths]
-        full = avmkit.coupled._reach_test(model.preventive, {f.last for f in fragments},
+        full = avmkit.coupled._reach_test(*avmkit.coupled._numbered(model.preventive),
+                                          {f.last for f in fragments},
                                           {g.first for g in fragments})
         on_demand = avmkit.coupled._link_test(model.preventive, fragment_sets)
         for f in fragments:
             for g in fragments:
                 assert on_demand(f.last, g.first) == full(f.last, g.first)
+
+
+def searched_reach(behavior, src, dst):
+    """Whether dst lies zero or more transitions from src: a breadth-first
+    search, layer by layer, over `behavior.transitions`."""
+    seen = layer = {src}
+    while layer:
+        layer = {t.target for t in behavior.transitions if t.source in layer} - seen
+        seen = seen | layer
+    return dst in seen
+
+
+@st.composite
+def reach_queries(draw):
+    """A random behavior (self-loops, parallel edges with distinct labels,
+    dead ends) with sources and targets drawn from its states and from two
+    names outside it; not every state is reached from the sources."""
+    behavior = random_behavior(Random(draw(st.integers(min_value=0, max_value=100_000))), 7)
+    names = st.sampled_from(sorted(behavior.states) + ["Outside0", "Outside1"])
+    return (behavior, draw(st.sets(names, min_size=1, max_size=5)),
+            draw(st.sets(names, min_size=1, max_size=5)))
+
+
+class TestReachOracle:
+    """`_reach_test` and `_link_test` answer as a search over the
+    transitions, written here, does; a source that is not a state raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_queries())
+    def test_reach_test_matches_search(self, query):
+        behavior, sources, targets = query
+        reaches = avmkit.coupled._reach_test(*avmkit.coupled._numbered(behavior),
+                                             sources, targets)
+        for src in sorted(sources):
+            for dst in sorted(targets):
+                if src in behavior.states:
+                    assert reaches(src, dst) == searched_reach(behavior, src, dst), (src, dst)
+                else:
+                    with pytest.raises(UnknownStateError):
+                        reaches(src, dst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_queries(), st.data())
+    def test_link_test_matches_search(self, query, data):
+        # The fragments are one state each, so every source is also a first
+        # state and every target a last one; the query order is drawn, so
+        # the one-state and one-edge answers come before and after the search.
+        behavior, sources, targets = query
+        fragment_sets = [[Path((s,)) for s in sorted(names)] for names in (sources, targets)]
+        ends = sorted(sources | targets)
+        reaches = avmkit.coupled._link_test(behavior, fragment_sets)
+        for src, dst in data.draw(st.permutations([(a, b) for a in ends for b in ends])):
+            if src in behavior.states:
+                assert reaches(src, dst) == searched_reach(behavior, src, dst), (src, dst)
+            else:
+                with pytest.raises(UnknownStateError):
+                    reaches(src, dst)
 
 
 class TestReducedControlGraph:
@@ -688,20 +759,22 @@ class TestReducedControlGraph:
             Finding("info", "control-paths", "control", f"checked {2 ** k} control path(s)"))
 
     def test_control_sccs_computed_once_when_nothing_is_dropped(self, monkeypatch):
+        # Every link here is one preventive edge, so every run is on the
+        # numbered control graph.
         model = chain_model(40)
+        control_graph = avmkit.coupled._numbered(model.control)[1]
         runs = []
-        scc = avmkit.coupled.strongly_connected_components
+        scc = avmkit.coupled.integer_components
 
-        def counted(behavior, roots):
-            if behavior is not model.preventive:
-                runs.append(behavior)
-            return scc(behavior, roots)
+        def counted(successors, roots):
+            runs.append(successors)
+            return scc(successors, roots)
 
-        monkeypatch.setattr(avmkit.coupled, "strongly_connected_components", counted)
+        monkeypatch.setattr(avmkit.coupled, "integer_components", counted)
         for count_paths in (True, False):
             runs.clear()
             check_synchronization(model, count_paths=count_paths)
-            assert runs == ([model.control] if count_paths else [])
+            assert runs == ([control_graph] if count_paths else [])
 
 
 class TestApproachPartition:

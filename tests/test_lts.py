@@ -12,6 +12,7 @@ from avmkit.lts import (
     build_behavior,
     enumerate_simple_paths,
     find_deadlocks,
+    integer_components,
     strongly_connected_components,
 )
 from avmkit.report import ModelValidationError, SourcePos
@@ -21,6 +22,7 @@ from generators import (
     naive_build_behavior,
     naive_simple_paths,
     random_behavior,
+    random_coupled_model,
     reachable_states,
 )
 
@@ -297,6 +299,79 @@ class TestStronglyConnectedComponents:
         ring = build_behavior(names, "S0", {"l"},
                               [(a, "l", c) for a, c in zip(names, names[1:] + names[:1])])
         assert [sorted(c) for c in strongly_connected_components(ring, names[:1])] == [sorted(names)]
+
+    # Per seed of `random_coupled_model(Random(seed), False)`: the components
+    # of its preventive and control behaviors from every state in name order,
+    # then of its control behavior from the initial state, members joined by
+    # "." in the order listed. Recorded from the name-keyed Tarjan this
+    # wrapper replaced, so order and members are pinned, not only the sets.
+    RECORDED = {
+        0: (["P0", "P1", "P2", "P3", "P4"], ["C0.C2.C1.C3"], ["C0.C2.C1.C3"]),
+        1: (["P1", "P2", "P0"], ["C0.C2.C1.C4.C3"], ["C0.C2.C1.C4.C3"]),
+        2: (["P0", "P1"], ["C0", "C1", "C3", "C2"], ["C0"]),
+        3: (["P0.P1", "P2"], ["C3", "C0.C1.C4.C2.C5"], ["C3", "C0.C1.C4.C2.C5"]),
+        4: (["P0", "P1", "P2"], ["C0.C1.C3.C4.C2.C5"], ["C0.C1.C3.C4.C2.C5"]),
+        5: (["P0", "P5", "P4", "P1.P3.P2"], ["C0.C1"], ["C0.C1"]),
+        6: (["P3", "P0", "P1", "P2", "P4", "P5"], ["C0.C2.C1.C3.C5.C6.C4"],
+            ["C0.C2.C1.C3.C5.C6.C4"]),
+        7: (["P0.P2.P1", "P3"], ["C1", "C0.C2.C3"], ["C1", "C0.C2.C3"]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_recorded_components(self, seed):
+        model = random_coupled_model(Random(seed), False)
+        found = tuple(
+            [".".join(c) for c in strongly_connected_components(b, roots)]
+            for b, roots in ((model.preventive, sorted(model.preventive.states)),
+                             (model.control, sorted(model.control.states)),
+                             (model.control, [model.control.initial])))
+        assert found == self.RECORDED[seed]
+
+
+@st.composite
+def int_graphs(draw):
+    """Successor lists over vertices 0..n-1, with self-loops, repeated
+    successors and dead ends, and roots, repeated or not, reaching any part."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    successors = draw(st.lists(st.lists(vertex, max_size=4), min_size=n, max_size=n))
+    return successors, draw(st.lists(vertex, max_size=n))
+
+
+class TestIntegerComponents:
+    """The integer core against reachability computed here, by search."""
+
+    @staticmethod
+    def reach(successors, v):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in successors[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_graphs())
+    def test_matches_mutual_reachability_sinks_first(self, graph):
+        successors, roots = graph
+        components, component_of = integer_components(successors, roots)
+        reach = [self.reach(successors, v) for v in range(len(successors))]
+        covered = set().union(*(reach[r] for r in roots))
+        assert sorted(v for c in components for v in c) == sorted(covered)
+        for v in range(len(successors)):
+            position = next((i for i, c in enumerate(components) if v in c), -1)
+            assert component_of[v] == position
+        for a in covered:
+            for b in reach[a]:
+                assert (component_of[a] == component_of[b]) == (a in reach[b])
+                assert component_of[b] <= component_of[a]
+
+    def test_long_ring_needs_no_recursion(self):
+        n = 100_000
+        components, component_of = integer_components(
+            [[(v + 1) % n] for v in range(n)], [0])
+        assert components == [list(range(n))] and set(component_of) == {0}
 
 
 class TestDeadlocks:
