@@ -11,6 +11,7 @@ from .lts import (
     Path,
     UnknownStateError,
     _Frozen,
+    _numbered,
     integer_components,
     path_order,
 )
@@ -309,15 +310,6 @@ def check_approach_alignment(model: CoupledModel) -> CheckReport:
 
 # The sync state of a control path that has already gapped.
 _GAP = "gap"
-
-
-def _numbered(behavior: Behavior) -> tuple[dict[str, int], list[list[int]]]:
-    """(number, successors): the states in set order; per number, its edges' targets."""
-    number = {state: i for i, state in enumerate(behavior.states)}
-    successors: list[list[int]] = [[] for _ in number]
-    for source, _, target in behavior.transitions:
-        successors[number[source]].append(number[target])
-    return number, successors
 
 
 def _reach_test(number, successors, sources: Iterable[str], targets: Iterable[str]):

@@ -58,27 +58,16 @@ class AtomicProposition(_Frozen):
         if kind not in ("at", "in"):
             raise ValueError(f"atom kind must be 'at' or 'in', not {kind!r}")
         # Formula equality compares rendered text, which only names tell apart.
-        # This is `lts.all_identifiers` inlined for one name.
-        if not (str.isidentifier(subject) and str.isascii(subject)):
+        if not NAME_RE.fullmatch(subject):
             raise ValueError(f"atom subject must be an identifier, not {subject!r}")
-        _set_kind(self, kind)
-        _set_subject(self, subject)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "subject", subject)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AtomicProposition:
-            return NotImplemented
-        return self.kind == other.kind and self.subject == other.subject
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.subject))
+    def _key(self) -> tuple:
+        return (self.kind, self.subject)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"
-
-
-# The slots' own setters, which skip the raising `__setattr__`; a structure's
-# `atoms` view builds one atom per state, so the constructor's cost shows.
-_set_kind, _set_subject = AtomicProposition.kind.__set__, AtomicProposition.subject.__set__
 
 
 class CtlFormula(_Frozen):

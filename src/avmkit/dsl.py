@@ -21,8 +21,9 @@ run of steps) and runs of names off its token lists with index arithmetic;
 only where a token does not fit do they read token by token, to raise at the
 token at fault. They keep the text offset where a name stands, its spot: a
 SourcePos is built from one only for a finding or a property's `position`.
-A behavior block's names and edges are then proved valid in bulk
-(`lts.build_behavior`), and walked one by one only to report what fails.
+A behavior block's names all fit the name pattern, and its states and labels
+are the ones it mentions, so a repeated edge is the one defect left to
+check before its `Behavior` is built; each repeat is reported at its spot.
 `source_positions` keeps the text offset of each state it places and the
 lexer's table of line starts, and builds a state's SourcePos only when it is
 looked up. A document reports its first fault in reading
@@ -58,7 +59,7 @@ from .ctl import (
     locate,
     parse_ctl,
 )
-from .lts import Behavior, Path, Transition, _Frozen, build_behavior
+from .lts import Behavior, Path, Transition, _Frozen
 from .report import Finding, ModelValidationError, SourcePos, sort_findings
 
 _DOC_MARKS = ("->", "=>", "{", "}", ":", ",", "-")
@@ -410,20 +411,18 @@ def _assemble_behavior(raw: _RawBehavior, findings: list[Finding], place):
         )
         return None, first_spot
 
-    try:
-        behavior = build_behavior(
-            states=set(first_spot),
-            initial=raw.initial[0],
-            labels={edge.label for edge in raw.edges},
-            transitions=raw.edges,
-            finals={name for name, _ in raw.finals},
-            positions=raw.edge_positions,
-            place=place,
-        )
-    except ModelValidationError as exc:  # duplicate transitions; nothing else can fail here
-        findings.extend(exc.findings)
+    edges = raw.edges
+    if len(set(edges)) < len(edges):
+        seen: set[Transition] = set()
+        for t, spot in zip(edges, raw.edge_positions):
+            if t in seen:
+                findings.append(Finding("error", "duplicate-transition", str(t),
+                                        "transition appears more than once", place(spot)))
+            seen.add(t)
         return None, first_spot
-    return behavior, first_spot
+    return Behavior(frozenset(first_spot), raw.initial[0],
+                    frozenset([edge.label for edge in edges]), tuple(edges),
+                    frozenset([name for name, _ in raw.finals])), first_spot
 
 
 def parse_model(text: str, *, name: str = "model") -> ModelDocument:

@@ -1,18 +1,17 @@
-"""Labeled transition systems: behaviors, paths, and three graph walks.
+"""Labeled transition systems: behaviors, paths, and two graph walks.
 
 A behavior is a finite set of named states with one initial state, a finite
 label set, a labeled transition relation, and an optional set of declared
 final states. A path is an alternating state/label sequence; a single state
 is a valid degenerate path.
 
-The walks: `enumerate_simple_paths` behind `avm paths`; Tarjan's
-`integer_components` behind the synchronization check, and by state name
-`strongly_connected_components`, whose components `find_deadlocks` reads.
+The walks: `enumerate_simple_paths` behind `avm paths`, and Tarjan's
+`integer_components` over a behavior's states numbered by `_numbered`,
+behind the synchronization check and `find_deadlocks`.
 """
 
 import re
 from functools import cached_property
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .report import Finding, ModelValidationError
@@ -108,7 +107,7 @@ class Behavior(_Frozen):
     @cached_property
     def successor_map(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """Per state, the outgoing (label, target) pairs in sorted order, for the
-        sync walk, `paths`, `find_deadlocks` and `strongly_connected_components`."""
+        sync walk and `paths`."""
         out: dict[str, list[tuple[str, str]]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t.source].append((t.label, t.target))
@@ -156,79 +155,49 @@ def path_order(path: Path) -> tuple:
     return path.labels, path.states
 
 
-def _as_transition(t) -> Transition:
-    if isinstance(t, Transition):
-        return t
-    source, label, target = t
-    return Transition(source, label, target)
-
-
-def all_identifiers(names) -> bool:
-    """Whether every string in `names` is an identifier, one `NAME_RE` matches
-    in full. An ASCII string is a Python identifier exactly when it is such
-    a name, and both tests run in C, a whole collection per call."""
-    return all(map(str.isidentifier, names)) and all(map(str.isascii, names))
-
-
-def build_behavior(states, initial, labels, transitions, finals=(), positions=None,
-                   place=lambda spot: spot) -> Behavior:
+def build_behavior(states, initial, labels, transitions, finals=()) -> Behavior:
     """Construct a validated Behavior; raises ModelValidationError listing every
-    defect. `positions`, when given, holds one spot per transition, and
-    `place(spot)` is the SourcePos of a finding about that transition, asked
-    for only for the findings made.
-
-    It proves in bulk, reports item by item: calls that each run over a whole
-    collection in C show that every transition is a `Transition`, every name
-    an identifier, every endpoint a state, every label declared and no
-    transition repeated, and only a check that fails walks its items one by
-    one, in order, to convert them or to make the findings. The behavior
-    keeps the transitions in the order given; it equals and hashes as one
-    built from them in any other order."""
+    defect: each name that is no identifier, an initial or final state that
+    is not declared, and each transition, in order, whose endpoint is not a
+    state, whose label is not declared, or that repeats one before it. The
+    behavior keeps the transitions in the order given; it equals and hashes
+    as one built from them in any other order."""
     states = frozenset(states)
     labels = frozenset(labels)
     finals = frozenset(finals)
-    transitions = list(transitions)
-    if not all(map(isinstance, transitions, repeat(Transition))):
-        transitions = [_as_transition(t) for t in transitions]
+    transitions = tuple(Transition(*t) for t in transitions)
     findings: list[Finding] = []
 
-    def error(code: str, subject: str, detail: str, spot=None) -> None:
-        findings.append(Finding("error", code, subject, detail,
-                                None if spot is None else place(spot)))
+    def error(code: str, subject: str, detail: str) -> None:
+        findings.append(Finding("error", code, subject, detail))
 
     if not states:
         error("empty-state-set", "<behavior>", "behavior declares no states")
         raise ModelValidationError(findings)
 
-    names = states | labels
-    if not all_identifiers(names):
-        for name in sorted(name for name in names if not NAME_RE.fullmatch(name)):
-            error("invalid-identifier", name,
-                  "identifiers are letters, digits and underscore, not starting with a digit")
+    for name in sorted(name for name in states | labels if not NAME_RE.fullmatch(name)):
+        error("invalid-identifier", name,
+              "identifiers are letters, digits and underscore, not starting with a digit")
 
     if initial not in states:
         error("bad-initial", str(initial), "initial state is not a declared state")
     for name in sorted(finals - states):
         error("unknown-state", name, "final state is not a declared state")
 
-    sources, used, targets = zip(*transitions) if transitions else ((), (), ())
-    if not (states.issuperset(sources) and states.issuperset(targets)
-            and labels.issuperset(used) and len(set(transitions)) == len(transitions)):
-        positions = [None] * len(transitions) if positions is None else list(positions)
-        seen: set[Transition] = set()
-        for t, spot in zip(transitions, positions, strict=True):
-            if t.source not in states:
-                error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
-            if t.target not in states:
-                error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
-            if t.label not in labels:
-                error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
-            if t in seen:
-                error("duplicate-transition", str(t), "transition appears more than once", spot)
-            seen.add(t)
+    seen: set[Transition] = set()
+    for t in transitions:
+        if t.source not in states:
+            error("unknown-state", t.source, f"transition {t} leaves an unknown state")
+        if t.target not in states:
+            error("unknown-state", t.target, f"transition {t} enters an unknown state")
+        if t.label not in labels:
+            error("unknown-label", t.label, f"transition {t} uses an undeclared label")
+        if t in seen:
+            error("duplicate-transition", str(t), "transition appears more than once")
+        seen.add(t)
     if findings:
         raise ModelValidationError(findings)
-    return Behavior(states, initial, labels, tuple(transitions), finals)
+    return Behavior(states, initial, labels, transitions, finals)
 
 
 def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list[Path]:
@@ -270,6 +239,15 @@ def enumerate_simple_paths(behavior: Behavior, source: str, target: str) -> list
     return out
 
 
+def _numbered(behavior: Behavior) -> tuple[dict[str, int], list[list[int]]]:
+    """(number, successors): the states in set order; per number, its edges' targets."""
+    number = {state: i for i, state in enumerate(behavior.states)}
+    successors: list[list[int]] = [[] for _ in number]
+    for source, _, target in behavior.transitions:
+        successors[number[source]].append(number[target])
+    return number, successors
+
+
 def integer_components(successors: list[list[int]], roots) -> tuple[list[list[int]], list[int]]:
     """Tarjan's strongly connected components, without recursion, of the
     vertices that `roots` reach in the graph `successors` (v's successors at
@@ -307,20 +285,9 @@ def integer_components(successors: list[list[int]], roots) -> tuple[list[list[in
     return out, component
 
 
-def strongly_connected_components(behavior: Behavior, roots) -> list[tuple[str, ...]]:
-    """`integer_components` by state name, successors in `successor_map` order."""
-    names = list(behavior.successor_map)
-    number = {state: i for i, state in enumerate(names)}
-    successors = [[number[t] for _, t in pairs] for pairs in behavior.successor_map.values()]
-    components, _ = integer_components(successors, [number[root] for root in roots])
-    return [tuple(names[v] for v in members) for members in components]
-
-
 def find_deadlocks(behavior: Behavior) -> frozenset[str]:
     """Reachable states with no outgoing transition that are not declared final."""
-    return frozenset(
-        s
-        for component in strongly_connected_components(behavior, [behavior.initial])
-        for s in component
-        if not behavior.successor_map[s] and s not in behavior.finals
-    )
+    number, successors = _numbered(behavior)
+    component = integer_components(successors, [number[behavior.initial]])[1]
+    return frozenset(s for s, v in number.items()
+                     if component[v] >= 0 and not successors[v] and s not in behavior.finals)

@@ -111,19 +111,16 @@ def naive_simple_paths(behavior: Behavior, source: str, target: str) -> set[Path
 
 
 
-def naive_build_behavior(states, initial, labels, transitions, finals=(), positions=None,
-                         place=lambda spot: spot) -> Behavior:
+def naive_build_behavior(states, initial, labels, transitions, finals=()) -> Behavior:
     """`build_behavior` checking item by item: every name by the name pattern,
-    then every transition in turn. Kept as the reference for the bulk checks,
-    whose findings, order and positions must be the same."""
+    then every transition in turn. Kept as the reference for `build_behavior`,
+    whose findings and their order must be the same."""
     states, labels, finals = frozenset(states), frozenset(labels), frozenset(finals)
     transitions = [Transition(*t) for t in transitions]
-    positions = [None] * len(transitions) if positions is None else list(positions)
     findings: list[Finding] = []
 
-    def error(code: str, subject: str, detail: str, spot=None) -> None:
-        findings.append(Finding("error", code, subject, detail,
-                                None if spot is None else place(spot)))
+    def error(code: str, subject: str, detail: str) -> None:
+        findings.append(Finding("error", code, subject, detail))
 
     if not states:
         error("empty-state-set", "<behavior>", "behavior declares no states")
@@ -136,15 +133,15 @@ def naive_build_behavior(states, initial, labels, transitions, finals=(), positi
     for name in sorted(finals - states):
         error("unknown-state", name, "final state is not a declared state")
     seen: set[Transition] = set()
-    for t, spot in zip(transitions, positions, strict=True):
+    for t in transitions:
         if t.source not in states:
-            error("unknown-state", t.source, f"transition {t} leaves an unknown state", spot)
+            error("unknown-state", t.source, f"transition {t} leaves an unknown state")
         if t.target not in states:
-            error("unknown-state", t.target, f"transition {t} enters an unknown state", spot)
+            error("unknown-state", t.target, f"transition {t} enters an unknown state")
         if t.label not in labels:
-            error("unknown-label", t.label, f"transition {t} uses an undeclared label", spot)
+            error("unknown-label", t.label, f"transition {t} uses an undeclared label")
         if t in seen:
-            error("duplicate-transition", str(t), "transition appears more than once", spot)
+            error("duplicate-transition", str(t), "transition appears more than once")
         seen.add(t)
     if findings:
         raise ModelValidationError(findings)

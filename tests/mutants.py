@@ -169,7 +169,7 @@ MUTANTS = (
         "lts.py",
         "if component[w] < 0 and index[w] < low[v]:",
         "if index[w] < low[v]:",
-        ("tests/test_lts.py::TestStronglyConnectedComponents",),
+        ("tests/test_lts.py::TestIntegerComponents",),
     ),
     Mutant(
         "low-link not passed up to the parent frame",
@@ -277,30 +277,31 @@ MUTANTS = (
     Mutant(
         "atom subject test takes a non-ASCII identifier for a name",
         "ctl.py",
-        "str.isidentifier(subject) and str.isascii(subject)",
-        "str.isidentifier(subject)",
-        ("tests/test_ctl.py::TestAtoms",),
+        "NAME_RE.fullmatch(subject)",
+        "subject.isidentifier()",
+        ("tests/test_ctl.py::TestAtoms::test_atom_subject_is_exactly_a_name",),
     ),
     Mutant(
-        "bulk name test takes a non-ASCII identifier for a name",
+        "validator's name test takes a non-ASCII identifier for a name",
         "lts.py",
-        "all(map(str.isidentifier, names)) and all(map(str.isascii, names))",
-        "all(map(str.isidentifier, names))",
-        ("tests/test_dsl.py::TestIdentifierTest",),
-    ),
-    Mutant(
-        "bulk endpoint test asks the targets to cover the states",
-        "lts.py",
-        "states.issuperset(targets)",
-        "states.issubset(targets)",
+        "if not NAME_RE.fullmatch(name)",
+        "if not name.isidentifier()",
         ("tests/test_lts.py::TestBulkChecks",),
     ),
     Mutant(
-        "bulk transition test lets a duplicate through",
+        "validator's endpoint test reports a target that is a state",
         "lts.py",
-        " and len(set(transitions)) == len(transitions)):",
-        "):",
+        "if t.target not in states:",
+        "if t.target in states:",
         ("tests/test_lts.py::TestBulkChecks",),
+    ),
+    Mutant(
+        "parser's repeat check lets a duplicate through",
+        "dsl.py",
+        "if len(set(edges)) < len(edges):",
+        "if False:",
+        ("tests/test_dsl.py::TestParseErrors::test_duplicate_edge",
+         "tests/test_dsl.py::TestParserOracle::test_random_documents_and_a_repeated_edge"),
     ),
     Mutant(
         "map statement read whole after any mark but a name",
@@ -566,6 +567,21 @@ MUTANTS = (
         "tuple(sorted(set(ts)))",
         "tuple(sorted(ts))",
         ("tests/test_checker.py::TestToKripke::test_labels_erased_once",),
+    ),
+    Mutant(
+        "validator's repeat test lets a duplicate through",
+        "lts.py",
+        "if t in seen:",
+        "if False:",
+        ("tests/test_lts.py::TestBulkChecks",),
+    ),
+    Mutant(
+        "parser places a repeated edge at its target",
+        "dsl.py",
+        "for t, spot in zip(edges, raw.edge_positions):",
+        "for t, spot in zip(edges, raw.target_positions):",
+        ("tests/test_dsl.py::TestParserOracle::test_random_documents_and_a_repeated_edge",
+         "tests/test_dsl.py::TestGoldenDiagnostics::test_exact_finding_lines[duplicate_transitions]"),
     ),
 )
 

@@ -2,7 +2,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avmkit.coupled import (
@@ -14,6 +14,7 @@ from avmkit.ctl import CtlSyntaxError, parse_ctl
 from avmkit.dsl import (
     _DOC_MARKS,
     _STATEMENT,
+    _assemble_behavior,
     _DocParser,
     ModelDocument,
     ModelSyntaxError,
@@ -21,10 +22,10 @@ from avmkit.dsl import (
     parse_model,
     render_model,
 )
-from avmkit.lts import NAME_RE, Path, all_identifiers, build_behavior
+from avmkit.lts import Path, Transition, build_behavior
 from avmkit.report import ModelValidationError, SourcePos
 
-from conftest import BENCH_CORPUS_DIR, CORPUS_DIR, MODEL_FILE
+from conftest import BENCH_CORPUS_DIR, CORPUS_DIR, MODEL_FILE, workload_text
 from generators import random_behavior, random_coupled_model, random_formula
 
 MINIMAL = """
@@ -317,25 +318,6 @@ class TestMapStatements:
             parse_model(MINIMAL.replace("map C => P", replacement))
         assert err.value.detail == message
         assert tuple(err.value.position) == position
-
-
-class TestIdentifierTest:
-    """`all_identifiers`, which proves a document's names in bulk, accepts
-    exactly the strings the name pattern matches in full."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.text())
-    @example("é")
-    @example("A\u0660")
-    @example("_")
-    @example("")
-    def test_equals_the_name_pattern(self, text):
-        assert all_identifiers([text]) == bool(NAME_RE.fullmatch(text))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.text(max_size=4)))
-    def test_a_set_passes_when_every_name_does(self, texts):
-        assert all_identifiers(texts) == all(NAME_RE.fullmatch(text) for text in texts)
 
 
 # What may stand between a step's parts: blanks, line ends and comments.
@@ -791,6 +773,70 @@ PARSED_DOCUMENTS = [
                  *sorted(BENCH_CORPUS_DIR.glob("*.avm"))]
     if path.stem not in REJECTED
 ]
+
+
+def validated(behavior):
+    """`build_behavior`, the library's validator, over the behavior's own fields."""
+    return build_behavior(behavior.states, behavior.initial, behavior.labels,
+                          behavior.transitions, behavior.finals)
+
+
+class TestParserOracle:
+    """The parser builds each behavior without `build_behavior`: what it
+    builds, the validator accepts and equals, and a repeated edge gets the
+    validator's finding, placed at the repeat."""
+
+    @pytest.mark.parametrize("source", [
+        *[pytest.param(path, id=f"{path.parent.parent.name}/{path.parent.name}/{path.stem}")
+          for path in [MODEL_FILE, *sorted(CORPUS_DIR.glob("*.avm")),
+                       *sorted(BENCH_CORPUS_DIR.glob("*.avm"))]],
+        *[pytest.param(generator, id=f"{generator}-1")
+          for generator in ("chain_deep", "random_wide", "ladder_sync")],
+    ])
+    def test_documents(self, source):
+        text = (workload_text(source, 1) if isinstance(source, str)
+                else source.read_text(encoding="utf-8"))
+        parser = _DocParser(text)
+        parser.parse()
+        assert set(parser.behaviors) == {"preventive", "control"}
+        for raw in parser.behaviors.values():
+            findings = []
+            behavior, _ = _assemble_behavior(raw, findings, parser.lx.locate)
+            assert findings == []
+            assert validated(behavior) == behavior
+            assert validated(behavior).transitions == behavior.transitions == tuple(raw.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_random_documents_and_a_repeated_edge(self, seed, data):
+        rng = Random(seed)
+        model = random_coupled_model(rng, acyclic=rng.random() < 0.5)
+        exempt = model.mapping.exempt | (model.control.states - model.mapping.mapped_states)
+        model = model._replace(mapping=mapping_process(dict(model.mapping.entries), exempt))
+        specs = tuple(PropertySpec(f"p{i}", "control", random_formula(rng, model.control.states, 3))
+                      for i in range(2))
+        text = render_model(ModelDocument(model, specs))
+        doc = parse_model(text)
+        for kind in ("preventive", "control"):
+            behavior = doc.coupled.behavior(kind)
+            assert validated(behavior) == behavior
+
+        lines = text.split("\n")
+        edge_lines = [k for k, line in enumerate(lines) if line.startswith("  ") and " -> " in line]
+        assume(edge_lines)
+        k = data.draw(st.sampled_from(edge_lines))
+        source, _, label, _, target = lines[k].split()
+        edge = Transition(source, label, target)
+        kind = "preventive" if edge in doc.coupled.preventive.transition_set else "control"
+        behavior = doc.coupled.behavior(kind)
+        with pytest.raises(ModelValidationError) as err:
+            parse_model("\n".join(lines[:k + 1] + lines[k:]))
+        with pytest.raises(ModelValidationError) as reference:
+            build_behavior(behavior.states, behavior.initial, behavior.labels,
+                           [*behavior.transitions, edge], behavior.finals)
+        [found] = err.value.findings
+        assert [found._replace(position=None)] == list(reference.value.findings)
+        assert found.position == SourcePos(k + 2, 3)
 
 
 class TestLazyPositions:

@@ -13,16 +13,14 @@ from avmkit.lts import (
     enumerate_simple_paths,
     find_deadlocks,
     integer_components,
-    strongly_connected_components,
 )
-from avmkit.report import ModelValidationError, SourcePos
+from avmkit.report import ModelValidationError
 
 from generators import (
     is_valid_path,
     naive_build_behavior,
     naive_simple_paths,
     random_behavior,
-    random_coupled_model,
     reachable_states,
 )
 
@@ -96,18 +94,16 @@ _EXTRA = ("Z", "z")
 
 
 def build_outcome(build, states, initial, labels, transitions, finals):
-    """The behavior built, or the findings raised, each placed at the line
-    that is its transition's number."""
+    """The behavior built, or the findings raised."""
     try:
-        return build(states, initial, labels, transitions, finals,
-                     positions=range(len(transitions)), place=lambda k: SourcePos(k + 1, 1))
+        return build(states, initial, labels, transitions, finals)
     except ModelValidationError as exc:
         return list(exc.findings)
 
 
 class TestBulkChecks:
-    """`build_behavior` proves in bulk and reports item by item: what it
-    builds or raises equals what the per-item reference does."""
+    """What `build_behavior` builds or raises equals what the reference
+    `naive_build_behavior` does, findings in the same order."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.sets(st.sampled_from(_STATES), max_size=4),
@@ -123,7 +119,7 @@ class TestBulkChecks:
     @example({"A"}, "A", {"a"}, [("A", "a", "A"), ("A", "a", "A")], set(), True)
     def test_findings_equal_the_per_item_reference(self, states, initial, labels,
                                                   transitions, finals, as_records):
-        if as_records:  # as the document parser passes them
+        if as_records:  # records as well as plain tuples
             transitions = [Transition(*t) for t in transitions]
         assert build_outcome(build_behavior, states, initial, labels, transitions, finals) == \
             build_outcome(naive_build_behavior, states, initial, labels, transitions, finals)
@@ -269,65 +265,6 @@ class TestReachability:
                 assert set(p.states) <= reachable
 
 
-class TestStronglyConnectedComponents:
-    def test_bundled_control(self, control):
-        components = strongly_connected_components(control, sorted(control.states))
-        # the verdict loop is the one cycle
-        assert sorted(map(sorted, components)) == [
-            ["Aborted"], ["Activated"], ["Done"], ["End"], ["NotActivated"],
-            ["Process", "Recognition"]]
-        assert components[0] == ("End",) and components[-1] == ("NotActivated",)
-
-    @settings(max_examples=60, deadline=None)
-    @given(behaviors(max_states=8))
-    def test_matches_mutual_reachability_sinks_first(self, behavior):
-        reach = {s: reachable_states(behavior, s) for s in behavior.states}
-        for roots in (sorted(behavior.states), [behavior.initial]):
-            components = strongly_connected_components(behavior, roots)
-            covered = sorted(s for c in components for s in c)
-            assert covered == sorted(set().union(*(reach[r] for r in roots)))
-            position = {s: i for i, c in enumerate(components) for s in c}
-            for a in covered:
-                for b in reach[a]:
-                    assert (position[a] == position[b]) == (a in reach[b])
-                    assert position[b] <= position[a]
-
-    def test_long_chain_needs_no_recursion(self):
-        names = [f"S{i}" for i in range(5000)]
-        b = build_behavior(names, "S0", {"l"}, [(a, "l", c) for a, c in zip(names, names[1:])])
-        assert strongly_connected_components(b, names) == [(s,) for s in reversed(names)]
-        ring = build_behavior(names, "S0", {"l"},
-                              [(a, "l", c) for a, c in zip(names, names[1:] + names[:1])])
-        assert [sorted(c) for c in strongly_connected_components(ring, names[:1])] == [sorted(names)]
-
-    # Per seed of `random_coupled_model(Random(seed), False)`: the components
-    # of its preventive and control behaviors from every state in name order,
-    # then of its control behavior from the initial state, members joined by
-    # "." in the order listed. Recorded from the name-keyed Tarjan this
-    # wrapper replaced, so order and members are pinned, not only the sets.
-    RECORDED = {
-        0: (["P0", "P1", "P2", "P3", "P4"], ["C0.C2.C1.C3"], ["C0.C2.C1.C3"]),
-        1: (["P1", "P2", "P0"], ["C0.C2.C1.C4.C3"], ["C0.C2.C1.C4.C3"]),
-        2: (["P0", "P1"], ["C0", "C1", "C3", "C2"], ["C0"]),
-        3: (["P0.P1", "P2"], ["C3", "C0.C1.C4.C2.C5"], ["C3", "C0.C1.C4.C2.C5"]),
-        4: (["P0", "P1", "P2"], ["C0.C1.C3.C4.C2.C5"], ["C0.C1.C3.C4.C2.C5"]),
-        5: (["P0", "P5", "P4", "P1.P3.P2"], ["C0.C1"], ["C0.C1"]),
-        6: (["P3", "P0", "P1", "P2", "P4", "P5"], ["C0.C2.C1.C3.C5.C6.C4"],
-            ["C0.C2.C1.C3.C5.C6.C4"]),
-        7: (["P0.P2.P1", "P3"], ["C1", "C0.C2.C3"], ["C1", "C0.C2.C3"]),
-    }
-
-    @pytest.mark.parametrize("seed", sorted(RECORDED))
-    def test_recorded_components(self, seed):
-        model = random_coupled_model(Random(seed), False)
-        found = tuple(
-            [".".join(c) for c in strongly_connected_components(b, roots)]
-            for b, roots in ((model.preventive, sorted(model.preventive.states)),
-                             (model.control, sorted(model.control.states)),
-                             (model.control, [model.control.initial])))
-        assert found == self.RECORDED[seed]
-
-
 @st.composite
 def int_graphs(draw):
     """Successor lists over vertices 0..n-1, with self-loops, repeated
@@ -366,6 +303,13 @@ class TestIntegerComponents:
             for b in reach[a]:
                 assert (component_of[a] == component_of[b]) == (a in reach[b])
                 assert component_of[b] <= component_of[a]
+
+    def test_long_chain_needs_no_recursion_and_lists_sinks_first(self):
+        n = 5000
+        components, component_of = integer_components(
+            [[v + 1] for v in range(n - 1)] + [[]], range(n))
+        assert components == [[v] for v in reversed(range(n))]
+        assert component_of == list(reversed(range(n)))
 
     def test_long_ring_needs_no_recursion(self):
         n = 100_000
